@@ -9,25 +9,20 @@
 //	panda-server -addr :8080 -rows 16 -cols 16 -eps 1.0 -policy baseline
 //	panda-server -policy monitoring -block 4
 //	panda-server -data-dir /var/lib/panda        # durable store (WAL)
-//	panda-server -data-dir /var/lib/panda -backend=kv # LSM-style store
 //	panda-server -data-dir /var/lib/panda -fsync # fsync every write
 //	panda-server -async-ingest                   # early-ack report ingestion
 //	panda-server -async-ingest -ingest-workers 8 -ingest-queue 131072
 //
-// With -data-dir the record store is durable and -backend selects the
-// implementation. The default, -backend=wal, is a striped append-only
+// With -data-dir the record store is durable: a striped append-only
 // write-ahead log (one log per store shard, so durable writes
-// parallelize across cores): reports survive restarts, and on
+// parallelize across cores). Reports survive restarts, and on
 // SIGINT/SIGTERM the server drains in-flight requests, flushes and
 // closes the logs before exiting. The stripe count is pinned by the
 // directory's MANIFEST; a dir left at the default -shards adopts the
-// manifest's count on reopen, an explicit mismatch fails loudly, and a
-// pre-stripe (single-log) dir is migrated in place on first open.
-// -backend=kv is the LSM-style store: one append log plus sorted-run
-// SSTables merged in the background; its layout is shard-agnostic, so
-// -shards is a pure memory knob there. A directory laid out by one
-// backend is refused by the other with an error naming the right one.
-// See PERSISTENCE.md for the on-disk formats and how to choose.
+// manifest's count on reopen, and an explicit mismatch fails loudly. A
+// directory holding another layout's files (the pre-stripe single log,
+// or the LSM-style kv store of earlier builds) is refused untouched.
+// See PERSISTENCE.md for the on-disk format.
 //
 // With -cluster-ring and -cluster-node the server runs as one node of a
 // static ring behind panda-router: its slice of the ring is pinned into
@@ -69,9 +64,6 @@ import (
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server"
-	"github.com/pglp/panda/internal/server/storage"
-	"github.com/pglp/panda/internal/server/storage/backend"
-	"github.com/pglp/panda/internal/server/storage/lsm"
 	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
@@ -96,18 +88,17 @@ func main() {
 func run(ctx context.Context, args []string, ready func(addr string)) error {
 	fs := flag.NewFlagSet("panda-server", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		rows     = fs.Int("rows", 16, "grid rows")
-		cols     = fs.Int("cols", 16, "grid columns")
-		cell     = fs.Float64("cell", 1.0, "cell size in plane units")
-		eps      = fs.Float64("eps", 1.0, "default per-release epsilon")
-		polFlg   = fs.String("policy", "baseline", "default policy: baseline|monitoring|analysis")
-		block    = fs.Int("block", 4, "block side for monitoring/analysis policies")
-		shards   = fs.Int("shards", runtime.GOMAXPROCS(0), "lock shards for the record store (1 = single lock)")
-		dataDir  = fs.String("data-dir", "", "directory for the durable store (empty = memory only)")
-		backFlag = fs.String("backend", "", "with -data-dir: durable store backend, wal (striped log, default) or kv (LSM runs)")
-		fsync    = fs.Bool("fsync", false, "with -data-dir: fsync the log on every write (durability over throughput)")
-		grace    = fs.Duration("shutdown-grace", 10*time.Second, "how long in-flight requests get to finish on shutdown")
+		addr    = fs.String("addr", ":8080", "listen address")
+		rows    = fs.Int("rows", 16, "grid rows")
+		cols    = fs.Int("cols", 16, "grid columns")
+		cell    = fs.Float64("cell", 1.0, "cell size in plane units")
+		eps     = fs.Float64("eps", 1.0, "default per-release epsilon")
+		polFlg  = fs.String("policy", "baseline", "default policy: baseline|monitoring|analysis")
+		block   = fs.Int("block", 4, "block side for monitoring/analysis policies")
+		shards  = fs.Int("shards", runtime.GOMAXPROCS(0), "lock shards for the record store (1 = single lock)")
+		dataDir = fs.String("data-dir", "", "directory for the durable store (empty = memory only)")
+		fsync   = fs.Bool("fsync", false, "with -data-dir: fsync the log on every write (durability over throughput)")
+		grace   = fs.Duration("shutdown-grace", 10*time.Second, "how long in-flight requests get to finish on shutdown")
 
 		asyncIngest = fs.Bool("async-ingest", false, "enable POST /v2/reports?mode=async: early 202 acks, background drain")
 		ingWorkers  = fs.Int("ingest-workers", 0, "async ingest drain workers (0 = GOMAXPROCS)")
@@ -123,17 +114,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if (*clusterRing == "") != (*clusterNode == "") {
 		return errors.New("-cluster-ring and -cluster-node must be set together")
 	}
-	// Validate the backend before anything touches the disk: an unknown
-	// name must fail loudly, and -backend without -data-dir is a
-	// configuration the flag cannot mean anything in.
-	backendName, err := backend.Normalize(*backFlag)
-	if err != nil {
-		return err
-	}
-	if *backFlag != "" && *dataDir == "" {
-		return fmt.Errorf("-backend=%s set without -data-dir (a backend only means something for a durable store)", *backFlag)
-	}
-
 	grid, err := geo.NewGrid(*rows, *cols, *cell)
 	if err != nil {
 		return err
@@ -180,63 +160,46 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	}
 
 	var db *server.DB
-	var store storage.Durable
+	var store *wal.Store
+	storeShards := *shards
 	durability := "memory-only"
 	if *dataDir != "" {
-		syncLabel := "buffered"
+		sync := wal.SyncBuffered
 		if *fsync {
-			syncLabel = "always"
+			sync = wal.SyncAlways
 		}
-		if backendName == backend.WAL {
-			// The WAL data dir's MANIFEST pins its stripe count. When
-			// -shards was left at its default (GOMAXPROCS — a value
-			// that changes across machines), adopt the directory's
-			// count instead of failing on a machine with a different
-			// core count; an explicit -shards that disagrees still
-			// fails loudly (wal.ErrStripeMismatch) rather than
-			// mis-shard the logs. The kv backend's layout is
-			// shard-agnostic, so none of this applies there.
-			shardsSet := false
-			fs.Visit(func(f *flag.Flag) {
-				if f.Name == "shards" {
-					shardsSet = true
-				}
-			})
-			if n, ok, merr := wal.Manifest(*dataDir); merr != nil {
-				return merr
-			} else if ok && !shardsSet && n != *shards {
-				log.Printf("panda-server: %s is laid out with %d stripes; adopting (pass -shards %d to silence, or restripe per PERSISTENCE.md)", *dataDir, n, n)
-				*shards = n
+		// The data dir's MANIFEST pins its stripe count. When -shards
+		// was left at its default (GOMAXPROCS — a value that changes
+		// across machines), adopt the directory's count instead of
+		// failing on a machine with a different core count; an explicit
+		// -shards that disagrees still fails loudly
+		// (wal.ErrStripeMismatch) rather than mis-shard the logs.
+		shardsSet := false
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				shardsSet = true
 			}
-		}
-		store, err = backend.Open(backendName, *dataDir, backend.Options{
-			Shards:         *shards,
-			SyncEveryWrite: *fsync,
 		})
+		if n, ok, merr := wal.Manifest(*dataDir); merr != nil {
+			return merr
+		} else if ok && !shardsSet && n != *shards {
+			log.Printf("panda-server: %s is laid out with %d stripes; adopting (pass -shards %d to silence, or restripe per PERSISTENCE.md)", *dataDir, n, n)
+			*shards = n
+		}
+		store, err = wal.Open(*dataDir, wal.Options{Shards: *shards, Sync: sync})
 		if err != nil {
 			return err
 		}
-		switch s := store.(type) {
-		case *wal.Store:
-			st := s.Stats()
-			suffix := ""
-			if st.TornTail {
-				suffix = " (dropped a torn final record)"
-			}
-			if st.Migrated {
-				log.Printf("panda-server: migrated legacy single-log layout in %s to %d stripes", *dataDir, st.Stripes)
-			}
-			log.Printf("panda-server: recovered %d records from %s%s", st.LiveRecords, *dataDir, suffix)
-			durability = fmt.Sprintf("wal %s (sync=%s, %d stripes)", *dataDir, syncLabel, *shards)
-		case *lsm.Store:
-			st := s.Stats()
-			suffix := ""
-			if st.TornTail {
-				suffix = " (dropped a torn final record)"
-			}
-			log.Printf("panda-server: recovered %d records from %s%s", st.LiveRecords, *dataDir, suffix)
-			durability = fmt.Sprintf("kv %s (sync=%s, %d runs)", *dataDir, syncLabel, st.Runs)
+		st := store.Stats()
+		suffix := ""
+		if st.TornTail {
+			suffix = " (dropped a torn final record)"
 		}
+		log.Printf("panda-server: recovered %d records from %s%s", st.LiveRecords, *dataDir, suffix)
+		// Report the count the store opened with: -shards 0 adopts the
+		// MANIFEST's count inside wal.Open.
+		storeShards = store.NumShards()
+		durability = fmt.Sprintf("wal %s (sync=%s, %d stripes)", *dataDir, sync, storeShards)
 		db, err = server.NewDBOn(grid, store)
 	} else {
 		db = server.NewShardedDB(grid, *shards)
@@ -270,7 +233,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		ingestMode = fmt.Sprintf("async ingest (%d workers, queue %d records)", st.Workers, st.Capacity)
 	}
 	log.Printf("panda-server: %dx%d grid, policy %s (edges=%d), ε=%v, store shards=%d, %s, %s, serving /v1+/v2 on %s",
-		*rows, *cols, *polFlg, g.NumEdges(), *eps, *shards, durability, ingestMode, ln.Addr())
+		*rows, *cols, *polFlg, g.NumEdges(), *eps, storeShards, durability, ingestMode, ln.Addr())
 	serving = true
 	if ready != nil {
 		ready(ln.Addr().String())
@@ -283,10 +246,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	// Fail-stop on durability loss: the Store interface cannot refuse
 	// writes, so once the log stops growing (disk full, I/O error) the
 	// server must not keep acknowledging reports it cannot persist.
-	// The monitor also surfaces background maintenance failures (wal
-	// compaction, kv flush/merge), which are not fatal (the log keeps
-	// growing) but must not stay silent. Both signals come through the
-	// storage.Durable seam, so the monitor is backend-agnostic.
+	// The monitor also surfaces background compaction failures, which
+	// are not fatal (the log keeps growing) but must not stay silent —
+	// the same Stats().CompactErr that /v2/healthz reports.
 	storeFailed := make(chan error, 1)
 	monitorDone := make(chan struct{})
 	defer close(monitorDone)
@@ -305,9 +267,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 					storeFailed <- err
 					return
 				}
-				if ce := store.CompactErr(); ce != nil && ce.Error() != loggedCompactErr {
+				if ce := store.Stats().CompactErr; ce != nil && ce.Error() != loggedCompactErr {
 					loggedCompactErr = ce.Error()
-					log.Printf("panda-server: store maintenance failing (log keeps growing): %v", ce)
+					log.Printf("panda-server: store compaction failing (log keeps growing): %v", ce)
 				}
 			}
 		}()

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage/wal"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -221,110 +224,92 @@ func TestMemoryOnlyStillWorks(t *testing.T) {
 }
 
 // TestBadFlags pins run's error paths so misconfiguration fails fast.
+// An undefined flag such as -backend fails at flag parsing, before any
+// I/O.
 func TestBadFlags(t *testing.T) {
 	ctx := context.Background()
+	dataDir := filepath.Join(t.TempDir(), "data")
 	for _, args := range [][]string{
 		{"-rows", "0"},
 		{"-policy", "bogus"},
 		{"-addr", "not-an-address"},
-		{"-backend", "bolt", "-data-dir", t.TempDir()}, // unknown backend
-		{"-backend", "kv"},                             // backend without a data dir
-		{"-backend", "wal"},                            // even the default name needs one
+		{"-backend", "kv", "-data-dir", dataDir},
 	} {
 		if err := run(ctx, args, nil); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
-}
-
-// TestBackendDirMismatchRefused: pointing -backend=kv at a WAL data dir
-// (or -backend=wal at a kv dir) must fail before serving, with an error
-// naming the backend that can open it.
-func TestBackendDirMismatchRefused(t *testing.T) {
-	lay := func(backendArg string) string {
-		t.Helper()
-		dir := t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		args := []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4", "-data-dir", dir}
-		if backendArg != "" {
-			args = append(args, "-backend", backendArg)
-		}
-		_, errCh := launch(t, ctx, args)
-		cancel()
-		if err := <-errCh; err != nil {
-			t.Fatalf("laying out %q dir: %v", backendArg, err)
-		}
-		return dir
-	}
-
-	walDir := lay("") // default backend = wal
-	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-data-dir", walDir, "-backend", "kv"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "-backend=wal") {
-		t.Errorf("kv on wal dir: err = %v, want refusal naming -backend=wal", err)
-	}
-
-	kvDir := lay("kv")
-	err = run(context.Background(), []string{"-addr", "127.0.0.1:0", "-data-dir", kvDir, "-backend", "wal"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "-backend=kv") {
-		t.Errorf("wal on kv dir: err = %v, want refusal naming -backend=kv", err)
+	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
+		t.Errorf("a refused flag set created %s (stat err %v)", dataDir, err)
 	}
 }
 
-// TestKVBackendRestart: the -backend=kv acceptance scenario — reports
-// ingested before a graceful shutdown are served after a relaunch on
-// the same -data-dir, exactly like the WAL path of
-// TestRestartDurability.
-func TestKVBackendRestart(t *testing.T) {
+// kvLayout is a hand-made data directory of the LSM-style kv store that
+// earlier builds shipped: its MANIFEST, one sorted run and one log.
+var kvLayout = map[string]string{
+	"MANIFEST":                 "panda-lsm-manifest v1\nflushed 1\nrun 1 1\nok 00000000\n",
+	"run-0000000000000001.sst": "PKVR run bytes",
+	"log-0000000000000002.log": "PKVL log bytes",
+}
+
+// TestForeignLayoutRefused: pointing -data-dir at a directory of
+// another layout fails before serving, with an error that names the
+// layout and no removed flag, and leaves every file as it was.
+func TestForeignLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range kvLayout {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4", "-data-dir", dir}, nil)
+	if err == nil {
+		t.Fatal("run served a kv data dir")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "kv store") || strings.Contains(msg, "-backend") {
+		t.Errorf("refusal %q: want it to name the kv store layout and no removed flag", msg)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(kvLayout) {
+		t.Errorf("refusal left %d entries, want the fixture's %d", len(entries), len(kvLayout))
+	}
+	for name, body := range kvLayout {
+		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != body {
+			t.Errorf("refusal changed %s: %q, %v", name, b, err)
+		}
+	}
+}
+
+// TestStripeCountLogged: with -shards 0, wal.Open adopts an existing
+// directory's MANIFEST count, and the startup line reports the stripes
+// the store opened with rather than the flag's 0.
+func TestStripeCountLogged(t *testing.T) {
 	dataDir := t.TempDir()
-	args := []string{"-addr", "127.0.0.1:0", "-rows", "8", "-cols", "8",
-		"-data-dir", dataDir, "-backend", "kv", "-shutdown-grace", "5s"}
+	s, err := wal.Open(dataDir, wal.Options{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer // run logs from its own goroutine, before it returns
+	prev := log.Writer()
+	log.SetOutput(&out)
+	t.Cleanup(func() { log.SetOutput(prev) })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	base, errCh := launch(t, ctx, args)
-	client := server.NewClient(base, nil)
-	const users, steps = 4, 10
-	for u := 0; u < users; u++ {
-		releases := make([]wire.Release, steps)
-		for i := range releases {
-			releases[i] = wire.Release{T: i, X: float64((u + i) % 8), Y: float64(u % 8)}
-		}
-		if _, err := client.ReportBatch(u, releases); err != nil {
-			t.Fatalf("user %d: ReportBatch: %v", u, err)
-		}
-	}
+	_, errCh := launch(t, ctx, []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4",
+		"-shards", "0", "-data-dir", dataDir})
 	cancel()
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("graceful shutdown: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not shut down")
+	if err := <-errCh; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
-
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	base2, errCh2 := launch(t, ctx2, args)
-	client2 := server.NewClient(base2, nil)
-	for u := 0; u < users; u++ {
-		recs, err := client2.Records(u)
-		if err != nil {
-			t.Fatalf("user %d: Records after restart: %v", u, err)
-		}
-		if len(recs) != steps {
-			t.Fatalf("user %d: %d records after restart, want %d", u, len(recs), steps)
-		}
-	}
-	cancel2()
-	select {
-	case err := <-errCh2:
-		if err != nil {
-			t.Fatalf("second shutdown: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("second instance did not shut down")
+	if logged := out.String(); !strings.Contains(logged, "store shards=8, wal "+dataDir+" (sync=buffered, 8 stripes)") {
+		t.Errorf("startup log does not report the 8 adopted stripes:\n%s", logged)
 	}
 }
 

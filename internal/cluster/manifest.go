@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"github.com/pglp/panda/internal/server/storage"
 )
 
 // The per-node ownership manifest mirrors the WAL's MANIFEST pattern
@@ -123,10 +125,10 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// writeOwnership atomically creates dir's CLUSTER manifest via
-// tmp + fsync + rename + directory fsync, so the file is either absent
-// or complete regardless of where a crash lands — the same commit
-// discipline as the WAL's MANIFEST.
+// writeOwnership atomically creates dir's CLUSTER manifest with
+// storage.WriteFileAtomic, so the file is either absent or complete
+// regardless of where a crash lands — the same commit discipline as
+// the WAL's MANIFEST.
 func writeOwnership(dir string, o Ownership) error {
 	owned := make([]string, len(o.Owned))
 	for i, p := range o.Owned {
@@ -134,33 +136,5 @@ func writeOwnership(dir string, o Ownership) error {
 	}
 	body := fmt.Sprintf("panda-cluster-manifest v%d\nnode %s\npartitions %d\nowned %s\n",
 		ownershipVersion, o.Node, o.Partitions, strings.Join(owned, ","))
-	tmpPath := filepath.Join(dir, ownershipName+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write([]byte(body)); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, ownershipName)); err != nil {
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return storage.WriteFileAtomic(dir, ownershipName, []byte(body))
 }

@@ -15,11 +15,11 @@
 // and flags, while any is held:
 //
 //   - calls to (*os.File).Sync — a device flush under the append mutex;
-//   - calls to functions or methods whose name starts with "sync" or
-//     "Sync" — the package's own sync helpers either fsync (syncDir) or
-//     acquire stripe locks themselves (Store.Sync, stripe.syncTo), so
-//     calling them with `mu` held is an fsync-under-mutex or a
-//     deadlock.
+//   - calls to functions or methods outside package os whose name
+//     starts with "sync" or "Sync" — the sync helpers either fsync
+//     (storage.SyncDir) or acquire stripe locks themselves (Store.Sync,
+//     stripe.syncTo), so calling them with `mu` held is an
+//     fsync-under-mutex or a deadlock.
 //
 // Functions whose name ends in "Locked" are analyzed as if their
 // receiver's `mu` were held (that is the repo's calling convention),
@@ -46,13 +46,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// inScope limits the analyzer to the durable backends (the only places
-// file handles and append mutexes coexist: the WAL and the LSM store)
-// and to testdata packages.
+// inScope limits the analyzer to the WAL (the only place file handles
+// and append mutexes coexist) and to testdata packages.
 func inScope(path string) bool {
-	return !strings.Contains(path, "/") ||
-		strings.HasSuffix(path, "/storage/wal") ||
-		strings.HasSuffix(path, "/storage/lsm")
+	return !strings.Contains(path, "/") || strings.HasSuffix(path, "/storage/wal")
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -394,8 +391,9 @@ func isSyncCall(fn *types.Func) bool {
 	if fn.Name() == "Sync" && receiverIsOSFile(fn) {
 		return true
 	}
-	// Package-local sync helpers (sync, syncTo, syncDir, Sync): they
-	// fsync or take stripe locks themselves.
+	// Sync helpers of any package but os (stripe.sync, syncTo,
+	// Store.Sync, storage.SyncDir): they fsync or take stripe locks
+	// themselves.
 	if fn.Pkg() == nil || fn.Pkg().Path() == "os" {
 		return false
 	}

@@ -6,11 +6,14 @@ import (
 	"bufio"
 	"os"
 	"sync"
+
+	"github.com/pglp/panda/internal/server/storage"
 )
 
 type stripe struct {
 	mu      sync.Mutex
 	fsyncMu sync.Mutex
+	dir     string
 	f       *os.File
 	w       *bufio.Writer
 }
@@ -38,6 +41,24 @@ func (st *stripe) AppendSyncBad(p []byte) error {
 	st.w.Write(p)
 	st.w.Flush()
 	return st.f.Sync() // want "Sync called while append mutex st\\.mu is held"
+}
+
+// publishBad fsyncs the stripe directory through another package's
+// sync helper with the append mutex held: storage.SyncDir is a device
+// flush all the same.
+func (st *stripe) publishBad() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return storage.SyncDir(st.dir) // want "SyncDir called while append mutex st\\.mu is held"
+}
+
+// publishAfterUnlock is the fix: the directory fsync runs once the
+// append mutex is released.
+func (st *stripe) publishAfterUnlock() error {
+	st.mu.Lock()
+	st.w.Flush()
+	st.mu.Unlock()
+	return storage.SyncDir(st.dir)
 }
 
 // rotateLocked runs under the caller's st.mu by naming convention: the

@@ -7,8 +7,8 @@ import (
 
 // WriteFileAtomic writes name into dir via tmp + fsync + rename +
 // directory fsync, so the file is either absent or complete — never
-// torn — regardless of where a crash lands. Both durable backends
-// (wal, lsm) commit their manifests through it.
+// torn — regardless of where a crash lands. The wal's MANIFEST
+// and the cluster's CLUSTER pin are committed through it.
 func WriteFileAtomic(dir, name string, body []byte) error {
 	tmpPath := filepath.Join(dir, name+".tmp")
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -37,7 +37,8 @@ func WriteFileAtomic(dir, name string, body []byte) error {
 }
 
 // SyncDir fsyncs a directory so renames and removals inside it are
-// durable.
+// durable. The fsynclock analyzer flags a call to it made while a wal
+// stripe's append mutex is held.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

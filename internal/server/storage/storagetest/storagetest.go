@@ -11,11 +11,11 @@
 //		storagetest.TestStore(t, func(t *testing.T) storage.Store { ... })
 //	}
 //
-// It is wired against all four backends: mem and sharded (package
-// storage), wal, and lsm. The concurrency cases are deliberately run
-// under -race in CI; they are the only place the Scan-vs-InsertBatch
-// atomicity and the Gen-pins-cache protocol are exercised against
-// real interleavings rather than argued in comments.
+// It is wired against every store: mem and sharded (package storage)
+// and wal. The concurrency cases are deliberately run under -race in
+// CI; they are the only place the Scan-vs-InsertBatch atomicity and
+// the Gen-pins-cache protocol are exercised against real
+// interleavings rather than argued in comments.
 package storagetest
 
 import (
@@ -481,8 +481,8 @@ func testBatchAtomicity(t *testing.T, s storage.Store) {
 // writers (inserts, re-sends, batches) against several readers
 // touching every read entry point. Correctness checks happen after
 // the join; while running, the value is tripping the race detector
-// (and backend-internal invariants like the lsm flush) on real
-// interleavings.
+// (and store-internal invariants like the wal's stripe locking) on
+// real interleavings.
 func testConcurrentReadersWriters(t *testing.T, s storage.Store) {
 	const (
 		writers = 4

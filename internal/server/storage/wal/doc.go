@@ -1,9 +1,9 @@
-// Package wal is the durable persistence backend of the record layer:
-// a striped write-ahead log layered over a sharded in-memory
-// storage.Store. Every insert is appended to an on-disk log before it
-// touches memory, so the full database state survives process
-// restarts; Open replays the logs to rebuild memory, tolerating a torn
-// final record from a crash mid-append.
+// Package wal is the durable store of the record layer: a striped
+// write-ahead log layered over a sharded in-memory storage.Store.
+// Every insert is appended to an on-disk log before it touches memory,
+// so the full database state survives process restarts; Open replays
+// the logs to rebuild memory, tolerating a torn final record from a
+// crash mid-append.
 //
 // The log is striped: the store keeps one independent append log per
 // memory shard (records route to stripes by storage.ShardFor, exactly
@@ -43,10 +43,12 @@
 // The MANIFEST pins the stripe count: reopening with a different
 // Options.Shards fails with ErrStripeMismatch instead of silently
 // mis-routing records (see manifest.go for why that would lose data).
-// Directories written by the pre-stripe layout — a bare snapshot.dat
-// and wal-*.log in the root, no MANIFEST — are migrated in place on
-// first Open; migration preserves record contents exactly and commits
-// by writing the MANIFEST last.
+// Open lays a fresh layout only into a directory that holds no other
+// layout's files: stripe directories without a MANIFEST, the
+// pre-stripe single-log files (a bare snapshot.dat or wal-*.log in the
+// root), and the files or MANIFEST of the LSM-style kv store that
+// earlier builds shipped are all refused, with the directory left
+// untouched.
 //
 // A batch that spans stripes is appended to each involved stripe in
 // turn; a crash between those appends durably keeps some stripes'

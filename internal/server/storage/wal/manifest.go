@@ -24,9 +24,9 @@ import (
 // each stripe against the wrong shard's contents, silently dropping
 // records from disk on the next segment deletion. Open therefore
 // refuses a stripe-count mismatch with ErrStripeMismatch instead of
-// guessing. Directories from before the striped layout ("v1": a bare
-// snapshot.dat + wal-*.log in the directory root, no MANIFEST) are
-// migrated on first Open; see migrateLegacy.
+// guessing. A directory without a MANIFEST is laid out fresh, unless
+// it holds files of a layout this build does not write (see
+// checkFresh).
 const (
 	manifestName    = "MANIFEST"
 	manifestVersion = 2
@@ -39,9 +39,9 @@ const (
 var ErrStripeMismatch = errors.New("wal: stripe count mismatch")
 
 // Manifest reads dir's MANIFEST and returns its stripe count. ok is
-// false (with a nil error) when the directory has no MANIFEST — a
-// fresh directory, or a legacy single-log layout that Open will
-// migrate. A malformed or future-versioned MANIFEST is an error.
+// false (with a nil error) when the directory has no MANIFEST. A
+// malformed or future-versioned MANIFEST is an error, and so is the
+// MANIFEST of the LSM-style kv store that earlier builds shipped.
 func Manifest(dir string) (stripes int, ok bool, err error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
@@ -52,7 +52,7 @@ func Manifest(dir string) (stripes int, ok bool, err error) {
 	}
 	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
 	if len(lines) > 0 && strings.HasPrefix(lines[0], "panda-lsm-manifest") {
-		return 0, false, fmt.Errorf("wal: %s is an LSM (kv) data dir (its MANIFEST says %q); open it with the kv backend (-backend=kv)", dir, lines[0])
+		return 0, false, fmt.Errorf("wal: %s holds a MANIFEST of the LSM-style kv store layout (%q), which this build does not read; see PERSISTENCE.md", dir, lines[0])
 	}
 	if len(lines) != 2 {
 		return 0, false, fmt.Errorf("wal: malformed manifest in %s", dir)
@@ -70,172 +70,51 @@ func Manifest(dir string) (stripes int, ok bool, err error) {
 	return stripes, true, nil
 }
 
-// writeManifest atomically creates dir's MANIFEST. It is the commit
-// point of both a fresh layout and a legacy migration: once the rename
-// lands (and the directory is fsynced), every later Open trusts the
-// stripe snapshots and ignores — deletes — leftover legacy files.
+// writeManifest atomically creates dir's MANIFEST: the commit point
+// of a fresh layout. A crash before the rename lands leaves no
+// MANIFEST, and the next Open lays the directory out again.
 func writeManifest(dir string, stripes int) error {
 	body := fmt.Sprintf("panda-wal-manifest v%d\nstripes %d\n", manifestVersion, stripes)
-	return writeFileAtomic(dir, manifestName, []byte(body))
-}
-
-// writeFileAtomic writes name into dir via tmp + fsync + rename +
-// directory fsync, so the file is either absent or complete — never
-// torn — regardless of where a crash lands.
-func writeFileAtomic(dir, name string, body []byte) error {
-	tmpPath := filepath.Join(dir, name+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	return syncDir(dir)
+	return storage.WriteFileAtomic(dir, manifestName, []byte(body))
 }
 
 // stripeDirName formats the subdirectory of stripe i.
 func stripeDirName(i int) string { return fmt.Sprintf("stripe-%03d", i) }
 
-// legacyLayout reports the pre-stripe ("v1") files in dir's root: the
-// segment sequence numbers and whether a root snapshot.dat exists.
-func legacyLayout(dir string) (seqs []uint64, hasSnap bool, err error) {
+// checkFresh is Open's refusal path for a directory without a
+// MANIFEST. It returns an error naming the first file of a layout this
+// build does not write, before anything in dir is modified:
+//
+//   - stripe-* directories: a striped layout whose MANIFEST was lost.
+//     Laying a new MANIFEST with a different count over them would
+//     mis-route compaction and silently drop records from disk.
+//   - a root snapshot.dat or wal-*.log: the pre-stripe single-log
+//     layout.
+//   - log-*.log or run-*.sst: the LSM-style kv store's layout.
+//
+// Other files, such as the CLUSTER pin cluster.PinOwnership writes
+// before the store opens, are left alone.
+func checkFresh(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, false, err
+		return fmt.Errorf("wal: %w", err)
 	}
 	for _, e := range entries {
-		if e.Name() == snapshotName {
-			hasSnap = true
-		}
-		if seq, ok := parseSegmentName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sortSeqs(seqs)
-	return seqs, hasSnap, nil
-}
-
-// migrateLegacy rewrites a pre-stripe data directory (one root log +
-// snapshot) as the striped layout, preserving record contents exactly.
-// The crash-safety argument, step by step:
-//
-//  1. Replay the legacy snapshot + segments into a scratch memory
-//     store, tolerating a torn tail in the final segment exactly like
-//     a normal recovery (damage elsewhere is ErrCorrupt). The legacy
-//     files are not modified.
-//  2. Write each stripe's snapshot.dat (atomically, fsynced) from the
-//     scratch store's matching memory shard. Stale files from an
-//     earlier crashed migration attempt are simply overwritten; stray
-//     segments inside stripe directories are deleted first (they can
-//     only exist if an operator moved files by hand — no append ever
-//     ran without a MANIFEST).
-//  3. Write the MANIFEST — the commit point. A crash before this line
-//     leaves the legacy files authoritative and the next Open redoes
-//     the migration from step 1; a crash after it leaves the stripe
-//     snapshots authoritative.
-//  4. Delete the legacy files. A crash mid-deletion leaves leftovers
-//     that the next Open (seeing the MANIFEST) deletes — their every
-//     record is already in the stripe snapshots.
-//
-// It returns whether the legacy log ended in a torn record, so Open
-// can surface it in Stats like a normal torn-tail recovery.
-func migrateLegacy(dir string, stripes int, seqs []uint64, hasSnap bool) (tornTail bool, err error) {
-	scratch := storage.NewSharded(stripes)
-	if hasSnap {
-		snapPath := filepath.Join(dir, snapshotName)
-		if _, err := replayFile(snapPath, func(rec storage.Record) { scratch.Insert(rec) }); err != nil {
-			if err == errTorn {
-				return false, fmt.Errorf("%w: snapshot %s", ErrCorrupt, snapPath)
-			}
-			return false, fmt.Errorf("wal: migrating legacy snapshot: %w", err)
-		}
-	}
-	for i, seq := range seqs {
-		path := filepath.Join(dir, segmentName(seq))
-		_, err := replayFile(path, func(rec storage.Record) { scratch.Insert(rec) })
+		name := e.Name()
 		switch {
-		case err == nil:
-		case err == errTorn && i == len(seqs)-1:
-			tornTail = true
-		case err == errTorn:
-			return false, fmt.Errorf("%w: segment %s", ErrCorrupt, path)
-		default:
-			return false, fmt.Errorf("wal: migrating %s: %w", path, err)
+		case e.IsDir() && strings.HasPrefix(name, "stripe-"):
+			return fmt.Errorf("wal: %s has stripe directories but no MANIFEST; restore the MANIFEST (two lines: %q, %q) or recover from backup — see PERSISTENCE.md",
+				dir, fmt.Sprintf("panda-wal-manifest v%d", manifestVersion), "stripes <N>")
+		case name == snapshotName || affixed(name, "wal-", ".log"):
+			return fmt.Errorf("wal: %s holds %s of the pre-stripe single-log layout, which this build does not read; see PERSISTENCE.md", dir, name)
+		case affixed(name, "log-", ".log") || affixed(name, "run-", ".sst"):
+			return fmt.Errorf("wal: %s holds %s of the LSM-style kv store layout, which this build does not read; see PERSISTENCE.md", dir, name)
 		}
 	}
-
-	for i := 0; i < stripes; i++ {
-		sd := filepath.Join(dir, stripeDirName(i))
-		if err := os.MkdirAll(sd, 0o755); err != nil {
-			return false, fmt.Errorf("wal: migrating: %w", err)
-		}
-		// Stray segments here would later replay over the fresh
-		// snapshot; with the legacy files still authoritative they
-		// hold nothing of value, so clear them.
-		entries, err := os.ReadDir(sd)
-		if err != nil {
-			return false, fmt.Errorf("wal: migrating: %w", err)
-		}
-		for _, e := range entries {
-			if _, ok := parseSegmentName(e.Name()); ok || strings.HasSuffix(e.Name(), ".tmp") {
-				if err := os.Remove(filepath.Join(sd, e.Name())); err != nil {
-					return false, fmt.Errorf("wal: migrating: %w", err)
-				}
-			}
-		}
-		var body []byte
-		body = append(body, fileHeader()...)
-		var frame []byte
-		scratch.ScanShard(i, func(rec storage.Record) bool {
-			frame = appendFrame(frame[:0], rec)
-			body = append(body, frame...)
-			return true
-		})
-		if err := writeFileAtomic(sd, snapshotName, body); err != nil {
-			return false, fmt.Errorf("wal: migrating stripe %d: %w", i, err)
-		}
-	}
-
-	if err := writeManifest(dir, stripes); err != nil {
-		return false, fmt.Errorf("wal: migrating: %w", err)
-	}
-	if err := removeLegacy(dir, seqs, hasSnap); err != nil {
-		return false, err
-	}
-	return tornTail, nil
+	return nil
 }
 
-// removeLegacy deletes the pre-stripe root files after (or on an Open
-// after) a committed migration, then fsyncs the directory.
-func removeLegacy(dir string, seqs []uint64, hasSnap bool) error {
-	if len(seqs) == 0 && !hasSnap {
-		return nil
-	}
-	for _, seq := range seqs {
-		if err := os.Remove(filepath.Join(dir, segmentName(seq))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: removing migrated legacy segment: %w", err)
-		}
-	}
-	if hasSnap {
-		if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: removing migrated legacy snapshot: %w", err)
-		}
-	}
-	return syncDir(dir)
+// affixed reports whether name starts with prefix and ends with suffix.
+func affixed(name, prefix, suffix string) bool {
+	return strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix)
 }

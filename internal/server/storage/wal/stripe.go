@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,11 +59,6 @@ type stripe struct {
 	kick      chan struct{} // nudges the compactor; buffered, size 1
 }
 
-// sortSeqs orders segment sequence numbers ascending.
-func sortSeqs(seqs []uint64) {
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-}
-
 // recover replays this stripe's snapshot + segments into the store's
 // shared memory and opens the last segment for appending (creating
 // segment 1 in a fresh stripe directory). Single-threaded: only Open
@@ -88,7 +83,7 @@ func (st *stripe) recover() error {
 			seqs = append(seqs, seq)
 		}
 	}
-	sortSeqs(seqs)
+	slices.Sort(seqs)
 
 	mem := st.store.mem
 	snapPath := filepath.Join(st.dir, snapshotName)

@@ -1,14 +1,17 @@
 package wal
 
 // Crash-recovery tests specific to the striped layout: stripe/shard
-// placement agreement, MANIFEST enforcement, legacy single-log
-// migration, partial cross-stripe batches, and the rotation/iterator
+// placement agreement, MANIFEST enforcement, refusal of foreign
+// layouts, partial cross-stripe batches, and the rotation/iterator
 // interplay that snapshots (SaveJSON upstream) depend on.
 
 import (
 	"errors"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,32 +116,116 @@ func TestManifestMalformedRejected(t *testing.T) {
 	}
 }
 
-// TestMissingManifestRejected: stripe directories without a MANIFEST
-// (lost, or deleted in a misguided restripe attempt) must refuse to
-// open — writing a fresh MANIFEST over them could mis-route compaction
-// and drop records from disk.
+// TestMissingManifestRejected: Open lays a fresh layout only into a
+// directory that holds no other layout's files. Each fixture is
+// hand-made in the shape of a layout this build does not write; Open
+// must refuse it, name what it found, and leave every byte in place.
+// Laying a MANIFEST over lost-MANIFEST stripes could mis-route
+// compaction and drop records from disk; over the pre-stripe or kv
+// files it would bury their records under an empty store.
 func TestMissingManifestRejected(t *testing.T) {
+	seg := string(appendFrame(fileHeader(), rec(1, 0, 5))) // a one-record log file
+	lostManifest := map[string]string{stripeDirName(0) + "/" + segmentName(1): seg}
+	for _, tc := range []struct {
+		name  string
+		files map[string]string // path under the data dir → contents
+		want  string            // the refusal names this; "" means Open lays out fresh
+	}{
+		{"stripe dir without MANIFEST", lostManifest, "stripe directories"},
+		{"root snapshot", map[string]string{snapshotName: seg}, "pre-stripe"},
+		{"root segment", map[string]string{"wal-0000000001.log": seg}, "pre-stripe"},
+		{"kv log", map[string]string{"log-0000000000000001.log": seg}, "kv store"},
+		{"kv run", map[string]string{"run-0000000000000001.sst": seg}, "kv store"},
+		{"kv MANIFEST", map[string]string{manifestName: "panda-lsm-manifest v1\nflushed 0\nok 00000000\n"}, "kv store"},
+		{"CLUSTER only", map[string]string{"CLUSTER": "panda-cluster-manifest v1\nnode a\npartitions 4\nowned 0,1\n"}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeFiles(t, dir, tc.files)
+			before := dirContents(t, dir)
+			s, err := Open(dir, Options{Shards: 2, CompactMinGarbage: -1})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				defer s.Close()
+				if n, ok, err := Manifest(dir); n != 2 || !ok || err != nil || s.Len() != 0 {
+					t.Fatalf("fresh open: Manifest = (%d, %v, %v), Len = %d", n, ok, err, s.Len())
+				}
+				after := dirContents(t, dir)
+				for name, body := range before {
+					if after[name] != body {
+						t.Fatalf("fresh open rewrote %s", name)
+					}
+				}
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a foreign layout")
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "-backend") {
+				t.Errorf("refusal %q: want it to name %q and no removed flag", msg, tc.want)
+			}
+			if after := dirContents(t, dir); !maps.Equal(before, after) {
+				t.Fatalf("refusal modified the directory:\nbefore %q\nafter  %q", before, after)
+			}
+		})
+	}
+
+	// Restoring a lost MANIFEST recovers the stripes intact.
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
-	s.Insert(rec(1, 0, 5))
-	if err := s.Close(); err != nil {
+	writeFiles(t, dir, lostManifest)
+	if err := writeManifest(dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{Shards: 2, CompactMinGarbage: -1}); err == nil {
-		t.Fatal("Open accepted stripe dirs without a MANIFEST")
-	}
-	// Restoring the manifest recovers the store intact.
-	if err := writeManifest(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	back := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
+	back := mustOpen(t, dir, noAutoCompact)
 	defer back.Close()
 	if back.Len() != 1 || back.UserRecords(1)[0].Cell != 5 {
 		t.Fatalf("recovered %d records after manifest restore", back.Len())
 	}
+}
+
+// writeFiles creates each path under dir (parents included) with its
+// contents.
+func writeFiles(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dirContents maps every path under dir to its contents; directories
+// map to "/".
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[rel] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		out[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestManifestReader covers the exported Manifest helper callers use to
@@ -154,205 +241,6 @@ func TestManifestReader(t *testing.T) {
 	}
 	if n, ok, err := Manifest(dir); n != 6 || !ok || err != nil {
 		t.Fatalf("Manifest after Open = (%d, %v, %v), want (6, true, nil)", n, ok, err)
-	}
-}
-
-// buildLegacyDir lays a directory out in the pre-stripe ("v1") format:
-// an optional root snapshot plus root segments.
-func buildLegacyDir(t *testing.T, dir string, snap []storage.Record, segs ...[]storage.Record) {
-	t.Helper()
-	if snap != nil {
-		writeLogFile(t, filepath.Join(dir, snapshotName), snap...)
-	}
-	for i, seg := range segs {
-		writeLogFile(t, filepath.Join(dir, segmentName(uint64(i+1))), seg...)
-	}
-}
-
-// TestLegacyMigrationRoundTrip: a pre-stripe data dir — snapshot,
-// several segments, replacements across them — opens via migration with
-// identical record contents, the MANIFEST is created, the legacy files
-// are gone, and a second reopen (now striped) serves the same records
-// without migrating again.
-func TestLegacyMigrationRoundTrip(t *testing.T) {
-	for _, stripes := range []int{1, 4} {
-		dir := t.TempDir()
-		buildLegacyDir(t, dir,
-			[]storage.Record{rec(0, 0, 1), rec(1, 0, 2), rec(2, 0, 3)},
-			[]storage.Record{rec(3, 1, 4), rec(0, 0, 9)}, // user 0 re-sent: cell 9 wins
-			[]storage.Record{rec(4, 2, 5), rec(5, 3, 6)},
-		)
-		want := map[[2]int]int{
-			{0, 0}: 9, {1, 0}: 2, {2, 0}: 3, {3, 1}: 4, {4, 2}: 5, {5, 3}: 6,
-		}
-
-		s := mustOpen(t, dir, Options{Shards: stripes, CompactMinGarbage: -1})
-		st := s.Stats()
-		if !st.Migrated || st.Stripes != stripes || st.TornTail {
-			t.Fatalf("stripes=%d: stats after migration: %+v", stripes, st)
-		}
-		checkCells := func(s *Store, when string) {
-			t.Helper()
-			got := collect(s)
-			if len(got) != len(want) {
-				t.Fatalf("stripes=%d %s: %d records, want %d", stripes, when, len(got), len(want))
-			}
-			for k, cell := range want {
-				if got[k].Cell != cell {
-					t.Fatalf("stripes=%d %s: key %v cell %d, want %d", stripes, when, k, got[k].Cell, cell)
-				}
-			}
-		}
-		checkCells(s, "post-migration")
-		// Migration doubles as a compaction: the stripe snapshots hold
-		// only final values, so the superseded legacy entry is gone.
-		if st.Garbage != 0 {
-			t.Fatalf("stripes=%d: garbage after migration = %d, want 0", stripes, st.Garbage)
-		}
-		// The store is live: append through the striped layout.
-		s.Insert(rec(6, 4, 7))
-		want[[2]int{6, 4}] = 7
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		if _, err := os.Stat(filepath.Join(dir, snapshotName)); !os.IsNotExist(err) {
-			t.Fatalf("stripes=%d: legacy snapshot survived migration", stripes)
-		}
-		for seq := uint64(1); seq <= 2; seq++ {
-			if _, err := os.Stat(filepath.Join(dir, segmentName(seq))); !os.IsNotExist(err) {
-				t.Fatalf("stripes=%d: legacy segment %d survived migration", stripes, seq)
-			}
-		}
-		if n, ok, err := Manifest(dir); n != stripes || !ok || err != nil {
-			t.Fatalf("stripes=%d: manifest after migration = (%d, %v, %v)", stripes, n, ok, err)
-		}
-
-		back := mustOpen(t, dir, Options{Shards: stripes, CompactMinGarbage: -1})
-		if st := back.Stats(); st.Migrated {
-			t.Fatalf("stripes=%d: second open re-migrated", stripes)
-		}
-		checkCells(back, "reopen")
-		if err := back.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestLegacyMigrationTornTail: a legacy log whose final segment ends in
-// a torn record migrates like a normal recovery — the intact prefix is
-// preserved, the torn record dropped, and Stats reports the torn tail.
-func TestLegacyMigrationTornTail(t *testing.T) {
-	dir := t.TempDir()
-	buildLegacyDir(t, dir, nil, []storage.Record{rec(0, 0, 1), rec(1, 0, 2), rec(2, 0, 3)})
-	seg := filepath.Join(dir, segmentName(1))
-	b, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg, b[:len(b)-7], 0o644); err != nil { // tear record 2
-		t.Fatal(err)
-	}
-	s := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
-	defer s.Close()
-	st := s.Stats()
-	if !st.Migrated || !st.TornTail {
-		t.Fatalf("stats after torn-tail migration: %+v", st)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("migrated %d records, want 2 (torn record dropped)", s.Len())
-	}
-}
-
-// TestLegacyMigrationCorruptRejected: damage in a non-final legacy
-// segment is corruption, and migration must refuse (leaving the legacy
-// files in place) rather than silently drop the suffix.
-func TestLegacyMigrationCorruptRejected(t *testing.T) {
-	dir := t.TempDir()
-	buildLegacyDir(t, dir, nil,
-		[]storage.Record{rec(0, 0, 1), rec(1, 0, 2)},
-		[]storage.Record{rec(2, 0, 3)},
-	)
-	seg := filepath.Join(dir, segmentName(1))
-	b, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[headerSize+10] ^= 0xff
-	if err := os.WriteFile(seg, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{Shards: 2, CompactMinGarbage: -1}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on corrupt legacy dir: err=%v, want ErrCorrupt", err)
-	}
-	if _, err := os.Stat(seg); err != nil {
-		t.Fatalf("failed migration removed legacy files: %v", err)
-	}
-	if _, ok, _ := Manifest(dir); ok {
-		t.Fatal("failed migration committed a MANIFEST")
-	}
-}
-
-// TestLegacyMigrationRedoAfterCrash: a crash before the MANIFEST write
-// leaves the legacy files authoritative; stale stripe snapshots and
-// segments from the failed attempt must be overwritten/cleared, never
-// replayed.
-func TestLegacyMigrationRedoAfterCrash(t *testing.T) {
-	const stripes = 2
-	dir := t.TempDir()
-	buildLegacyDir(t, dir, nil, []storage.Record{rec(0, 0, 1), rec(2, 0, 2)}) // both route to stripe 0
-	// Simulated debris of a crashed earlier migration: a stale stripe
-	// snapshot with a record that was later superseded, and a stray
-	// stripe segment with a record that never existed in the legacy log.
-	if err := os.MkdirAll(filepath.Join(dir, stripeDirName(0)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeLogFile(t, stripePath(dir, 0, snapshotName), rec(0, 0, 63))
-	writeLogFile(t, stripePath(dir, 0, segmentName(7)), rec(4, 9, 9))
-
-	s := mustOpen(t, dir, Options{Shards: stripes, CompactMinGarbage: -1})
-	defer s.Close()
-	if !s.Stats().Migrated {
-		t.Fatal("redo open did not migrate")
-	}
-	got := collect(s)
-	if len(got) != 2 {
-		t.Fatalf("recovered %d records, want 2 (stale stripe files must not leak)", len(got))
-	}
-	if got[[2]int{0, 0}].Cell != 1 {
-		t.Fatalf("user 0 cell %d, want 1 (stale snapshot value resurrected)", got[[2]int{0, 0}].Cell)
-	}
-	if _, ok := got[[2]int{4, 9}]; ok {
-		t.Fatal("stray stripe segment record survived migration redo")
-	}
-}
-
-// TestLegacyCleanupAfterCommittedMigration: a crash after the MANIFEST
-// write but before legacy-file deletion leaves leftovers that the next
-// Open deletes without replaying — the stripe snapshots are already the
-// authority.
-func TestLegacyCleanupAfterCommittedMigration(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
-	s.Insert(rec(1, 0, 5))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Leftover legacy segment: its records were (by the migration
-	// ordering) absorbed before the MANIFEST landed, so a conflicting
-	// record here must NOT win — it must simply be deleted.
-	writeLogFile(t, filepath.Join(dir, segmentName(1)), rec(1, 0, 63), rec(9, 9, 9))
-
-	back := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
-	defer back.Close()
-	if back.Len() != 1 {
-		t.Fatalf("recovered %d records, want 1 (leftover legacy file replayed)", back.Len())
-	}
-	if got := back.UserRecords(1)[0].Cell; got != 5 {
-		t.Fatalf("user 1 cell %d, want 5", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segmentName(1))); !os.IsNotExist(err) {
-		t.Fatal("leftover legacy segment not cleaned up")
 	}
 }
 

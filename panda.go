@@ -40,8 +40,7 @@ import (
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server"
 	"github.com/pglp/panda/internal/server/ingest"
-	"github.com/pglp/panda/internal/server/storage"
-	"github.com/pglp/panda/internal/server/storage/backend"
+	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
 // MechanismKind selects a PGLP release mechanism family.
@@ -102,20 +101,11 @@ type Options struct {
 	// records are written through a striped append-only WAL in this
 	// directory (created if absent) and replayed on the next NewSystem
 	// with the same directory, so the database survives restarts. A
-	// directory written by the pre-stripe layout is migrated in place.
-	// Call Close when done with the system. Empty keeps the store
-	// memory-only.
+	// directory holding another layout's files (the pre-stripe single
+	// log, or the LSM-style kv store of earlier builds) is refused
+	// untouched. Call Close when done with the system. Empty keeps the
+	// store memory-only. PERSISTENCE.md documents the on-disk format.
 	DataDir string
-	// Backend selects the durable store implementation for DataDir:
-	// "wal" (or empty) is the striped write-ahead log described above;
-	// "kv" (alias "lsm") is the LSM-style embedded store — one append
-	// log plus sorted-run SSTables, shard-agnostic on disk (StoreShards
-	// is not pinned, unlike the WAL's stripe count). A directory laid
-	// out by one backend is refused by the other with an error naming
-	// the right one. PERSISTENCE.md compares the two. Setting Backend
-	// without DataDir is an error: the field only means something for a
-	// durable store.
-	Backend string
 	// FsyncEveryWrite, with DataDir set, fsyncs the log before every
 	// insert returns so acknowledged reports survive power failure.
 	// Concurrent writers on one stripe share fsyncs (group commit) and
@@ -149,7 +139,7 @@ type System struct {
 	mgr       *policy.Manager
 	db        *server.DB
 	srv       *server.Server
-	store     storage.Durable // nil unless Options.DataDir was set
+	store     *wal.Store // nil unless Options.DataDir was set
 	eps       float64
 	winSteps  int
 	winBudget float64
@@ -172,18 +162,16 @@ func NewSystem(o Options) (*System, error) {
 	if (o.WindowSteps > 0) != (o.WindowEpsilon > 0) {
 		return nil, fmt.Errorf("panda: WindowSteps and WindowEpsilon must be set together")
 	}
-	if o.Backend != "" && o.DataDir == "" {
-		return nil, fmt.Errorf("panda: Backend %q set without DataDir (a backend only means something for a durable store)", o.Backend)
-	}
 	var (
 		db    *server.DB
-		store storage.Durable
+		store *wal.Store
 	)
 	if o.DataDir != "" {
-		store, err = backend.Open(o.Backend, o.DataDir, backend.Options{
-			Shards:         o.StoreShards,
-			SyncEveryWrite: o.FsyncEveryWrite,
-		})
+		sync := wal.SyncBuffered
+		if o.FsyncEveryWrite {
+			sync = wal.SyncAlways
+		}
+		store, err = wal.Open(o.DataDir, wal.Options{Shards: o.StoreShards, Sync: sync})
 		if err != nil {
 			return nil, fmt.Errorf("panda: opening data dir: %w", err)
 		}

@@ -5,11 +5,11 @@
 #     // block immediately above its `package` clause in some non-test
 #     .go file; by convention it lives in doc.go);
 #  2. every exported symbol of the storage packages (the crash-safety
-#     surface: internal/server/storage and its wal, lsm, backend, and
-#     storagetest subpackages) has a doc comment — exported funcs,
-#     types, and methods on exported receivers must state their
-#     contract, because callers of the durable layer reason from godoc,
-#     not from the source.
+#     surface: internal/server/storage and its wal and storagetest
+#     subpackages) has a doc comment — exported funcs, types, and
+#     methods on exported receivers must state their contract, because
+#     callers of the durable layer reason from godoc, not from the
+#     source.
 #
 # Run from the repository root:  ./scripts/check-docs.sh
 set -eu
@@ -54,7 +54,7 @@ echo "doc check: every internal package has a package comment"
 # receiver type is exported; methods on unexported types are internal
 # plumbing and exempt.
 lint_pkgs="internal/lint $(find internal/lint -mindepth 1 -maxdepth 1 -type d | sort)"
-storage_pkgs="internal/server/storage internal/server/storage/wal internal/server/storage/lsm internal/server/storage/backend internal/server/storage/storagetest"
+storage_pkgs="internal/server/storage internal/server/storage/wal internal/server/storage/storagetest"
 for dir in $storage_pkgs $lint_pkgs; do
     for f in "$dir"/*.go; do
         [ -e "$f" ] || continue
