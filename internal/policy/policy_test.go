@@ -134,6 +134,121 @@ func TestManagerMarkInfected(t *testing.T) {
 	}
 }
 
+// TestManagerVersionRules pins the per-user version contract the 409
+// renegotiation relies on: which operations bump a version, by how much,
+// and which graph and ε the user ends up with.
+func TestManagerVersionRules(t *testing.T) {
+	grid := geo.MustGrid(3, 3, 1)
+	base := Baseline(grid)
+	override := policygraph.Complete(9, nil)
+	isolated := func(cells ...int) *policygraph.Graph { return policygraph.IsolateNodes(base, cells) }
+	type want struct {
+		user      int
+		version   int
+		graph     *policygraph.Graph
+		eps       float64
+		consented bool
+	}
+	tests := []struct {
+		name string
+		run  func(t *testing.T, m *Manager)
+		want []want
+	}{
+		{
+			name: "first Get assigns the consented default at v1",
+			run:  func(t *testing.T, m *Manager) {},
+			want: []want{{1, 1, base, 1, true}},
+		},
+		{
+			name: "user first seen after k marks starts at v1 with every mark isolated",
+			run: func(t *testing.T, m *Manager) {
+				for _, c := range []int{0, 4, 8} {
+					if got := m.MarkInfected([]int{c}); len(got) != 0 {
+						t.Errorf("MarkInfected(%d) with no users changed %v", c, got)
+					}
+				}
+			},
+			want: []want{{5, 1, isolated(0, 4, 8), 1, true}},
+		},
+		{
+			name: "Set bumps by one and installs its graph and epsilon",
+			run: func(t *testing.T, m *Manager) {
+				m.Get(1)
+				if err := m.Set(1, override, 2); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []want{{1, 2, override, 2, true}},
+		},
+		{
+			name: "MarkInfected bumps every known user and replaces a Set override's graph",
+			run: func(t *testing.T, m *Manager) {
+				m.Get(1)
+				m.Get(2)
+				if err := m.Set(2, override, 2); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.MarkInfected([]int{4}); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+					t.Errorf("MarkInfected changed %v, want [1 2]", got)
+				}
+			},
+			want: []want{{1, 2, isolated(4), 1, true}, {2, 3, isolated(4), 2, true}},
+		},
+		{
+			name: "re-marking a cell changes nothing",
+			run: func(t *testing.T, m *Manager) {
+				m.Get(1)
+				m.MarkInfected([]int{4})
+				if got := m.MarkInfected([]int{4}); got != nil {
+					t.Errorf("re-mark changed %v, want nil", got)
+				}
+			},
+			want: []want{{1, 2, isolated(4), 1, true}},
+		},
+		{
+			name: "marking only out-of-range cells changes nothing",
+			run: func(t *testing.T, m *Manager) {
+				m.Get(1)
+				if got := m.MarkInfected([]int{-1, 9}); got != nil {
+					t.Errorf("out-of-range mark changed %v, want nil", got)
+				}
+			},
+			want: []want{{1, 1, base, 1, true}},
+		},
+		{
+			name: "Consent does not bump",
+			run: func(t *testing.T, m *Manager) {
+				m.Get(1)
+				m.Consent(1, false)
+				m.Consent(2, false)
+			},
+			want: []want{{1, 1, base, 1, false}, {2, 1, base, 1, false}},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewManager(grid, base, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t, m)
+			for _, w := range tc.want {
+				up := m.Get(w.user)
+				if up.Version != w.version || m.Version(w.user) != w.version {
+					t.Errorf("user %d: version %d (Version() %d), want %d", w.user, up.Version, m.Version(w.user), w.version)
+				}
+				if !up.Graph.Equal(w.graph) {
+					t.Errorf("user %d: graph %v, want %v", w.user, up.Graph, w.graph)
+				}
+				if up.Epsilon != w.eps || up.Consented != w.consented {
+					t.Errorf("user %d: ε=%v consented=%v, want ε=%v consented=%v",
+						w.user, up.Epsilon, up.Consented, w.eps, w.consented)
+				}
+			}
+		})
+	}
+}
+
 func TestManagerConcurrentAccess(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	m, _ := NewManager(grid, Baseline(grid), 1)
