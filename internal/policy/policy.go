@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -39,19 +40,46 @@ func Baseline(grid *geo.Grid) *policygraph.Graph {
 
 // UserPolicy is a user's current policy assignment.
 type UserPolicy struct {
-	Graph     *policygraph.Graph
+	// Graph may be shared between users (every user on the default
+	// policy holds the same graph), so treat it as read-only.
+	Graph *policygraph.Graph
+	// GraphJSON is Graph's JSON encoding, computed once per graph and
+	// shared like it; read-only as well.
+	GraphJSON json.RawMessage
 	Epsilon   float64
 	Version   int  // bumped on every change; triggers client re-sends
 	Consented bool // the user has the right to reject a policy (§2.1)
 }
 
+// encodedGraph is a policy graph together with its JSON encoding.
+type encodedGraph struct {
+	graph *policygraph.Graph
+	json  json.RawMessage
+}
+
+// encodeGraph pairs g with its encoding. A graph encodes to a node count
+// and a list of int pairs, which cannot fail, so an error is a bug.
+func encodeGraph(g *policygraph.Graph) encodedGraph {
+	b, err := json.Marshal(g)
+	if err != nil {
+		panic(fmt.Sprintf("policy: encoding graph: %v", err))
+	}
+	return encodedGraph{graph: g, json: b}
+}
+
 // Manager holds per-user policies. It is safe for concurrent use — the
 // server mutates policies (infection updates) while clients read them.
+//
+// Almost every user holds the default policy, so the manager keeps one
+// immutable snapshot of it per infection epoch: the default graph with
+// the infected cells isolated, and its encoding. An infection update
+// builds the next snapshot once and points every user at it.
 type Manager struct {
 	mu           sync.RWMutex
 	grid         *geo.Grid
 	defaultGraph *policygraph.Graph
 	defaultEps   float64
+	current      encodedGraph // defaultGraph with the infected cells isolated
 	users        map[int]*UserPolicy
 	infected     map[int]bool // accumulated disclosable cells
 }
@@ -72,6 +100,7 @@ func NewManager(grid *geo.Grid, defaultGraph *policygraph.Graph, eps float64) (*
 		grid:         grid,
 		defaultGraph: defaultGraph,
 		defaultEps:   eps,
+		current:      encodeGraph(defaultGraph),
 		users:        make(map[int]*UserPolicy),
 		infected:     make(map[int]bool),
 	}, nil
@@ -88,19 +117,13 @@ func (m *Manager) Get(user int) UserPolicy {
 func (m *Manager) getLocked(user int) *UserPolicy {
 	up, ok := m.users[user]
 	if !ok {
-		up = &UserPolicy{Graph: m.currentDefaultLocked(), Epsilon: m.defaultEps, Version: 1, Consented: true}
+		up = &UserPolicy{
+			Graph: m.current.graph, GraphJSON: m.current.json,
+			Epsilon: m.defaultEps, Version: 1, Consented: true,
+		}
 		m.users[user] = up
 	}
 	return up
-}
-
-// currentDefaultLocked is the default graph with accumulated infected
-// cells isolated.
-func (m *Manager) currentDefaultLocked() *policygraph.Graph {
-	if len(m.infected) == 0 {
-		return m.defaultGraph
-	}
-	return policygraph.IsolateNodes(m.defaultGraph, m.infectedListLocked())
 }
 
 func (m *Manager) infectedListLocked() []int {
@@ -120,10 +143,11 @@ func (m *Manager) Set(user int, g *policygraph.Graph, eps float64) error {
 	if eps <= 0 {
 		return fmt.Errorf("policy: epsilon must be positive, got %v", eps)
 	}
+	enc := encodeGraph(g)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	up := m.getLocked(user)
-	up.Graph = g
+	up.Graph, up.GraphJSON = enc.graph, enc.json
 	up.Epsilon = eps
 	up.Version++
 	return nil
@@ -138,9 +162,10 @@ func (m *Manager) Consent(user int, ok bool) {
 	m.getLocked(user).Consented = ok
 }
 
-// MarkInfected records newly infected (disclosable) cells and updates
-// every known user's policy to the contact-tracing variant, bumping
-// versions. It returns the users whose policies changed.
+// MarkInfected records newly infected (disclosable) cells, builds the
+// contact-tracing variant of the default policy once, and moves every
+// known user to it, bumping versions. It returns the users whose
+// policies changed.
 func (m *Manager) MarkInfected(cells []int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -154,10 +179,10 @@ func (m *Manager) MarkInfected(cells []int) []int {
 	if !changed {
 		return nil
 	}
-	infected := m.infectedListLocked()
+	m.current = encodeGraph(policygraph.IsolateNodes(m.defaultGraph, m.infectedListLocked()))
 	users := make([]int, 0, len(m.users))
 	for id, up := range m.users {
-		up.Graph = policygraph.IsolateNodes(m.defaultGraph, infected)
+		up.Graph, up.GraphJSON = m.current.graph, m.current.json
 		up.Version++
 		users = append(users, id)
 	}

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -136,7 +138,8 @@ func TestManagerMarkInfected(t *testing.T) {
 
 // TestManagerVersionRules pins the per-user version contract the 409
 // renegotiation relies on: which operations bump a version, by how much,
-// and which graph and ε the user ends up with.
+// and which graph and ε the user ends up with. On every path the stored
+// encoding must decode to the user's graph.
 func TestManagerVersionRules(t *testing.T) {
 	grid := geo.MustGrid(3, 3, 1)
 	base := Baseline(grid)
@@ -244,22 +247,113 @@ func TestManagerVersionRules(t *testing.T) {
 					t.Errorf("user %d: ε=%v consented=%v, want ε=%v consented=%v",
 						w.user, up.Epsilon, up.Consented, w.eps, w.consented)
 				}
+				if err := checkEncoding(up); err != nil {
+					t.Errorf("user %d: %v", w.user, err)
+				}
 			}
 		})
 	}
 }
 
+// checkEncoding reports whether up's stored encoding decodes to its graph.
+func checkEncoding(up UserPolicy) error {
+	var g policygraph.Graph
+	if err := json.Unmarshal(up.GraphJSON, &g); err != nil {
+		return fmt.Errorf("decoding GraphJSON: %v", err)
+	}
+	if !g.Equal(up.Graph) {
+		return fmt.Errorf("GraphJSON decodes to %v, Graph is %v", &g, up.Graph)
+	}
+	return nil
+}
+
+// managerWithUsers returns a manager over grid's G1 baseline whose users
+// 0..n-1 hold the default policy.
+func managerWithUsers(tb testing.TB, grid *geo.Grid, n int) *Manager {
+	tb.Helper()
+	m, err := NewManager(grid, Baseline(grid), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for u := 0; u < n; u++ {
+		m.Get(u)
+	}
+	return m
+}
+
+// TestMarkInfectedCostIndependentOfUsers: an infection update builds the
+// contact-tracing graph once, not once per known user, and every default
+// user ends up holding that one graph.
+func TestMarkInfectedCostIndependentOfUsers(t *testing.T) {
+	grid := geo.MustGrid(32, 32, 1)
+	allocs := func(users int) float64 {
+		m := managerWithUsers(t, grid, users)
+		cell := 0
+		return testing.AllocsPerRun(5, func() {
+			if m.MarkInfected([]int{cell}) == nil {
+				t.Fatalf("mark of cell %d was not effective", cell)
+			}
+			cell++
+		})
+	}
+	small, large := allocs(10), allocs(10_000)
+	if large >= 2*small {
+		t.Errorf("MarkInfected allocates %.0f times with 10,000 users, %.0f with 10: cost grows with the user count", large, small)
+	}
+	m := managerWithUsers(t, grid, 2)
+	m.MarkInfected([]int{0})
+	if a, b := m.Get(0), m.Get(1); a.Graph != b.Graph {
+		t.Error("two default users hold different graphs after a mark")
+	}
+}
+
+// benchChanged keeps BenchmarkMarkInfected's result alive.
+var benchChanged []int
+
+// BenchmarkMarkInfected times one effective infection update at the
+// user counts of a district, a city and a region.
+func BenchmarkMarkInfected(b *testing.B) {
+	grid := geo.MustGrid(32, 32, 1)
+	for _, users := range []int{100, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			b.ReportAllocs()
+			var m *Manager
+			for i := 0; i < b.N; i++ {
+				cell := i % grid.NumCells()
+				if cell == 0 { // every cell is marked: start over
+					b.StopTimer()
+					m = managerWithUsers(b, grid, users)
+					b.StartTimer()
+				}
+				benchChanged = m.MarkInfected([]int{cell})
+			}
+		})
+	}
+}
+
+// TestManagerConcurrentAccess reads policies, graphs and encodings while
+// MarkInfected and Set rewrite them; run it under -race.
 func TestManagerConcurrentAccess(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	m, _ := NewManager(grid, Baseline(grid), 1)
+	override := policygraph.Complete(16, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				m.Get(id)
+				if err := checkEncoding(m.Get((id + j) % 8)); err != nil {
+					t.Error(err)
+					return
+				}
 				m.MarkInfected([]int{j % 16})
+				if id%2 == 0 && j%10 == 0 {
+					if err := m.Set(id, override, 2); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				m.Version(id)
 				m.InfectedCells()
 			}

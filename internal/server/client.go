@@ -38,6 +38,11 @@ type Client struct {
 
 	mu       sync.Mutex
 	policies map[int]ClientPolicy // last policy seen per user
+	// lastBody and lastGraph are the most recently decoded policy graph
+	// body and its graph. Users on the same policy receive byte-equal
+	// bodies, so a matching body reuses lastGraph instead of decoding.
+	lastBody  []byte
+	lastGraph *policygraph.Graph
 }
 
 // RetryPolicy configures the client's handling of transport errors and
@@ -310,19 +315,48 @@ type ClientPolicy struct {
 	User    int
 	Epsilon float64
 	Version int
-	Graph   *policygraph.Graph
+	// Graph may be shared between users (every user whose policy body
+	// is byte-equal gets the same graph), so treat it as read-only.
+	Graph *policygraph.Graph
 }
 
-func decodePolicy(p wire.Policy) (ClientPolicy, error) {
+// adoptPolicy decodes p and caches it as the user's policy.
+func (c *Client) adoptPolicy(user int, p wire.Policy) (ClientPolicy, error) {
 	cp := ClientPolicy{User: p.User, Epsilon: p.Epsilon, Version: p.Version}
 	if len(p.Graph) > 0 {
-		var g policygraph.Graph
-		if err := json.Unmarshal(p.Graph, &g); err != nil {
-			return ClientPolicy{}, fmt.Errorf("server client: decoding policy graph: %w", err)
+		g, err := c.decodeGraph(p.Graph)
+		if err != nil {
+			return ClientPolicy{}, err
 		}
-		cp.Graph = &g
+		cp.Graph = g
 	}
+	c.mu.Lock()
+	c.policies[user] = cp
+	c.mu.Unlock()
 	return cp, nil
+}
+
+// decodeGraph returns the graph a policy body encodes, decoding it only
+// when the body differs from the last one decoded.
+func (c *Client) decodeGraph(body []byte) (*policygraph.Graph, error) {
+	c.mu.Lock()
+	if c.lastGraph != nil && bytes.Equal(c.lastBody, body) {
+		g := c.lastGraph
+		c.mu.Unlock()
+		return g, nil
+	}
+	c.mu.Unlock()
+	var g policygraph.Graph
+	if err := json.Unmarshal(body, &g); err != nil {
+		return nil, fmt.Errorf("server client: decoding policy graph: %w", err)
+	}
+	// Keep a copy: the body of a 409 also reaches callers through
+	// APIError.Policy, and they may modify it.
+	body = bytes.Clone(body)
+	c.mu.Lock()
+	c.lastBody, c.lastGraph = body, &g
+	c.mu.Unlock()
+	return &g, nil
 }
 
 // Policy fetches the user's current policy (graph included) and caches
@@ -337,14 +371,7 @@ func (c *Client) PolicyContext(ctx context.Context, user int) (ClientPolicy, err
 	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d", user), &raw); err != nil {
 		return ClientPolicy{}, err
 	}
-	cp, err := decodePolicy(raw)
-	if err != nil {
-		return ClientPolicy{}, err
-	}
-	c.mu.Lock()
-	c.policies[user] = cp
-	c.mu.Unlock()
-	return cp, nil
+	return c.adoptPolicy(user, raw)
 }
 
 // CachedPolicy returns the last policy seen for the user, if any.
@@ -375,14 +402,8 @@ func (c *Client) adoptStalePolicy(user int, err error) bool {
 	if !ok || ae.Code != wire.CodeStalePolicy || ae.Policy == nil {
 		return false
 	}
-	cp, derr := decodePolicy(*ae.Policy)
-	if derr != nil {
-		return false
-	}
-	c.mu.Lock()
-	c.policies[user] = cp
-	c.mu.Unlock()
-	return true
+	_, derr := c.adoptPolicy(user, *ae.Policy)
+	return derr == nil
 }
 
 // ReportBatch sends many releases for one user in one round trip — the

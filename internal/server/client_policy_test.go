@@ -1,0 +1,226 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/pglp/panda/internal/policygraph"
+	"github.com/pglp/panda/internal/server/wire"
+)
+
+// TestClientSharesPolicyGraph: users whose policy bodies are byte-equal
+// share one decoded graph, whether the policy was fetched or arrived
+// inline in a 409; a different body gets its own graph.
+func TestClientSharesPolicyGraph(t *testing.T) {
+	srv, client, grid, done := newTestServer(t)
+	defer done()
+	for u := 0; u < 2; u++ {
+		if _, err := client.Policy(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.MarkInfected([]int{5}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := client.Policy(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := client.Policy(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Graph != b.Graph {
+		t.Error("two users' fetched policies hold different graphs for the same body")
+	}
+	// User 1 still holds v1: the report draws a 409 whose inline policy
+	// carries the same graph body.
+	if err := client.Report(1, 0, grid.Center(1)); err != nil {
+		t.Fatal(err)
+	}
+	if cp, _ := client.CachedPolicy(1); cp.Version != 2 || cp.Graph != a.Graph {
+		t.Errorf("policy adopted from the 409: version %d, shared graph %v; want version 2 sharing the fetched graph",
+			cp.Version, cp.Graph == a.Graph)
+	}
+	override := policygraph.Complete(grid.NumCells(), nil)
+	if err := srv.mgr.Set(2, override, 2); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Policy(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Graph == a.Graph || !c.Graph.Equal(override) {
+		t.Error("the Set override should decode to its own graph, equal to the override")
+	}
+}
+
+// TestClientKeepsItsOwnPolicyBody: a caller that modifies a policy body it
+// handed to the client (an APIError's inline policy is the caller's)
+// cannot change what the client matches later bodies against.
+func TestClientKeepsItsOwnPolicyBody(t *testing.T) {
+	_, client, grid, done := newTestServer(t)
+	defer done()
+	body, err := json.Marshal(policygraph.GridEightNeighbor(grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := bytes.Clone(body)
+	first, err := client.adoptPolicy(0, wire.Policy{User: 0, Epsilon: 1, Version: 1, Graph: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = ' '
+	}
+	second, err := client.adoptPolicy(1, wire.Policy{User: 1, Epsilon: 1, Version: 1, Graph: orig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Graph != first.Graph {
+		t.Error("the client matched against the caller's body instead of its own copy")
+	}
+}
+
+// TestPolicyBodiesUnchanged: GET /v2/policy, the 409 stale_policy
+// envelope (JSON and binary reports) and GET /v1/policy write exactly
+// what encoding the wire struct around json.Marshal(graph) writes, for a
+// default user before and after a mark, a user who joins after it, and a
+// user with a Set override.
+func TestPolicyBodiesUnchanged(t *testing.T) {
+	srv, client, grid, done := newTestServer(t)
+	defer done()
+	base := client.baseURL()
+	encode := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	send := func(method, path, contentType string, body []byte) (int, string) {
+		req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(got)
+	}
+	check := func(user int) {
+		t.Helper()
+		up := srv.mgr.Get(user)
+		graph, err := json.Marshal(up.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph}
+		stale := encode(wire.Error{
+			Error:  fmt.Sprintf("stale policy version %d (current %d)", up.Version+1, up.Version),
+			Code:   wire.CodeStalePolicy,
+			Policy: &pol,
+		})
+		p := grid.Center(0)
+		jsonReport := fmt.Sprintf(`{"user":%d,"policy_version":%d,"releases":[{"t":0,"x":%v,"y":%v}]}`,
+			user, up.Version+1, p.X, p.Y)
+		binReport := wire.AppendBinaryReport(nil, user, up.Version+1, []wire.Release{{T: 0, X: p.X, Y: p.Y}})
+		for _, tc := range []struct {
+			name, method, path, contentType string
+			body                            []byte
+			status                          int
+			want                            string
+		}{
+			{"GET /v2/policy", http.MethodGet, fmt.Sprintf("/v2/policy?user=%d", user), "", nil, http.StatusOK, encode(pol)},
+			{"409 JSON report", http.MethodPost, "/v2/reports", "application/json", []byte(jsonReport), http.StatusConflict, stale},
+			{"409 binary report", http.MethodPost, "/v2/reports", wire.ContentTypeBinary, binReport, http.StatusConflict, stale},
+			{"GET /v1/policy", http.MethodGet, fmt.Sprintf("/v1/policy?user=%d", user), "", nil, http.StatusOK,
+				encode(policyResponse{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph})},
+		} {
+			status, got := send(tc.method, tc.path, tc.contentType, tc.body)
+			if status != tc.status || got != tc.want {
+				t.Errorf("user %d, %s: status %d, body differs from the reference encoding: %t\n got %.120s\nwant %.120s",
+					user, tc.name, status, got != tc.want, got, tc.want)
+			}
+		}
+	}
+	check(0)
+	if _, err := client.MarkInfected([]int{5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.mgr.Set(2, policygraph.Complete(grid.NumCells(), nil), 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []int{0, 1, 2} {
+		check(user)
+	}
+}
+
+// TestClientPolicyConcurrent has several users fetch policies and report
+// across a mark; run it under -race. Each must end on the marked policy.
+func TestClientPolicyConcurrent(t *testing.T) {
+	_, client, grid, done := newTestServer(t)
+	defer done()
+	const users = 6
+	var fetched, wg sync.WaitGroup
+	fetched.Add(users)
+	for u := 0; u < users; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			_, err := client.Policy(u)
+			fetched.Done()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for step := 0; ; step++ {
+				if err := client.Report(u, step, grid.Center(u)); err != nil {
+					t.Error(err)
+					return
+				}
+				if cp, _ := client.CachedPolicy(u); cp.Version == 2 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("user %d never saw the marked policy", u)
+					return
+				}
+				if step%2 == 1 {
+					if _, err := client.Policy(u); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(u)
+	}
+	fetched.Wait()
+	if _, err := client.MarkInfected([]int{15}); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	first, _ := client.CachedPolicy(0)
+	for u := 0; u < users; u++ {
+		cp, _ := client.CachedPolicy(u)
+		if cp.Version != 2 || cp.Graph == nil || cp.Graph.Degree(15) != 0 || !cp.Graph.Equal(first.Graph) {
+			t.Errorf("user %d ended on version %d; want 2 with cell 15 isolated and the same graph as user 0", u, cp.Version)
+		}
+	}
+}

@@ -213,12 +213,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	up := s.mgr.Get(user)
-	graph, err := json.Marshal(up.Graph)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding graph: %v", err)
-		return
-	}
-	writeJSON(w, policyResponse{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph})
+	writeJSON(w, policyResponse{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: up.GraphJSON})
 }
 
 type infectedRequest struct {

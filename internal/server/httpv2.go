@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/pglp/panda/internal/geo"
+	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server/ingest"
 	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/storage/wal"
@@ -57,30 +58,23 @@ func v2Error(w http.ResponseWriter, status int, code, format string, args ...any
 
 // v2StalePolicy writes the 409 renegotiation envelope: the error plus
 // the user's current policy inline, so the client re-syncs in one round
-// trip instead of following up with GET /v2/policy.
-func (s *Server) v2StalePolicy(w http.ResponseWriter, user, gotVersion, curVersion int) {
-	pol, err := s.wirePolicy(user)
-	if err != nil {
-		v2Error(w, http.StatusInternalServerError, wire.CodeInternal, "encoding policy: %v", err)
-		return
-	}
+// trip instead of following up with GET /v2/policy. up is the policy the
+// report was checked against, so the message and the inline policy agree.
+func v2StalePolicy(w http.ResponseWriter, user, gotVersion int, up policy.UserPolicy) {
+	pol := wirePolicy(user, up)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusConflict)
 	_ = json.NewEncoder(w).Encode(wire.Error{
-		Error:  fmt.Sprintf("stale policy version %d (current %d)", gotVersion, curVersion),
+		Error:  fmt.Sprintf("stale policy version %d (current %d)", gotVersion, up.Version),
 		Code:   wire.CodeStalePolicy,
 		Policy: &pol,
 	})
 }
 
-// wirePolicy assembles the wire form of a user's current policy.
-func (s *Server) wirePolicy(user int) (wire.Policy, error) {
-	up := s.mgr.Get(user)
-	graph, err := json.Marshal(up.Graph)
-	if err != nil {
-		return wire.Policy{}, err
-	}
-	return wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph}, nil
+// wirePolicy is the wire form of a user's policy, carrying the graph
+// encoding the manager stored with it.
+func wirePolicy(user int, up policy.UserPolicy) wire.Policy {
+	return wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: up.GraphJSON}
 }
 
 // handleV2Reports negotiates the batch-report encoding on Content-Type:
@@ -184,7 +178,7 @@ func (s *Server) v2ReportsJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.PolicyVersion != up.Version {
-		s.v2StalePolicy(w, req.User, req.PolicyVersion, up.Version)
+		v2StalePolicy(w, req.User, req.PolicyVersion, up)
 		return
 	}
 	recs := storage.GetRecords()
@@ -293,7 +287,7 @@ func (s *Server) v2ReportsBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	if ver != up.Version {
 		storage.PutRecords(recs)
-		s.v2StalePolicy(w, user, ver, up.Version)
+		v2StalePolicy(w, user, ver, up)
 		return
 	}
 	s.v2ReportsApply(w, recs, up.Version, async)
@@ -497,12 +491,7 @@ func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	pol, err := s.wirePolicy(user)
-	if err != nil {
-		v2Error(w, http.StatusInternalServerError, wire.CodeInternal, "encoding graph: %v", err)
-		return
-	}
-	writeJSON(w, pol)
+	writeJSON(w, wirePolicy(user, s.mgr.Get(user)))
 }
 
 func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {
