@@ -84,8 +84,11 @@ func TestV2ErrorEnvelopes(t *testing.T) {
 		{"records zero limit", "/v2/records?user=0&limit=0"},
 		{"records oversized limit", fmt.Sprintf("/v2/records?user=0&limit=%d", maxPageLimit+1)},
 		{"density negative t", "/v2/density?t=-1&block_rows=2&block_cols=2"},
+		{"density zero block rows", "/v2/density?t=0&block_rows=0&block_cols=2"},
 		{"density zero block", "/v2/density?t=0&block_rows=2&block_cols=0"},
 		{"series inverted", "/v2/density_series?t0=2&t1=1&block_rows=2&block_cols=2"},
+		{"series negative t0", "/v2/density/series?t0=-2&t1=1&block_rows=2&block_cols=2"},
+		{"series over max span", fmt.Sprintf("/v2/density/series?t0=0&t1=%d&block_rows=2&block_cols=2", maxSeriesSpan)},
 		{"exposure inverted", "/v2/exposure?t0=2&t1=1"},
 		{"healthcode missing user", "/v2/healthcode"},
 		{"healthcode zero window", "/v2/healthcode?user=0&window=0"},
@@ -97,6 +100,34 @@ func TestV2ErrorEnvelopes(t *testing.T) {
 		status, e := getV2(t, base, tc.path)
 		if status != http.StatusBadRequest || e.Code != wire.CodeBadRequest {
 			t.Errorf("%s: status=%d code=%q (%s), want 400 %q", tc.name, status, e.Code, e.Error, wire.CodeBadRequest)
+		}
+	}
+}
+
+// TestV2HealthCodeExplicitNow exercises the now parameter over the wire:
+// an old infected visit ages out of the window under a later clock.
+func TestV2HealthCodeExplicitNow(t *testing.T) {
+	srv, client, grid, done := newTestServer(t)
+	defer done()
+	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.db.Insert(Record{User: 2, T: 2, Point: grid.Center(5), Cell: -1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		now  int
+		want HealthCode
+	}{
+		{10, CodeYellow},
+		{30, CodeGreen}, // the t=2 visit has aged out of the 14-step window
+	} {
+		code, err := client.HealthCodeContext(t.Context(), 2, 14, tc.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.want {
+			t.Errorf("now=%d: code = %v, want %v", tc.now, code, tc.want)
 		}
 	}
 }
