@@ -77,11 +77,11 @@ func TestRouterServesRing(t *testing.T) {
 
 	client := server.NewClient(base, nil)
 	for u := 0; u < 4; u++ {
-		if _, err := client.ReportBatch(u, []wire.Release{{T: 0, X: float64(u), Y: 1}}); err != nil {
+		if _, err := client.ReportBatchContext(t.Context(), u, []wire.Release{{T: 0, X: float64(u), Y: 1}}); err != nil {
 			t.Fatalf("user %d through the router binary: %v", u, err)
 		}
 	}
-	counts, err := client.Density(0, 2, 2)
+	counts, err := client.DensityContext(t.Context(), 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		st := q.Stats()
 		ingestMode = fmt.Sprintf("async ingest (%d workers, queue %d records)", st.Workers, st.Capacity)
 	}
-	log.Printf("panda-server: %dx%d grid, policy %s (edges=%d), ε=%v, store shards=%d, %s, %s, serving /v1+/v2 on %s",
+	log.Printf("panda-server: %dx%d grid, policy %s (edges=%d), ε=%v, store shards=%d, %s, %s, serving /v2 on %s",
 		*rows, *cols, *polFlg, g.NumEdges(), *eps, storeShards, durability, ingestMode, ln.Addr())
 	serving = true
 	if ready != nil {

@@ -57,11 +57,11 @@ func TestRestartDurability(t *testing.T) {
 		for i := range releases {
 			releases[i] = wire.Release{T: i, X: float64((u + i) % 8), Y: float64(u % 8)}
 		}
-		if _, err := client.ReportBatch(u, releases); err != nil {
+		if _, err := client.ReportBatchContext(t.Context(), u, releases); err != nil {
 			t.Fatalf("user %d: ReportBatch: %v", u, err)
 		}
 	}
-	wantDensity, err := client.Density(3, 4, 4)
+	wantDensity, err := client.DensityContext(t.Context(), 3, 4, 4)
 	if err != nil {
 		t.Fatalf("Density before restart: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRestartDurability(t *testing.T) {
 	base2, errCh2 := launch(t, ctx2, args)
 	client2 := server.NewClient(base2, nil)
 	for u := 0; u < users; u++ {
-		recs, err := client2.Records(u)
+		recs, err := client2.RecordsContext(t.Context(), u)
 		if err != nil {
 			t.Fatalf("user %d: Records after restart: %v", u, err)
 		}
@@ -98,7 +98,7 @@ func TestRestartDurability(t *testing.T) {
 			}
 		}
 	}
-	gotDensity, err := client2.Density(3, 4, 4)
+	gotDensity, err := client2.DensityContext(t.Context(), 3, 4, 4)
 	if err != nil {
 		t.Fatalf("Density after restart: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestAsyncShutdownDrain(t *testing.T) {
 		for i := range releases {
 			releases[i] = wire.Release{T: i, X: float64((u + i) % 8), Y: float64(u % 8)}
 		}
-		ack, err := client.ReportBatchAsync(u, releases)
+		ack, err := client.ReportBatchAsyncContext(t.Context(), u, releases)
 		if err != nil {
 			t.Fatalf("user %d: ReportBatchAsync: %v", u, err)
 		}
@@ -172,7 +172,7 @@ func TestAsyncShutdownDrain(t *testing.T) {
 	base2, errCh2 := launch(t, ctx2, args)
 	client2 := server.NewClient(base2, nil)
 	for u := 0; u < users; u++ {
-		recs, err := client2.Records(u)
+		recs, err := client2.RecordsContext(t.Context(), u)
 		if err != nil {
 			t.Fatalf("user %d: Records after restart: %v", u, err)
 		}
@@ -180,7 +180,7 @@ func TestAsyncShutdownDrain(t *testing.T) {
 			t.Fatalf("user %d: %d durable records after restart, want all %d acknowledged", u, len(recs), steps)
 		}
 	}
-	st, err := client2.IngestStats()
+	st, err := client2.IngestStatsContext(t.Context())
 	if err != nil {
 		t.Fatalf("IngestStats after restart: %v", err)
 	}
@@ -205,10 +205,10 @@ func TestMemoryOnlyStillWorks(t *testing.T) {
 	defer cancel()
 	base, errCh := launch(t, ctx, []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4"})
 	client := server.NewClient(base, nil)
-	if _, err := client.ReportBatch(1, []wire.Release{{T: 0, X: 1, Y: 1}}); err != nil {
+	if _, err := client.ReportBatchContext(t.Context(), 1, []wire.Release{{T: 0, X: 1, Y: 1}}); err != nil {
 		t.Fatalf("ReportBatch: %v", err)
 	}
-	recs, err := client.Records(1)
+	recs, err := client.RecordsContext(t.Context(), 1)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("Records: %v (%d records)", err, len(recs))
 	}

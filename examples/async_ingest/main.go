@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -65,7 +66,7 @@ func main() {
 			case <-stop:
 				return
 			case <-tick.C:
-				st, err := client.IngestStats()
+				st, err := client.IngestStatsContext(context.Background())
 				if err != nil {
 					continue
 				}
@@ -104,7 +105,7 @@ func main() {
 					}
 					releases = append(releases, wire.Release{T: rel.T, X: rel.Point.X, Y: rel.Point.Y})
 				}
-				ack, err := client.ReportBatchAsync(id, releases)
+				ack, err := client.ReportBatchAsyncContext(context.Background(), id, releases)
 				if err != nil {
 					log.Fatalf("user %d: %v", id, err)
 				}

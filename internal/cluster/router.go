@@ -31,9 +31,8 @@ const (
 )
 
 // maxProxyBody bounds any body the router buffers (inbound report
-// batches and upstream responses). Comfortably above the server's own
-// 100k-release batch cap.
-const maxProxyBody = 64 << 20
+// batches and upstream responses): the nodes' own request-body limit.
+const maxProxyBody = wire.MaxRequestBody
 
 // Config configures a Router. Ring is required; everything else
 // defaults sensibly.
@@ -112,7 +111,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v2/infected", rt.handleInfected)
 	mux.HandleFunc("GET /v2/density", rt.handleDensity)
 	mux.HandleFunc("GET /v2/density/series", rt.handleDensitySeries)
-	mux.HandleFunc("GET /v2/density_series", rt.handleDensitySeries)
 	mux.HandleFunc("GET /v2/exposure", rt.handleExposure)
 	mux.HandleFunc("GET /v2/census", rt.handleCensus)
 	mux.HandleFunc("GET /v2/ingest/stats", rt.handleIngestStats)

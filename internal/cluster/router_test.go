@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,10 +142,10 @@ func TestClusterEndToEnd(t *testing.T) {
 		for i := range releases {
 			releases[i] = wire.Release{T: i, X: float64((u*3 + i) % 16), Y: float64((u + 2*i) % 16)}
 		}
-		if _, err := via.ReportBatch(u, releases); err != nil {
+		if _, err := via.ReportBatchContext(t.Context(), u, releases); err != nil {
 			t.Fatalf("user %d via router: %v", u, err)
 		}
-		if _, err := ref.ReportBatch(u, releases); err != nil {
+		if _, err := ref.ReportBatchContext(t.Context(), u, releases); err != nil {
 			t.Fatalf("user %d via reference: %v", u, err)
 		}
 	}
@@ -165,7 +166,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			}
 		}
 		// And the router serves them back from the owner transparently.
-		recs, err := via.Records(u)
+		recs, err := via.RecordsContext(t.Context(), u)
 		if err != nil || len(recs) != steps {
 			t.Errorf("user %d via router: %d records err=%v, want %d", u, len(recs), err, steps)
 		}
@@ -174,11 +175,11 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Infection notice: broadcast through the router; the union of
 	// changed users must match the single-node answer.
 	cells := []int{0, 1, 17, 34, 100}
-	viaChanged, err := via.MarkInfected(cells)
+	viaChanged, err := via.MarkInfectedContext(t.Context(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refChanged, err := ref.MarkInfected(cells)
+	refChanged, err := ref.MarkInfectedContext(t.Context(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +190,11 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Merged analytics == single-node reference, exactly.
 	for ti := 0; ti < steps; ti++ {
-		got, err := via.Density(ti, 4, 4)
+		got, err := via.DensityContext(t.Context(), ti, 4, 4)
 		if err != nil {
 			t.Fatalf("density t=%d via router: %v", ti, err)
 		}
-		want, err := ref.Density(ti, 4, 4)
+		want, err := ref.DensityContext(t.Context(), ti, 4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,22 +202,22 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Errorf("density t=%d: router %v != reference %v", ti, got, want)
 		}
 	}
-	gotSeries, err := via.DensitySeries(0, steps-1, 4, 4)
+	gotSeries, err := via.DensitySeriesContext(t.Context(), 0, steps-1, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSeries, err := ref.DensitySeries(0, steps-1, 4, 4)
+	wantSeries, err := ref.DensitySeriesContext(t.Context(), 0, steps-1, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotSeries, wantSeries) {
 		t.Errorf("density series: router %v != reference %v", gotSeries, wantSeries)
 	}
-	gotExp, err := via.Exposure(0, steps-1)
+	gotExp, err := via.ExposureContext(t.Context(), 0, steps-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExp, err := ref.Exposure(0, steps-1)
+	wantExp, err := ref.ExposureContext(t.Context(), 0, steps-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +226,11 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	// Census and health codes with now omitted: the router must resolve
 	// the anchor cluster-wide, or per-node anchors would skew the tally.
-	gotCensus, err := via.Census(0, -1)
+	gotCensus, err := via.CensusContext(t.Context(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCensus, err := ref.Census(0, -1)
+	wantCensus, err := ref.CensusContext(t.Context(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,11 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Errorf("census: router %v != reference %v", gotCensus, wantCensus)
 	}
 	for _, u := range []int{0, 1, 5, 12} {
-		got, err := via.HealthCode(u, 0, -1)
+		got, err := via.HealthCodeContext(t.Context(), u, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.HealthCode(u, 0, -1)
+		want, err := ref.HealthCodeContext(t.Context(), u, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if d1.Gen == 0 || d1.Gen != sum {
 		t.Errorf("router gen = %d, want the per-node sum %d (nonzero)", d1.Gen, sum)
 	}
-	if _, err := via.ReportBatch(0, []wire.Release{{T: 0, X: 3, Y: 3}}); err != nil {
+	if _, err := via.ReportBatchContext(t.Context(), 0, []wire.Release{{T: 0, X: 3, Y: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	var d2 wire.DensityResponse
@@ -307,7 +308,7 @@ func TestClusterFailFast(t *testing.T) {
 		}
 	}
 	for _, u := range userOn {
-		if _, err := via.ReportBatch(u, []wire.Release{{T: 0, X: 1, Y: 1}}); err != nil {
+		if _, err := via.ReportBatchContext(t.Context(), u, []wire.Release{{T: 0, X: 1, Y: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +340,7 @@ func TestClusterFailFast(t *testing.T) {
 	}
 
 	// The typed client surfaces the node name and the retry hint.
-	if _, err := via.Records(userOn[1]); err == nil {
+	if _, err := via.RecordsContext(t.Context(), userOn[1]); err == nil {
 		t.Error("records on the dead node's user: want an error")
 	} else if ae, ok := err.(*server.APIError); !ok || ae.Node != "node1" || ae.RetryAfter <= 0 {
 		t.Errorf("client error = %#v, want APIError naming node1 with a retry hint", err)
@@ -358,7 +359,7 @@ func TestClusterFailFast(t *testing.T) {
 	}
 
 	// Users on the live node are unaffected.
-	if recs, err := via.Records(userOn[0]); err != nil || len(recs) != 1 {
+	if recs, err := via.RecordsContext(t.Context(), userOn[0]); err != nil || len(recs) != 1 {
 		t.Errorf("live node user: %d records err=%v", len(recs), err)
 	}
 
@@ -374,7 +375,7 @@ func TestClusterFailFast(t *testing.T) {
 	// Recovery: the node comes back, one probe marks it up, traffic flows.
 	f.flaky[1].down.Store(false)
 	f.router.ProbeOnce(context.Background())
-	if recs, err := via.Records(userOn[1]); err != nil || len(recs) != 1 {
+	if recs, err := via.RecordsContext(t.Context(), userOn[1]); err != nil || len(recs) != 1 {
 		t.Errorf("after recovery: %d records err=%v", len(recs), err)
 	}
 	if st := getJSON(t, f.routerURL+"/v2/healthz", nil); st != http.StatusOK {
@@ -394,7 +395,7 @@ func TestClusterAsyncIngest(t *testing.T) {
 		}
 	}
 	for _, u := range userOn {
-		ack, err := via.ReportBatchAsync(u, []wire.Release{{T: 0, X: 1, Y: 1}, {T: 1, X: 2, Y: 2}})
+		ack, err := via.ReportBatchAsyncContext(t.Context(), u, []wire.Release{{T: 0, X: 1, Y: 1}, {T: 1, X: 2, Y: 2}})
 		if err != nil {
 			t.Fatalf("async batch for user %d: %v", u, err)
 		}
@@ -404,7 +405,7 @@ func TestClusterAsyncIngest(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err := via.IngestStats()
+		st, err := via.IngestStatsContext(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,8 +425,43 @@ func TestClusterAsyncIngest(t *testing.T) {
 	}
 	// The drained records are queryable through the router.
 	for _, u := range userOn {
-		if recs, err := via.Records(u); err != nil || len(recs) != 2 {
+		if recs, err := via.RecordsContext(t.Context(), u); err != nil || len(recs) != 2 {
 			t.Fatalf("user %d after drain: %d records err=%v", u, len(recs), err)
 		}
+	}
+}
+
+// TestRetiredRoutes404: the /v1 surface and the /v2/density_series
+// alias are gone from both the node and the router. In particular an
+// unversioned /v1 report, which once skipped the stale-policy check,
+// now stores nothing.
+func TestRetiredRoutes404(t *testing.T) {
+	f := startFleet(t, 1, false)
+	node, router := f.nodeURLs[0], f.routerURL
+	for _, tc := range []struct {
+		name, base, method, path, body string
+	}{
+		{"node /v1 report", node, http.MethodPost, "/v1/report", `{"user":1,"t":0,"x":0.5,"y":0.5,"policy_version":1}`},
+		{"node /v1 unversioned report", node, http.MethodPost, "/v1/report", `{"user":1,"t":1,"x":0.5,"y":0.5}`},
+		{"node /v1 policy", node, http.MethodGet, "/v1/policy?user=1", ""},
+		{"node series alias", node, http.MethodGet, "/v2/density_series?t0=0&t1=1&block_rows=2&block_cols=2", ""},
+		{"router series alias", router, http.MethodGet, "/v2/density_series?t0=0&t1=1&block_rows=2&block_cols=2", ""},
+	} {
+		req, err := http.NewRequest(tc.method, tc.base+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", tc.name, resp.StatusCode)
+		}
+	}
+	var page wire.RecordsPage
+	if status := getJSON(t, node+"/v2/records?user=1", &page); status != http.StatusOK || len(page.Records) != 0 {
+		t.Errorf("records after /v1 reports: status %d, %d records, want none stored", status, len(page.Records))
 	}
 }

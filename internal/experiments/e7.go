@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"net/http/httptest"
 	"time"
 
@@ -73,7 +74,7 @@ func RunE7(cfg Config) (*Table, error) {
 			batch = append(batch, wire.Release{T: t, X: z.X, Y: z.Y})
 			reports++
 		}
-		if _, err := client.ReportBatch(tr.User, batch); err != nil {
+		if _, err := client.ReportBatchContext(context.Background(), tr.User, batch); err != nil {
 			return nil, err
 		}
 	}
@@ -85,7 +86,7 @@ func RunE7(cfg Config) (*Table, error) {
 	queries := 0
 	start = time.Now()
 	for t := 0; t < ds.Steps; t += 4 {
-		if _, err := client.Density(t, cfg.MonitorBlock, cfg.MonitorBlock); err != nil {
+		if _, err := client.DensityContext(context.Background(), t, cfg.MonitorBlock, cfg.MonitorBlock); err != nil {
 			return nil, err
 		}
 		queries++
@@ -97,12 +98,12 @@ func RunE7(cfg Config) (*Table, error) {
 	// Stage 3: infection update + health codes.
 	infected := cfg.infectedCells(ds)
 	start = time.Now()
-	if _, err := client.MarkInfected(infected); err != nil {
+	if _, err := client.MarkInfectedContext(context.Background(), infected); err != nil {
 		return nil, err
 	}
 	codes := 0
 	for _, tr := range ds.Trajs {
-		if _, err := client.HealthCode(tr.User, cfg.Window, -1); err != nil {
+		if _, err := client.HealthCodeContext(context.Background(), tr.User, cfg.Window, -1); err != nil {
 			return nil, err
 		}
 		codes++

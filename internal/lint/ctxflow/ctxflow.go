@@ -12,9 +12,8 @@
 // uncancellable request, so request paths must use
 // http.NewRequestWithContext.
 //
-// Deliberately not flagged (the documented convenience idiom): a
-// function with no context in hand — the typed client's non-Context
-// wrappers, main(), top-level CLI setup — may call
+// Deliberately not flagged: a function with no context in hand —
+// main(), top-level CLI setup, an experiment driver — may call
 // context.Background(); it is the root of its own call tree.
 package ctxflow
 

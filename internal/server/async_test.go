@@ -84,7 +84,7 @@ func TestAsync202AndVisibilityAfterDrain(t *testing.T) {
 	}
 
 	waitDrained(t, srv)
-	recs, err := client.Records(1)
+	recs, err := client.RecordsContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAsync202AndVisibilityAfterDrain(t *testing.T) {
 // mustDensity fetches /v2/density at t with 2x2 blocks.
 func (c *Client) mustDensity(t *testing.T, at int) []int {
 	t.Helper()
-	counts, err := c.Density(at, 2, 2)
+	counts, err := c.DensityContext(t.Context(), at, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestAsyncCacheInvalidationAcrossDrain(t *testing.T) {
 		t.Fatalf("pre-ingest density sums to %d, want 0", sum)
 	}
 	p := grid.Center(3)
-	if _, err := client.ReportBatchAsync(1, []wire.Release{{T: 0, X: p.X, Y: p.Y}}); err != nil {
+	if _, err := client.ReportBatchAsyncContext(t.Context(), 1, []wire.Release{{T: 0, X: p.X, Y: p.Y}}); err != nil {
 		t.Fatal(err)
 	}
 	waitDrained(t, srv)
@@ -285,14 +285,14 @@ func TestAsyncFallbackOnSyncServer(t *testing.T) {
 	_, client, grid, done := newTestServer(t) // no async ingest
 	defer done()
 	p := grid.Center(2)
-	ack, err := client.ReportBatchAsync(3, []wire.Release{{T: 0, X: p.X, Y: p.Y}})
+	ack, err := client.ReportBatchAsyncContext(t.Context(), 3, []wire.Release{{T: 0, X: p.X, Y: p.Y}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ack.SyncFallback || ack.Queued != 1 {
 		t.Fatalf("ack = %+v, want SyncFallback with 1 queued", ack)
 	}
-	recs, err := client.Records(3)
+	recs, err := client.RecordsContext(t.Context(), 3)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("records = %v (err %v), want 1 record applied synchronously", recs, err)
 	}
@@ -326,7 +326,7 @@ func TestIngestStatsEndpoint(t *testing.T) {
 	srv, client, grid, done := newAsyncTestServer(t, 128)
 	defer done()
 
-	st, err := client.IngestStats()
+	st, err := client.IngestStatsContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,11 @@ func TestIngestStatsEndpoint(t *testing.T) {
 		t.Fatalf("stats = %+v, want enabled, capacity 128, 2 workers", st)
 	}
 	p := grid.Center(5)
-	if _, err := client.ReportBatchAsync(1, []wire.Release{{T: 0, X: p.X, Y: p.Y}}); err != nil {
+	if _, err := client.ReportBatchAsyncContext(t.Context(), 1, []wire.Release{{T: 0, X: p.X, Y: p.Y}}); err != nil {
 		t.Fatal(err)
 	}
 	waitDrained(t, srv)
-	st, err = client.IngestStats()
+	st, err = client.IngestStatsContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestIngestStatsEndpoint(t *testing.T) {
 
 	_, syncClient, _, syncDone := newTestServer(t)
 	defer syncDone()
-	st, err = syncClient.IngestStats()
+	st, err = syncClient.IngestStatsContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestDrainIngestAppliesAcked(t *testing.T) {
 		for i := range releases {
 			releases[i] = wire.Release{T: i, X: p.X, Y: p.Y}
 		}
-		if _, err := client.ReportBatchAsync(u, releases); err != nil {
+		if _, err := client.ReportBatchAsyncContext(t.Context(), u, releases); err != nil {
 			t.Fatalf("user %d: %v", u, err)
 		}
 	}
@@ -419,13 +419,12 @@ func TestSaveJSONDuringAsyncDrain(t *testing.T) {
 			for i := range recs {
 				recs[i] = Record{User: u, T: i, Point: p, Cell: -1, PolicyVersion: 1}
 			}
-			normalized, err := db.ValidateBatch(recs)
-			if err != nil {
+			if err := db.ValidateBatchInPlace(recs); err != nil {
 				t.Error(err)
 				return
 			}
 			for {
-				if _, err := srv.Ingest().TryEnqueue(normalized); err == nil {
+				if _, err := srv.Ingest().TryEnqueue(recs); err == nil {
 					break
 				}
 				time.Sleep(time.Millisecond)

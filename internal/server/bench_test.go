@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -31,35 +29,8 @@ func newBenchServer(b *testing.B, shards int) (*Client, *geo.Grid, func()) {
 	return NewClient(ts.URL, ts.Client()), grid, ts.Close
 }
 
-// BenchmarkV1SequentialReports ingests 10k releases as 10k individual
-// POST /v1/report round trips — the legacy re-send path.
-func BenchmarkV1SequentialReports(b *testing.B) {
-	client, grid, done := newBenchServer(b, 1)
-	defer done()
-	body := make([]string, benchReleases)
-	for i := range body {
-		p := grid.Center(i % grid.NumCells())
-		body[i] = fmt.Sprintf(`{"user":1,"t":%d,"x":%v,"y":%v}`, i, p.X, p.Y)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < benchReleases; j++ {
-			resp, err := client.hc.Post(client.base+"/v1/report", "application/json",
-				strings.NewReader(body[j]))
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != 204 {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
-		}
-	}
-	b.ReportMetric(float64(benchReleases*b.N)/b.Elapsed().Seconds(), "releases/sec")
-}
-
-// BenchmarkV2BatchReports ingests the same 10k releases as one
-// POST /v2/reports batch — the whole-history re-send in one round trip.
+// BenchmarkV2BatchReports ingests 10k releases as one POST /v2/reports
+// batch — the whole-history re-send in one round trip.
 func BenchmarkV2BatchReports(b *testing.B) {
 	client, grid, done := newBenchServer(b, 1)
 	defer done()
@@ -70,7 +41,7 @@ func BenchmarkV2BatchReports(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.ReportBatch(1, releases); err != nil {
+		if _, err := client.ReportBatchContext(b.Context(), 1, releases); err != nil {
 			b.Fatal(err)
 		}
 	}

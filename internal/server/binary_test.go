@@ -44,11 +44,11 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 		{T: 1, X: 1.25, Y: 2.75},
 		{T: 2, X: 0.1234567890123, Y: 3.9876543210987},
 	}
-	jr, err := client.ReportBatch(1, releases)
+	jr, err := client.ReportBatchContext(t.Context(), 1, releases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := client.ReportBatchBinary(2, releases)
+	br, err := client.ReportBatchBinaryContext(t.Context(), 2, releases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 
 	// Re-send: the (user, t) replace semantics must hold on the binary
 	// path too.
-	br2, err := client.ReportBatchBinary(2, releases)
+	br2, err := client.ReportBatchBinaryContext(t.Context(), 2, releases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +163,13 @@ func TestBinaryClientRenegotiation(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
 
-	if _, err := client.ReportBatchBinary(0, []wire.Release{{T: 0, X: grid.Center(1).X, Y: grid.Center(1).Y}}); err != nil {
+	if _, err := client.ReportBatchBinaryContext(t.Context(), 0, []wire.Release{{T: 0, X: grid.Center(1).X, Y: grid.Center(1).Y}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.MarkInfected([]int{5}); err != nil {
+	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := client.ReportBatchBinary(0, []wire.Release{{T: 1, X: grid.Center(2).X, Y: grid.Center(2).Y}})
+	res, err := client.ReportBatchBinaryContext(t.Context(), 0, []wire.Release{{T: 1, X: grid.Center(2).X, Y: grid.Center(2).Y}})
 	if err != nil {
 		t.Fatalf("binary report after policy bump should auto-renegotiate, got %v", err)
 	}
@@ -179,7 +179,7 @@ func TestBinaryClientRenegotiation(t *testing.T) {
 	if cp, ok := client.CachedPolicy(0); !ok || cp.Version != 2 {
 		t.Errorf("cached policy = %+v, want version 2", cp)
 	}
-	if recs, _ := client.Records(0); len(recs) != 2 {
+	if recs, _ := client.RecordsContext(t.Context(), 0); len(recs) != 2 {
 		t.Errorf("records = %d, want 2 (renegotiation must not drop the report)", len(recs))
 	}
 }
@@ -195,7 +195,7 @@ func TestBinaryAsyncIngest(t *testing.T) {
 		{T: 0, X: grid.Center(1).X, Y: grid.Center(1).Y},
 		{T: 1, X: 2.5, Y: 1.5},
 	}
-	ack, err := client.ReportBatchBinaryAsync(11, releases)
+	ack, err := client.ReportBatchBinaryAsyncContext(t.Context(), 11, releases)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,11 @@ import (
 // and retries the report once — the paper's dynamic-policy update
 // without a second round trip.
 //
-// Every request path has a Context variant; the plain methods use
-// context.Background(). Transport errors and 5xx responses are retried
-// with capped, jittered exponential backoff (see RetryPolicy —
-// re-sending reports is safe because ingestion replaces on (user, t)).
+// Every request method takes a context.Context first; MarkInfected
+// alone also has a plain form (see its doc). Transport errors and 5xx
+// responses are retried with capped, jittered exponential backoff (see
+// RetryPolicy — re-sending reports is safe because ingestion replaces
+// on (user, t)).
 type Client struct {
 	base  string
 	hc    *http.Client
@@ -265,7 +266,7 @@ func apiErrorFromResponse(resp *http.Response, body []byte) *APIError {
 	if json.Unmarshal(body, &e) == nil && e.Error != "" {
 		code := e.Code
 		if code == "" {
-			code = wire.CodeUnknown // /v1 envelopes carry no code
+			code = wire.CodeUnknown // e.g. a proxy's {error} body without a code
 		}
 		hint := time.Duration(e.RetryAfterMS) * time.Millisecond
 		if hint <= 0 {
@@ -359,13 +360,8 @@ func (c *Client) decodeGraph(body []byte) (*policygraph.Graph, error) {
 	return &g, nil
 }
 
-// Policy fetches the user's current policy (graph included) and caches
-// it for automatic version negotiation.
-func (c *Client) Policy(user int) (ClientPolicy, error) {
-	return c.PolicyContext(context.Background(), user)
-}
-
-// PolicyContext is Policy under an explicit context.
+// PolicyContext fetches the user's current policy (graph included) and
+// caches it for automatic version negotiation.
 func (c *Client) PolicyContext(ctx context.Context, user int) (ClientPolicy, error) {
 	var raw wire.Policy
 	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d", user), &raw); err != nil {
@@ -406,26 +402,22 @@ func (c *Client) adoptStalePolicy(user int, err error) bool {
 	return derr == nil
 }
 
-// ReportBatch sends many releases for one user in one round trip — the
-// contact-tracing whole-history re-send. The policy version is managed
-// automatically: on a stale-policy conflict the client adopts the
-// server's inline policy and retries once under the new version.
+// ReportBatchContext sends many releases for one user in one round
+// trip — the contact-tracing whole-history re-send. The policy version
+// is managed automatically: on a stale-policy conflict the client
+// adopts the server's inline policy and retries once under the new
+// version.
 //
 // The retry re-submits the same releases. Releases are mechanism
 // outputs, so re-submitting is safe post-processing of data already
 // perturbed under the policy the user had when they were generated —
-// but the server stamps stored records with its current version (as
-// /v1 always did). Protocol flows that must re-perturb history under
-// the renegotiated graph (the paper's contact-tracing re-send) should
-// regenerate the batch instead: call CachedPolicy after a failed send
-// (or check IsStalePolicy), rebuild the mechanism, and send the new
-// releases — or use the in-process panda.User, which rebuilds its
-// mechanism on every policy change.
-func (c *Client) ReportBatch(user int, releases []wire.Release) (wire.BatchReportResponse, error) {
-	return c.ReportBatchContext(context.Background(), user, releases)
-}
-
-// ReportBatchContext is ReportBatch under an explicit context.
+// but the server stamps stored records with its current version.
+// Protocol flows that must re-perturb history under the renegotiated
+// graph (the paper's contact-tracing re-send) should regenerate the
+// batch instead: call CachedPolicy after a failed send (or check
+// IsStalePolicy), rebuild the mechanism, and send the new releases — or
+// use the in-process panda.User, which rebuilds its mechanism on every
+// policy change.
 func (c *Client) ReportBatchContext(ctx context.Context, user int, releases []wire.Release) (wire.BatchReportResponse, error) {
 	ver, err := c.policyVersion(ctx, user)
 	if err != nil {
@@ -466,18 +458,27 @@ type asyncOrSyncResponse struct {
 	PolicyVersion int  `json:"policy_version"`
 }
 
-// ReportBatchAsync sends many releases for one user with early
+// ack converts either acknowledgement shape into an AsyncAck.
+func (r asyncOrSyncResponse) ack() (AsyncAck, error) {
+	ack := AsyncAck{PolicyVersion: r.PolicyVersion}
+	switch {
+	case r.Queued != nil:
+		ack.Queued, ack.QueueDepth = *r.Queued, r.QueueDepth
+	case r.Accepted != nil:
+		ack.Queued, ack.SyncFallback = *r.Accepted+r.Replaced, true
+	default:
+		return AsyncAck{}, errors.New("server client: unrecognized report acknowledgement")
+	}
+	return ack, nil
+}
+
+// ReportBatchAsyncContext sends many releases for one user with early
 // acknowledgement: the server validates and queues the batch, answering
 // before it reaches the store (ack ≠ applied ≠ durable — see API.md).
 // Backpressure (429 queue_full) is retried automatically up to the
 // retry policy's MaxAttempts, honoring the server's retry_after hint;
 // re-sending is safe because ingestion replaces on (user, t). Stale
-// policies renegotiate exactly like ReportBatch.
-func (c *Client) ReportBatchAsync(user int, releases []wire.Release) (AsyncAck, error) {
-	return c.ReportBatchAsyncContext(context.Background(), user, releases)
-}
-
-// ReportBatchAsyncContext is ReportBatchAsync under an explicit context.
+// policies renegotiate exactly like ReportBatchContext.
 func (c *Client) ReportBatchAsyncContext(ctx context.Context, user int, releases []wire.Release) (AsyncAck, error) {
 	ver, err := c.policyVersion(ctx, user)
 	if err != nil {
@@ -493,16 +494,7 @@ func (c *Client) ReportBatchAsyncContext(ctx context.Context, user int, releases
 	if err != nil {
 		return AsyncAck{}, err
 	}
-	ack := AsyncAck{PolicyVersion: out.PolicyVersion}
-	switch {
-	case out.Queued != nil:
-		ack.Queued, ack.QueueDepth = *out.Queued, out.QueueDepth
-	case out.Accepted != nil:
-		ack.Queued, ack.SyncFallback = *out.Accepted+out.Replaced, true
-	default:
-		return AsyncAck{}, errors.New("server client: unrecognized report acknowledgement")
-	}
-	return ack, nil
+	return out.ack()
 }
 
 // binaryBufs pools the encode buffers of the binary report path so a
@@ -538,18 +530,12 @@ func (c *Client) reportBinary(ctx context.Context, user int, releases []wire.Rel
 	return err
 }
 
-// ReportBatchBinary is ReportBatch over the binary record format
-// (Content-Type application/x-panda-records): the same synchronous
-// semantics and stale-policy renegotiation, but the batch is framed
-// client-side into the store's 48-byte record layout, so the server
-// ingests it without JSON materialization. Prefer it for hot ingest
-// loops; the JSON path remains the default for debuggability.
-func (c *Client) ReportBatchBinary(user int, releases []wire.Release) (wire.BatchReportResponse, error) {
-	return c.ReportBatchBinaryContext(context.Background(), user, releases)
-}
-
-// ReportBatchBinaryContext is ReportBatchBinary under an explicit
-// context.
+// ReportBatchBinaryContext is ReportBatchContext over the binary record
+// format (Content-Type application/x-panda-records): the same
+// synchronous semantics and stale-policy renegotiation, but the batch
+// is framed client-side into the store's 48-byte record layout, so the
+// server ingests it without JSON materialization. Prefer it for hot
+// ingest loops; the JSON path remains the default for debuggability.
 func (c *Client) ReportBatchBinaryContext(ctx context.Context, user int, releases []wire.Release) (wire.BatchReportResponse, error) {
 	var out wire.BatchReportResponse
 	if err := c.reportBinary(ctx, user, releases, "/v2/reports", &out); err != nil {
@@ -558,45 +544,25 @@ func (c *Client) ReportBatchBinaryContext(ctx context.Context, user int, release
 	return out, nil
 }
 
-// ReportBatchBinaryAsync is ReportBatchAsync over the binary record
-// format: early acknowledgement plus the zero-materialization ingest
-// path. Backpressure and renegotiation behave exactly like
-// ReportBatchAsync.
-func (c *Client) ReportBatchBinaryAsync(user int, releases []wire.Release) (AsyncAck, error) {
-	return c.ReportBatchBinaryAsyncContext(context.Background(), user, releases)
-}
-
-// ReportBatchBinaryAsyncContext is ReportBatchBinaryAsync under an
-// explicit context.
+// ReportBatchBinaryAsyncContext is ReportBatchAsyncContext over the
+// binary record format: early acknowledgement plus the
+// zero-materialization ingest path. Backpressure and renegotiation
+// behave exactly like ReportBatchAsyncContext.
 func (c *Client) ReportBatchBinaryAsyncContext(ctx context.Context, user int, releases []wire.Release) (AsyncAck, error) {
 	var out asyncOrSyncResponse
 	if err := c.reportBinary(ctx, user, releases, "/v2/reports?mode=async", &out); err != nil {
 		return AsyncAck{}, err
 	}
-	ack := AsyncAck{PolicyVersion: out.PolicyVersion}
-	switch {
-	case out.Queued != nil:
-		ack.Queued, ack.QueueDepth = *out.Queued, out.QueueDepth
-	case out.Accepted != nil:
-		ack.Queued, ack.SyncFallback = *out.Accepted+out.Replaced, true
-	default:
-		return AsyncAck{}, errors.New("server client: unrecognized report acknowledgement")
-	}
-	return ack, nil
+	return out.ack()
 }
 
-// Healthz probes GET /v2/healthz and returns the decoded body for both
-// outcomes — a healthy 200 and a failing 503 both carry the same
+// HealthzContext probes GET /v2/healthz and returns the decoded body for
+// both outcomes — a healthy 200 and a failing 503 both carry the same
 // response shape, distinguished by its Status field ("ok"/"failing").
 // Unlike every other method this one never retries: a probe wants the
 // current truth, not an eventually-successful one. The error is non-nil
 // only when the probe itself failed (transport error, or a body that is
 // not a healthz response).
-func (c *Client) Healthz() (wire.HealthzResponse, error) {
-	return c.HealthzContext(context.Background())
-}
-
-// HealthzContext is Healthz under an explicit context.
 func (c *Client) HealthzContext(ctx context.Context) (wire.HealthzResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v2/healthz", nil)
 	if err != nil {
@@ -614,14 +580,9 @@ func (c *Client) HealthzContext(ctx context.Context) (wire.HealthzResponse, erro
 	return out, nil
 }
 
-// IngestStats fetches the async ingestion queue's observability
+// IngestStatsContext fetches the async ingestion queue's observability
 // counters (GET /v2/ingest/stats). Enabled is false on servers running
 // without async ingest.
-func (c *Client) IngestStats() (wire.IngestStatsResponse, error) {
-	return c.IngestStatsContext(context.Background())
-}
-
-// IngestStatsContext is IngestStats under an explicit context.
 func (c *Client) IngestStatsContext(ctx context.Context) (wire.IngestStatsResponse, error) {
 	var out wire.IngestStatsResponse
 	if err := c.get(ctx, "/v2/ingest/stats", &out); err != nil {
@@ -630,14 +591,9 @@ func (c *Client) IngestStatsContext(ctx context.Context) (wire.IngestStatsRespon
 	return out, nil
 }
 
-// AnalyticsStats fetches the analytics engine's cache counters
+// AnalyticsStatsContext fetches the analytics engine's cache counters
 // (GET /v2/analytics/stats). Through the cluster router the counters
 // are summed across nodes.
-func (c *Client) AnalyticsStats() (wire.AnalyticsStatsResponse, error) {
-	return c.AnalyticsStatsContext(context.Background())
-}
-
-// AnalyticsStatsContext is AnalyticsStats under an explicit context.
 func (c *Client) AnalyticsStatsContext(ctx context.Context) (wire.AnalyticsStatsResponse, error) {
 	var out wire.AnalyticsStatsResponse
 	if err := c.get(ctx, "/v2/analytics/stats", &out); err != nil {
@@ -646,24 +602,15 @@ func (c *Client) AnalyticsStatsContext(ctx context.Context) (wire.AnalyticsStats
 	return out, nil
 }
 
-// Report sends a single released location (a batch of one).
-func (c *Client) Report(user, t int, p geo.Point) error {
-	return c.ReportContext(context.Background(), user, t, p)
-}
-
-// ReportContext is Report under an explicit context.
+// ReportContext sends a single released location (a batch of one).
 func (c *Client) ReportContext(ctx context.Context, user, t int, p geo.Point) error {
 	_, err := c.ReportBatchContext(ctx, user, []wire.Release{{T: t, X: p.X, Y: p.Y}})
 	return err
 }
 
-// RecordsPage fetches one page of the user's stored releases. An empty
-// cursor starts from the beginning; limit <= 0 uses the server default.
-func (c *Client) RecordsPage(user int, cursor string, limit int) (wire.RecordsPage, error) {
-	return c.RecordsPageContext(context.Background(), user, cursor, limit)
-}
-
-// RecordsPageContext is RecordsPage under an explicit context.
+// RecordsPageContext fetches one page of the user's stored releases. An
+// empty cursor starts from the beginning; limit <= 0 uses the server
+// default.
 func (c *Client) RecordsPageContext(ctx context.Context, user int, cursor string, limit int) (wire.RecordsPage, error) {
 	q := url.Values{}
 	q.Set("user", fmt.Sprint(user))
@@ -680,13 +627,8 @@ func (c *Client) RecordsPageContext(ctx context.Context, user int, cursor string
 	return page, nil
 }
 
-// Records fetches all of a user's stored releases, following pagination
-// cursors until the listing is complete.
-func (c *Client) Records(user int) ([]Record, error) {
-	return c.RecordsContext(context.Background(), user)
-}
-
-// RecordsContext is Records under an explicit context.
+// RecordsContext fetches all of a user's stored releases, following
+// pagination cursors until the listing is complete.
 func (c *Client) RecordsContext(ctx context.Context, user int) ([]Record, error) {
 	var out []Record
 	cursor := ""
@@ -708,15 +650,18 @@ func (c *Client) RecordsContext(ctx context.Context, user int) ([]Record, error)
 	}
 }
 
-// MarkInfected publishes newly infected cells; returns affected users.
-// Note the one retry caveat of this endpoint: if a response is lost in
-// transit after the server applied the update, the retried call reports
-// the (now-empty) second application's changed list.
+// MarkInfected is MarkInfectedContext under context.Background(). It is
+// the client's only request method without a context, kept because the
+// benchmark module's dashboard workload calls it; new callers use
+// MarkInfectedContext.
 func (c *Client) MarkInfected(cells []int) ([]int, error) {
 	return c.MarkInfectedContext(context.Background(), cells)
 }
 
-// MarkInfectedContext is MarkInfected under an explicit context.
+// MarkInfectedContext publishes newly infected cells; returns affected
+// users. Note the one retry caveat of this endpoint: if a response is
+// lost in transit after the server applied the update, the retried call
+// reports the (now-empty) second application's changed list.
 func (c *Client) MarkInfectedContext(ctx context.Context, cells []int) ([]int, error) {
 	var out wire.InfectedResponse
 	if err := c.post(ctx, "/v2/infected", wire.InfectedRequest{Cells: cells}, &out); err != nil {
@@ -725,14 +670,9 @@ func (c *Client) MarkInfectedContext(ctx context.Context, cells []int) ([]int, e
 	return out.Changed, nil
 }
 
-// HealthCode fetches the user's certification over the last `window`
-// timesteps anchored at `now` (window <= 0 = all history, now < 0 = the
-// server's latest timestep).
-func (c *Client) HealthCode(user, window, now int) (HealthCode, error) {
-	return c.HealthCodeContext(context.Background(), user, window, now)
-}
-
-// HealthCodeContext is HealthCode under an explicit context.
+// HealthCodeContext fetches the user's certification over the last
+// `window` timesteps anchored at `now` (window <= 0 = all history,
+// now < 0 = the server's latest timestep).
 func (c *Client) HealthCodeContext(ctx context.Context, user, window, now int) (HealthCode, error) {
 	path := fmt.Sprintf("/v2/healthcode?user=%d", user)
 	if window > 0 {
@@ -748,12 +688,7 @@ func (c *Client) HealthCodeContext(ctx context.Context, user, window, now int) (
 	return HealthCode(out.Code), nil
 }
 
-// Density fetches regional release counts at a timestep.
-func (c *Client) Density(t, blockRows, blockCols int) ([]int, error) {
-	return c.DensityContext(context.Background(), t, blockRows, blockCols)
-}
-
-// DensityContext is Density under an explicit context.
+// DensityContext fetches regional release counts at a timestep.
 func (c *Client) DensityContext(ctx context.Context, t, blockRows, blockCols int) ([]int, error) {
 	var out wire.DensityResponse
 	path := fmt.Sprintf("/v2/density?t=%d&block_rows=%d&block_cols=%d", t, blockRows, blockCols)
@@ -763,13 +698,8 @@ func (c *Client) DensityContext(ctx context.Context, t, blockRows, blockCols int
 	return out.Counts, nil
 }
 
-// DensitySeries fetches per-region counts for a timestep range, served
-// from the engine's per-timestep cache (GET /v2/density/series).
-func (c *Client) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
-	return c.DensitySeriesContext(context.Background(), t0, t1, blockRows, blockCols)
-}
-
-// DensitySeriesContext is DensitySeries under an explicit context.
+// DensitySeriesContext fetches per-region counts for a timestep range,
+// served from the engine's per-timestep cache (GET /v2/density/series).
 func (c *Client) DensitySeriesContext(ctx context.Context, t0, t1, blockRows, blockCols int) ([][]int, error) {
 	var out wire.DensitySeriesResponse
 	path := fmt.Sprintf("/v2/density/series?t0=%d&t1=%d&block_rows=%d&block_cols=%d",
@@ -780,12 +710,7 @@ func (c *Client) DensitySeriesContext(ctx context.Context, t0, t1, blockRows, bl
 	return out.Series, nil
 }
 
-// Exposure fetches the infected-place exposure series.
-func (c *Client) Exposure(t0, t1 int) ([]int, error) {
-	return c.ExposureContext(context.Background(), t0, t1)
-}
-
-// ExposureContext is Exposure under an explicit context.
+// ExposureContext fetches the infected-place exposure series.
 func (c *Client) ExposureContext(ctx context.Context, t0, t1 int) ([]int, error) {
 	var out wire.ExposureResponse
 	if err := c.get(ctx, fmt.Sprintf("/v2/exposure?t0=%d&t1=%d", t0, t1), &out); err != nil {
@@ -794,12 +719,7 @@ func (c *Client) ExposureContext(ctx context.Context, t0, t1 int) ([]int, error)
 	return out.Exposure, nil
 }
 
-// Census fetches the population health-code tally.
-func (c *Client) Census(window, now int) (map[HealthCode]int, error) {
-	return c.CensusContext(context.Background(), window, now)
-}
-
-// CensusContext is Census under an explicit context.
+// CensusContext fetches the population health-code tally.
 func (c *Client) CensusContext(ctx context.Context, window, now int) (map[HealthCode]int, error) {
 	path := "/v2/census"
 	sep := "?"

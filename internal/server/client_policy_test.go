@@ -21,18 +21,18 @@ func TestClientSharesPolicyGraph(t *testing.T) {
 	srv, client, grid, done := newTestServer(t)
 	defer done()
 	for u := 0; u < 2; u++ {
-		if _, err := client.Policy(u); err != nil {
+		if _, err := client.PolicyContext(t.Context(), u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := client.MarkInfected([]int{5}); err != nil {
+	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
-	a, err := client.Policy(0)
+	a, err := client.PolicyContext(t.Context(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := client.Policy(3)
+	b, err := client.PolicyContext(t.Context(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestClientSharesPolicyGraph(t *testing.T) {
 	}
 	// User 1 still holds v1: the report draws a 409 whose inline policy
 	// carries the same graph body.
-	if err := client.Report(1, 0, grid.Center(1)); err != nil {
+	if err := client.ReportContext(t.Context(), 1, 0, grid.Center(1)); err != nil {
 		t.Fatal(err)
 	}
 	if cp, _ := client.CachedPolicy(1); cp.Version != 2 || cp.Graph != a.Graph {
@@ -52,7 +52,7 @@ func TestClientSharesPolicyGraph(t *testing.T) {
 	if err := srv.mgr.Set(2, override, 2); err != nil {
 		t.Fatal(err)
 	}
-	c, err := client.Policy(2)
+	c, err := client.PolicyContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestClientKeepsItsOwnPolicyBody(t *testing.T) {
 	}
 }
 
-// TestPolicyBodiesUnchanged: GET /v2/policy, the 409 stale_policy
-// envelope (JSON and binary reports) and GET /v1/policy write exactly
-// what encoding the wire struct around json.Marshal(graph) writes, for a
-// default user before and after a mark, a user who joins after it, and a
-// user with a Set override.
+// TestPolicyBodiesUnchanged: GET /v2/policy and the 409 stale_policy
+// envelope (JSON and binary reports) write exactly what encoding the
+// wire struct around json.Marshal(graph) writes, for a default user
+// before and after a mark, a user who joins after it, and a user with a
+// Set override.
 func TestPolicyBodiesUnchanged(t *testing.T) {
 	srv, client, grid, done := newTestServer(t)
 	defer done()
@@ -149,8 +149,6 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 			{"GET /v2/policy", http.MethodGet, fmt.Sprintf("/v2/policy?user=%d", user), "", nil, http.StatusOK, encode(pol)},
 			{"409 JSON report", http.MethodPost, "/v2/reports", "application/json", []byte(jsonReport), http.StatusConflict, stale},
 			{"409 binary report", http.MethodPost, "/v2/reports", wire.ContentTypeBinary, binReport, http.StatusConflict, stale},
-			{"GET /v1/policy", http.MethodGet, fmt.Sprintf("/v1/policy?user=%d", user), "", nil, http.StatusOK,
-				encode(policyResponse{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph})},
 		} {
 			status, got := send(tc.method, tc.path, tc.contentType, tc.body)
 			if status != tc.status || got != tc.want {
@@ -160,7 +158,7 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 		}
 	}
 	check(0)
-	if _, err := client.MarkInfected([]int{5}); err != nil {
+	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.mgr.Set(2, policygraph.Complete(grid.NumCells(), nil), 2); err != nil {
@@ -183,7 +181,7 @@ func TestClientPolicyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			_, err := client.Policy(u)
+			_, err := client.PolicyContext(t.Context(), u)
 			fetched.Done()
 			if err != nil {
 				t.Error(err)
@@ -191,7 +189,7 @@ func TestClientPolicyConcurrent(t *testing.T) {
 			}
 			deadline := time.Now().Add(10 * time.Second)
 			for step := 0; ; step++ {
-				if err := client.Report(u, step, grid.Center(u)); err != nil {
+				if err := client.ReportContext(t.Context(), u, step, grid.Center(u)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -203,7 +201,7 @@ func TestClientPolicyConcurrent(t *testing.T) {
 					return
 				}
 				if step%2 == 1 {
-					if _, err := client.Policy(u); err != nil {
+					if _, err := client.PolicyContext(t.Context(), u); err != nil {
 						t.Error(err)
 						return
 					}
@@ -212,7 +210,7 @@ func TestClientPolicyConcurrent(t *testing.T) {
 		}(u)
 	}
 	fetched.Wait()
-	if _, err := client.MarkInfected([]int{15}); err != nil {
+	if _, err := client.MarkInfectedContext(t.Context(), []int{15}); err != nil {
 		t.Error(err)
 	}
 	wg.Wait()

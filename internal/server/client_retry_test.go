@@ -30,7 +30,7 @@ func TestClientRetries5xx(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := NewClient(ts.URL, ts.Client(), WithRetry(fastRetry))
-	counts, err := client.Density(0, 2, 2)
+	counts, err := client.DensityContext(t.Context(), 0, 2, 2)
 	if err != nil {
 		t.Fatalf("retried request failed: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestClientRetryExhausted(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := NewClient(ts.URL, ts.Client(), WithRetry(fastRetry))
-	_, err := client.Density(0, 2, 2)
+	_, err := client.DensityContext(t.Context(), 0, 2, 2)
 	ae, ok := err.(*APIError)
 	if !ok || ae.Status != http.StatusInternalServerError {
 		t.Fatalf("err = %v, want 500 APIError", err)
@@ -76,7 +76,7 @@ func TestClientRetryDisabled(t *testing.T) {
 	}))
 	defer ts.Close()
 	single := NewClient(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 1}))
-	if _, err := single.Density(0, 2, 2); err == nil {
+	if _, err := single.DensityContext(t.Context(), 0, 2, 2); err == nil {
 		t.Fatal("expected error")
 	}
 	if got := calls.Load(); got != 1 {
@@ -84,7 +84,7 @@ func TestClientRetryDisabled(t *testing.T) {
 	}
 	calls.Store(0)
 	retrying := NewClient(ts.URL, ts.Client(), WithRetry(fastRetry))
-	if _, err := retrying.Density(4, 2, 2); !reflect.DeepEqual(calls.Load(), int64(1)) || err == nil {
+	if _, err := retrying.DensityContext(t.Context(), 4, 2, 2); !reflect.DeepEqual(calls.Load(), int64(1)) || err == nil {
 		t.Errorf("4xx: calls=%d err=%v, want 1 call and an error", calls.Load(), err)
 	}
 }
@@ -119,7 +119,7 @@ func TestClientRetries429HonoringHint(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client(),
 		WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 500 * time.Millisecond}))
 	start := time.Now()
-	ack, err := client.ReportBatchAsync(1, []wire.Release{{T: 0, X: 1, Y: 1}})
+	ack, err := client.ReportBatchAsyncContext(t.Context(), 1, []wire.Release{{T: 0, X: 1, Y: 1}})
 	if err != nil {
 		t.Fatalf("async report after backpressure: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestClient429Exhausted(t *testing.T) {
 	defer ts.Close()
 	client := NewClient(ts.URL, ts.Client(), WithRetry(fastRetry)) // MaxDelay 5ms clamps the hint
 	start := time.Now()
-	_, err := client.ReportBatchAsync(1, []wire.Release{{T: 0, X: 1, Y: 1}})
+	_, err := client.ReportBatchAsyncContext(t.Context(), 1, []wire.Release{{T: 0, X: 1, Y: 1}})
 	ae, ok := err.(*APIError)
 	if !ok || ae.Status != http.StatusTooManyRequests || ae.Code != wire.CodeQueueFull {
 		t.Fatalf("err = %v, want 429 queue_full APIError", err)
@@ -195,7 +195,7 @@ func TestClient503RetryAfterHeader(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client(),
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Second}))
 	start := time.Now()
-	counts, err := client.Density(0, 1, 1)
+	counts, err := client.DensityContext(t.Context(), 0, 1, 1)
 	if err != nil {
 		t.Fatalf("retry after node_unavailable: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestClient503NodeSurfaced(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := NewClient(ts.URL, ts.Client(), WithRetry(RetryPolicy{MaxAttempts: 1}))
-	_, err := client.Density(0, 1, 1)
+	_, err := client.DensityContext(t.Context(), 0, 1, 1)
 	ae, ok := err.(*APIError)
 	if !ok || ae.Status != http.StatusServiceUnavailable || ae.Code != wire.CodeNodeDown {
 		t.Fatalf("err = %v, want 503 node_unavailable APIError", err)
@@ -274,7 +274,7 @@ func TestClientRetriesTransportError(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := NewClient(ts.URL, ts.Client(), WithRetry(fastRetry))
-	counts, err := client.Density(0, 1, 1)
+	counts, err := client.DensityContext(t.Context(), 0, 1, 1)
 	if err != nil {
 		t.Fatalf("request after transport error failed: %v", err)
 	}
@@ -307,51 +307,41 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
-// TestV2DensitySeriesEndpoint: the canonical /v2/density/series path and
-// the legacy /v2/density_series alias answer the same query, and the
-// typed client speaks the canonical path.
+// TestV2DensitySeriesEndpoint: GET /v2/density/series answers the range
+// query and the typed client speaks that path.
 func TestV2DensitySeriesEndpoint(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
 	for u := 0; u < 4; u++ {
 		for ti := 0; ti < 3; ti++ {
-			if err := client.Report(u, ti, grid.Center((u+ti)%grid.NumCells())); err != nil {
+			if err := client.ReportContext(t.Context(), u, ti, grid.Center((u+ti)%grid.NumCells())); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	fetch := func(path string) wire.DensitySeriesResponse {
-		t.Helper()
-		resp, err := http.Get(client.baseURL() + path + "?t0=0&t1=2&block_rows=2&block_cols=2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		var out wire.DensitySeriesResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	canonical := fetch("/v2/density/series")
-	alias := fetch("/v2/density_series")
-	if !reflect.DeepEqual(canonical, alias) {
-		t.Errorf("canonical %+v != alias %+v", canonical, alias)
-	}
-	if len(canonical.Series) != 3 {
-		t.Fatalf("series length = %d", len(canonical.Series))
-	}
-	viaClient, err := client.DensitySeries(0, 2, 2, 2)
+	resp, err := http.Get(client.baseURL() + "/v2/density/series?t0=0&t1=2&block_rows=2&block_cols=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaClient, canonical.Series) {
-		t.Errorf("client series %v != endpoint series %v", viaClient, canonical.Series)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
 	}
-	// Range validation still applies on the canonical path.
+	var endpoint wire.DensitySeriesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&endpoint); err != nil {
+		t.Fatal(err)
+	}
+	if len(endpoint.Series) != 3 {
+		t.Fatalf("series length = %d", len(endpoint.Series))
+	}
+	viaClient, err := client.DensitySeriesContext(t.Context(), 0, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viaClient, endpoint.Series) {
+		t.Errorf("client series %v != endpoint series %v", viaClient, endpoint.Series)
+	}
+	// Range validation applies to the series path.
 	if status, e := getV2(t, client.baseURL(), "/v2/density/series?t0=3&t1=1&block_rows=2&block_cols=2"); status != http.StatusBadRequest || e.Code != wire.CodeBadRequest {
 		t.Errorf("inverted range: status=%d code=%q", status, e.Code)
 	}

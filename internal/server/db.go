@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/server/analytics"
@@ -90,30 +91,14 @@ func (db *DB) Insert(rec Record) error {
 	return nil
 }
 
-// ValidateBatch validates every record against the grid, snapping
-// points where Cell is unset (-1), and returns the normalized batch
-// without storing it. It is the front half of InsertBatch, exposed so
-// the async ingest path can refuse a bad batch before acknowledging it
-// and later hand the pre-validated records straight to the Store.
-func (db *DB) ValidateBatch(recs []Record) ([]Record, error) {
-	normalized := make([]Record, len(recs))
-	for i, rec := range recs {
-		r, err := db.validate(rec)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		normalized[i] = r
-	}
-	return normalized, nil
-}
-
-// ValidateBatchInPlace is ValidateBatch without the defensive copy:
-// records are normalized (cells snapped) directly in recs. It exists
-// for the zero-allocation ingest path, where the handler already owns
-// the (pooled) slice outright and a copy would defeat the pooling. The
-// batch is atomic with respect to validation — on error, some records
-// may already be normalized, but the error means the batch must not be
-// stored anyway.
+// ValidateBatchInPlace validates every record against the grid,
+// normalizing it (snapping points where Cell is unset, -1) directly in
+// recs, without storing anything. It is the front half of InsertBatch,
+// exposed so the ingest path can refuse a bad batch before
+// acknowledging it and hand the pooled slice it owns straight to the
+// Store, without a copy. The batch is atomic with respect to
+// validation — on error, some records may already be normalized, but
+// the error means the batch must not be stored anyway.
 func (db *DB) ValidateBatchInPlace(recs []Record) error {
 	for i := range recs {
 		r, err := db.validate(recs[i])
@@ -129,10 +114,10 @@ func (db *DB) ValidateBatchInPlace(recs []Record) error {
 // the batch-ingest path of POST /v2/reports. The batch is atomic with
 // respect to validation: if any record is invalid, nothing is stored.
 // It returns how many records were new and how many replaced an
-// existing (user, t) release.
+// existing (user, t) release. The caller's slice is left unmodified.
 func (db *DB) InsertBatch(recs []Record) (added, replaced int, err error) {
-	normalized, err := db.ValidateBatch(recs)
-	if err != nil {
+	normalized := slices.Clone(recs)
+	if err := db.ValidateBatchInPlace(normalized); err != nil {
 		return 0, 0, err
 	}
 	added = db.store.InsertBatch(normalized)

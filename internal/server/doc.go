@@ -2,6 +2,6 @@
 // (Fig. 1/3): a pluggable store of released locations (the storage
 // package), a cached aggregate-query engine behind the location-
 // monitoring app and the privacy-preserving "health code" service (the
-// analytics package), and a versioned HTTP API (/v1 legacy, /v2 typed)
-// with a matching client that plays the role of the mobile app.
+// analytics package), and the typed /v2 HTTP API with a matching client
+// that plays the role of the mobile app.
 package server

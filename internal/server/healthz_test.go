@@ -19,7 +19,7 @@ import (
 func TestV2Healthz(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
-	h, err := client.Healthz()
+	h, err := client.HealthzContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,11 @@ func TestV2Healthz(t *testing.T) {
 		t.Fatalf("empty server healthz = %+v", h)
 	}
 	for ti := 0; ti < 3; ti++ {
-		if err := client.Report(1, ti, grid.Center(ti)); err != nil {
+		if err := client.ReportContext(t.Context(), 1, ti, grid.Center(ti)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if h, err = client.Healthz(); err != nil {
+	if h, err = client.HealthzContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || h.Records != 3 || h.MaxT != 2 || h.Epoch == 0 {
@@ -84,10 +84,10 @@ func TestV2HealthzSurfacesCompactError(t *testing.T) {
 	for {
 		// Re-reporting the same (user, t) generates pure garbage, which
 		// keeps kicking the (blocked) compactor.
-		if err := client.Report(0, 0, grid.Center(1)); err != nil {
+		if err := client.ReportContext(t.Context(), 0, 0, grid.Center(1)); err != nil {
 			t.Fatal(err)
 		}
-		h, err := client.Healthz()
+		h, err := client.HealthzContext(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestClientHealthzDecodesFailing(t *testing.T) {
 		_, _ = w.Write([]byte(`{"status":"failing","records":7,"max_t":3,"epoch":9,"store_error":"wal: append: disk full"}`))
 	}))
 	defer ts.Close()
-	h, err := NewClient(ts.URL, ts.Client()).Healthz()
+	h, err := NewClient(ts.URL, ts.Client()).HealthzContext(t.Context())
 	if err != nil {
 		t.Fatalf("Healthz on a failing server: %v (want the decoded body)", err)
 	}

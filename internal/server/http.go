@@ -8,30 +8,15 @@ import (
 	"net/http"
 	"strconv"
 
-	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server/ingest"
 )
 
-// Server exposes the surveillance backend over HTTP, in two wire
-// versions (see API.md for the full contract).
-//
-// /v1 — the legacy surface. Wire shapes are frozen and the
-// policy_version-0 skip is preserved bug-for-bug, but this release
-// tightened two behaviors shared with /v2: parameter ranges are now
-// validated (negative t, inverted ranges, non-positive window → 400)
-// and health-code windows anchor at an explicit clock (see API.md):
-//
-//	POST /v1/report      {user, t, x, y, policy_version} → 204
-//	GET  /v1/policy?user=ID                              → policy JSON
-//	POST /v1/infected    {cells: [...]}                  → {changed: [...]}
-//	GET  /v1/healthcode?user=ID&window=W&now=T           → {code}
-//	GET  /v1/density?t=T&block_rows=R&block_cols=C       → {counts: [...]}
-//	GET  /v1/records?user=ID                             → [records]
-//
-// /v2 — the typed protocol of the wire package: batch reporting, cursor
-// pagination, a uniform {error, code} envelope, and inline policy
-// renegotiation on stale versions (see httpv2.go).
+// Server exposes the surveillance backend over HTTP as the typed /v2
+// protocol of the wire package: batch reporting, cursor pagination, a
+// uniform {error, code} envelope, and inline policy renegotiation on
+// stale versions (see API.md for the full contract and httpv2.go for
+// the handlers).
 type Server struct {
 	db  *DB
 	mgr *policy.Manager
@@ -129,27 +114,24 @@ func (s *Server) DrainIngest(ctx context.Context) error {
 // embedded in-process).
 func (s *Server) DB() *DB { return s.db }
 
-// Handler returns the HTTP routing for the server: both the legacy /v1
-// surface and the typed /v2 surface.
+// Handler returns the HTTP routing for the server. Every response —
+// success or error — is a struct from the wire package; errors are the
+// uniform {error, code} envelope written by v2Error.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/report", s.handleReport)
-	mux.HandleFunc("GET /v1/policy", s.handlePolicy)
-	mux.HandleFunc("POST /v1/infected", s.handleInfected)
-	mux.HandleFunc("GET /v1/healthcode", s.handleHealthCode)
-	mux.HandleFunc("GET /v1/density", s.handleDensity)
-	mux.HandleFunc("GET /v1/records", s.handleRecords)
-	mux.HandleFunc("GET /v1/density_series", s.handleDensitySeries)
-	mux.HandleFunc("GET /v1/exposure", s.handleExposure)
-	mux.HandleFunc("GET /v1/census", s.handleCensus)
-	s.routeV2(mux)
+	mux.HandleFunc("POST /v2/reports", s.handleV2Reports)
+	mux.HandleFunc("GET /v2/healthz", s.handleV2Healthz)
+	mux.HandleFunc("GET /v2/ingest/stats", s.handleV2IngestStats)
+	mux.HandleFunc("GET /v2/analytics/stats", s.handleV2AnalyticsStats)
+	mux.HandleFunc("GET /v2/records", s.handleV2Records)
+	mux.HandleFunc("GET /v2/policy", s.handleV2Policy)
+	mux.HandleFunc("POST /v2/infected", s.handleV2Infected)
+	mux.HandleFunc("GET /v2/healthcode", s.handleV2HealthCode)
+	mux.HandleFunc("GET /v2/density", s.handleV2Density)
+	mux.HandleFunc("GET /v2/density/series", s.handleV2DensitySeries)
+	mux.HandleFunc("GET /v2/exposure", s.handleV2Exposure)
+	mux.HandleFunc("GET /v2/census", s.handleV2Census)
 	return mux
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -160,180 +142,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// reportRequest is the wire form of a /v1 location report.
-type reportRequest struct {
-	User          int     `json:"user"`
-	T             int     `json:"t"`
-	X             float64 `json:"x"`
-	Y             float64 `json:"y"`
-	PolicyVersion int     `json:"policy_version"`
-}
-
-// handleReport ingests one release. Legacy quirk, kept for /v1
-// compatibility: policy_version 0 means "unset" and skips the staleness
-// check entirely, so old clients that never learned about versions keep
-// working. /v2 makes the version mandatory — use POST /v2/reports for
-// enforced renegotiation.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var req reportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding report: %v", err)
-		return
-	}
-	up := s.mgr.Get(req.User)
-	if !up.Consented {
-		httpError(w, http.StatusForbidden, "user %d has not consented to the current policy", req.User)
-		return
-	}
-	if req.PolicyVersion != 0 && req.PolicyVersion != up.Version {
-		httpError(w, http.StatusConflict, "stale policy version %d (current %d)", req.PolicyVersion, up.Version)
-		return
-	}
-	rec := Record{User: req.User, T: req.T, Point: geo.Pt(req.X, req.Y), Cell: -1, PolicyVersion: up.Version}
-	if err := s.db.Insert(rec); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// policyResponse is the wire form of a user policy. The graph is included
-// verbatim: publishing policy graphs is part of the transparency story.
-type policyResponse struct {
-	User    int             `json:"user"`
-	Epsilon float64         `json:"epsilon"`
-	Version int             `json:"version"`
-	Graph   json.RawMessage `json:"graph"`
-}
-
-func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	up := s.mgr.Get(user)
-	writeJSON(w, policyResponse{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: up.GraphJSON})
-}
-
-type infectedRequest struct {
-	Cells []int `json:"cells"`
-}
-
-func (s *Server) handleInfected(w http.ResponseWriter, r *http.Request) {
-	var req infectedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding infected cells: %v", err)
-		return
-	}
-	changed := s.mgr.MarkInfected(req.Cells)
-	if changed == nil {
-		changed = []int{}
-	}
-	writeJSON(w, map[string][]int{"changed": changed})
-}
-
-func (s *Server) handleHealthCode(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	window, err := queryIntOpt(r, "window", 0, 1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	now, err := queryIntOpt(r, "now", -1, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	code := s.db.HealthCodeFor(user, s.mgr.InfectedCells(), window, now)
-	writeJSON(w, map[string]string{"code": string(code)})
-}
-
-func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
-	t, err := queryIntMin(r, "t", 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	br, bc, err := queryBlocks(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, map[string][]int{"counts": s.db.DensityAt(t, br, bc)})
-}
-
-func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, s.db.UserRecords(user))
-}
-
-func (s *Server) handleDensitySeries(w http.ResponseWriter, r *http.Request) {
-	t0, t1, err := queryTimeRange(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	br, bc, err := queryBlocks(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	series, err := s.db.DensitySeries(t0, t1, br, bc)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, map[string][][]int{"series": series})
-}
-
-func (s *Server) handleExposure(w http.ResponseWriter, r *http.Request) {
-	t0, t1, err := queryTimeRange(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	series, err := s.db.InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, map[string][]int{"exposure": series})
-}
-
-func (s *Server) handleCensus(w http.ResponseWriter, r *http.Request) {
-	window, err := queryIntOpt(r, "window", 0, 1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	now, err := queryIntOpt(r, "now", -1, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	census := s.db.CodeCensus(s.mgr.InfectedCells(), window, now)
-	out := make(map[string]int, len(census))
-	for code, n := range census {
-		out[string(code)] = n
-	}
-	writeJSON(w, out)
-}
-
 // --- central query-parameter parsing and range validation ---
 //
-// Every handler (both wire versions) parses parameters through these
-// helpers so range rules live in one place: timesteps are non-negative,
-// time ranges are ordered, windows are positive, block dimensions are
-// positive.
+// Every handler parses parameters through these helpers so range rules
+// live in one place: timesteps are non-negative, time ranges are
+// ordered, windows are positive, block dimensions are positive.
 
 // queryInt parses a required integer parameter.
 func queryInt(r *http.Request, key string) (int, error) {

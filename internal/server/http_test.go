@@ -1,12 +1,7 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"github.com/pglp/panda/internal/geo"
@@ -30,191 +25,7 @@ func newTestServer(t *testing.T) (*Server, *Client, *geo.Grid, func()) {
 	return srv, client, grid, ts.Close
 }
 
-// rawPost POSTs a JSON body and returns status + decoded-as-map body.
-func rawPost(t *testing.T, base, path, body string) (int, map[string]any) {
-	t.Helper()
-	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	return resp.StatusCode, decodeMap(t, resp.Body)
-}
-
-// rawGet GETs a path and returns status + decoded-as-map body.
-func rawGet(t *testing.T, base, path string) (int, map[string]any) {
-	t.Helper()
-	resp, err := http.Get(base + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	return resp.StatusCode, decodeMap(t, resp.Body)
-}
-
-func decodeMap(t *testing.T, r io.Reader) map[string]any {
-	t.Helper()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	_ = json.Unmarshal(data, &m) // 204s and arrays leave m nil
-	return m
-}
-
 func (c *Client) baseURL() string { return c.base }
-
-func TestV1ReportAndRecords(t *testing.T) {
-	_, client, grid, done := newTestServer(t)
-	defer done()
-	base := client.baseURL()
-	p := grid.Center(5)
-	status, _ := rawPost(t, base, "/v1/report",
-		fmt.Sprintf(`{"user":1,"t":0,"x":%v,"y":%v,"policy_version":1}`, p.X, p.Y))
-	if status != http.StatusNoContent {
-		t.Fatalf("report status = %d, want 204", status)
-	}
-	resp, err := http.Get(base + "/v1/records?user=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var recs []Record
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Cell != 5 {
-		t.Errorf("records = %+v", recs)
-	}
-}
-
-// TestV1LegacyVersionZeroSkipsStaleCheck pins the documented /v1 quirk:
-// policy_version 0 means "unset" and bypasses the staleness check, so
-// pre-versioning clients keep working even after a policy update. /v2
-// rejects unversioned reports instead.
-func TestV1LegacyVersionZeroSkipsStaleCheck(t *testing.T) {
-	_, client, grid, done := newTestServer(t)
-	defer done()
-	base := client.baseURL()
-	if _, err := client.Policy(0); err != nil { // materialize the user
-		t.Fatal(err)
-	}
-	if _, err := client.MarkInfected([]int{3}); err != nil { // bump to version 2
-		t.Fatal(err)
-	}
-	p := grid.Center(1)
-	// Version 1 is stale → 409.
-	status, body := rawPost(t, base, "/v1/report",
-		fmt.Sprintf(`{"user":0,"t":0,"x":%v,"y":%v,"policy_version":1}`, p.X, p.Y))
-	if status != http.StatusConflict {
-		t.Errorf("stale version status = %d (%v), want 409", status, body)
-	}
-	// Version 0 skips the check entirely → accepted (legacy behavior).
-	status, body = rawPost(t, base, "/v1/report",
-		fmt.Sprintf(`{"user":0,"t":0,"x":%v,"y":%v}`, p.X, p.Y))
-	if status != http.StatusNoContent {
-		t.Errorf("unversioned report status = %d (%v), want 204 (legacy skip)", status, body)
-	}
-	// The current version is accepted.
-	status, body = rawPost(t, base, "/v1/report",
-		fmt.Sprintf(`{"user":0,"t":1,"x":%v,"y":%v,"policy_version":2}`, p.X, p.Y))
-	if status != http.StatusNoContent {
-		t.Errorf("current version status = %d (%v), want 204", status, body)
-	}
-}
-
-func TestV1ConsentRejection(t *testing.T) {
-	srv, client, grid, done := newTestServer(t)
-	defer done()
-	srv.mgr.Get(7)
-	srv.mgr.Consent(7, false)
-	p := grid.Center(0)
-	status, _ := rawPost(t, client.baseURL(), "/v1/report",
-		fmt.Sprintf(`{"user":7,"t":0,"x":%v,"y":%v}`, p.X, p.Y))
-	if status != http.StatusForbidden {
-		t.Errorf("non-consenting report status = %d, want 403", status)
-	}
-}
-
-// TestV1ParamValidation covers the centralized range rules: negative
-// timesteps, inverted ranges, and non-positive windows are rejected
-// instead of silently computed on.
-func TestV1ParamValidation(t *testing.T) {
-	_, client, _, done := newTestServer(t)
-	defer done()
-	base := client.baseURL()
-	for _, tc := range []struct{ name, path string }{
-		{"negative t", "/v1/density?t=-1&block_rows=2&block_cols=2"},
-		{"zero block", "/v1/density?t=0&block_rows=0&block_cols=2"},
-		{"inverted range", "/v1/density_series?t0=3&t1=1&block_rows=2&block_cols=2"},
-		{"negative t0", "/v1/density_series?t0=-2&t1=1&block_rows=2&block_cols=2"},
-		{"inverted exposure", "/v1/exposure?t0=5&t1=2"},
-		{"zero window", "/v1/healthcode?user=0&window=0"},
-		{"negative window", "/v1/census?window=-3"},
-		{"negative now", "/v1/healthcode?user=0&window=2&now=-1"},
-		{"missing user", "/v1/healthcode"},
-		{"bad user", "/v1/policy?user=abc"},
-	} {
-		status, body := rawGet(t, base, tc.path)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s: status = %d (%v), want 400", tc.name, status, body)
-		}
-		if body["error"] == "" {
-			t.Errorf("%s: missing error message", tc.name)
-		}
-	}
-	// Bad JSON body.
-	status, _ := rawPost(t, base, "/v1/report", "{not json")
-	if status != http.StatusBadRequest {
-		t.Errorf("bad report body status = %d, want 400", status)
-	}
-}
-
-// TestV1HealthCodeExplicitNow exercises the now parameter over the wire:
-// an old infected visit ages out of the window under a later clock.
-func TestV1HealthCodeExplicitNow(t *testing.T) {
-	srv, client, grid, done := newTestServer(t)
-	defer done()
-	base := client.baseURL()
-	if _, err := client.MarkInfected([]int{5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.db.Insert(Record{User: 2, T: 2, Point: grid.Center(5), Cell: -1}); err != nil {
-		t.Fatal(err)
-	}
-	status, body := rawGet(t, base, "/v1/healthcode?user=2&window=14&now=10")
-	if status != http.StatusOK || body["code"] != "yellow" {
-		t.Errorf("now=10: status=%d code=%v, want yellow", status, body["code"])
-	}
-	status, body = rawGet(t, base, "/v1/healthcode?user=2&window=14&now=30")
-	if status != http.StatusOK || body["code"] != "green" {
-		t.Errorf("now=30: status=%d code=%v, want green (aged out)", status, body["code"])
-	}
-}
-
-func TestV1DensityAndCensus(t *testing.T) {
-	srv, client, grid, done := newTestServer(t)
-	defer done()
-	base := client.baseURL()
-	_ = srv.db.Insert(Record{User: 0, T: 0, Point: grid.Center(0), Cell: -1})
-	_ = srv.db.Insert(Record{User: 1, T: 0, Point: grid.Center(1), Cell: -1})
-	status, body := rawGet(t, base, "/v1/density?t=0&block_rows=2&block_cols=2")
-	if status != http.StatusOK {
-		t.Fatalf("density status = %d", status)
-	}
-	counts, _ := body["counts"].([]any)
-	if len(counts) != 4 || counts[0].(float64) != 2 {
-		t.Errorf("density counts = %v", body["counts"])
-	}
-	status, body = rawGet(t, base, "/v1/census")
-	if status != http.StatusOK {
-		t.Fatalf("census status = %d", status)
-	}
-	if body["green"].(float64) != 2 {
-		t.Errorf("census = %v, want 2 green", body)
-	}
-}
 
 func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(nil, nil); err == nil {

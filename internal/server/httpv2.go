@@ -29,31 +29,29 @@ const (
 	maxPageLimit     = 1000
 )
 
-// routeV2 mounts the typed /v2 surface on the mux. Every response —
-// success or error — is a struct from the wire package; errors are the
-// uniform {error, code} envelope.
-func (s *Server) routeV2(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v2/reports", s.handleV2Reports)
-	mux.HandleFunc("GET /v2/healthz", s.handleV2Healthz)
-	mux.HandleFunc("GET /v2/ingest/stats", s.handleV2IngestStats)
-	mux.HandleFunc("GET /v2/analytics/stats", s.handleV2AnalyticsStats)
-	mux.HandleFunc("GET /v2/records", s.handleV2Records)
-	mux.HandleFunc("GET /v2/policy", s.handleV2Policy)
-	mux.HandleFunc("POST /v2/infected", s.handleV2Infected)
-	mux.HandleFunc("GET /v2/healthcode", s.handleV2HealthCode)
-	mux.HandleFunc("GET /v2/density", s.handleV2Density)
-	// Canonical path for the range query, plus the pre-engine alias.
-	mux.HandleFunc("GET /v2/density/series", s.handleV2DensitySeries)
-	mux.HandleFunc("GET /v2/density_series", s.handleV2DensitySeries)
-	mux.HandleFunc("GET /v2/exposure", s.handleV2Exposure)
-	mux.HandleFunc("GET /v2/census", s.handleV2Census)
-}
-
 // v2Error writes the uniform error envelope.
 func v2Error(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(wire.Error{Error: fmt.Sprintf(format, args...), Code: code})
+}
+
+// decodeJSONBody decodes a JSON request body of at most
+// wire.MaxRequestBody bytes into v. On failure it writes the error — 413
+// for an oversized body, 400 for any other — and returns false.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		v2Error(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
+			"%s exceeds the %d-byte body limit", what, wire.MaxRequestBody)
+	} else {
+		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding %s: %v", what, err)
+	}
+	return false
 }
 
 // v2StalePolicy writes the 409 renegotiation envelope: the error plus
@@ -148,8 +146,7 @@ func (s *Server) reportMode(w http.ResponseWriter, r *http.Request, async bool) 
 // ingest queue, and the store without another copy.
 func (s *Server) v2ReportsJSON(w http.ResponseWriter, r *http.Request) {
 	var req wire.BatchReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding batch report: %v", err)
+	if !decodeJSONBody(w, r, "batch report", &req) {
 		return
 	}
 	async, ok := s.reportMode(w, r, req.Async)
@@ -496,8 +493,7 @@ func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {
 	var req wire.InfectedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding infected cells: %v", err)
+	if !decodeJSONBody(w, r, "infected cells", &req) {
 		return
 	}
 	changed := s.mgr.MarkInfected(req.Cells)

@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -86,7 +88,7 @@ func TestV2ErrorEnvelopes(t *testing.T) {
 		{"density negative t", "/v2/density?t=-1&block_rows=2&block_cols=2"},
 		{"density zero block rows", "/v2/density?t=0&block_rows=0&block_cols=2"},
 		{"density zero block", "/v2/density?t=0&block_rows=2&block_cols=0"},
-		{"series inverted", "/v2/density_series?t0=2&t1=1&block_rows=2&block_cols=2"},
+		{"series inverted", "/v2/density/series?t0=2&t1=1&block_rows=2&block_cols=2"},
 		{"series negative t0", "/v2/density/series?t0=-2&t1=1&block_rows=2&block_cols=2"},
 		{"series over max span", fmt.Sprintf("/v2/density/series?t0=0&t1=%d&block_rows=2&block_cols=2", maxSeriesSpan)},
 		{"exposure inverted", "/v2/exposure?t0=2&t1=1"},
@@ -132,6 +134,45 @@ func TestV2HealthCodeExplicitNow(t *testing.T) {
 	}
 }
 
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestV2BodyLimit: a JSON body longer than wire.MaxRequestBody is
+// refused with 413 even when it decodes to a valid request — here one
+// release, or one infected cell, behind that many bytes of whitespace —
+// and nothing is applied.
+func TestV2BodyLimit(t *testing.T) {
+	srv, _, grid, done := newTestServer(t)
+	defer done()
+	p := grid.Center(1)
+	for _, tc := range []struct{ path, body string }{
+		{"/v2/reports", fmt.Sprintf(`{"user":0,"policy_version":1,"releases":[{"t":0,"x":%v,"y":%v}]}`, p.X, p.Y)},
+		{"/v2/infected", `{"cells":[5]}`},
+	} {
+		body := io.MultiReader(io.LimitReader(spaces{}, wire.MaxRequestBody), strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		var e wire.Error
+		_ = json.NewDecoder(rec.Body).Decode(&e)
+		if rec.Code != http.StatusRequestEntityTooLarge || e.Code != wire.CodeBadRequest {
+			t.Errorf("%s: status=%d code=%q (%s), want 413 %q", tc.path, rec.Code, e.Code, e.Error, wire.CodeBadRequest)
+		}
+	}
+	if n := srv.db.Len(); n != 0 {
+		t.Errorf("%d records stored from an oversized body, want 0", n)
+	}
+	if cells := srv.mgr.InfectedCells(); len(cells) != 0 {
+		t.Errorf("infected cells = %v after an oversized body, want none", cells)
+	}
+}
+
 // TestV2StalePolicyCarriesNewPolicy checks the renegotiation envelope: a
 // stale report gets a 409 whose body already contains the user's current
 // policy, graph included, so no follow-up round trip is needed.
@@ -139,10 +180,10 @@ func TestV2StalePolicyCarriesNewPolicy(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
 	base := client.baseURL()
-	if _, err := client.Policy(0); err != nil {
+	if _, err := client.PolicyContext(t.Context(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.MarkInfected([]int{5}); err != nil { // bump to version 2
+	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil { // bump to version 2
 		t.Fatal(err)
 	}
 	p := grid.Center(1)
@@ -178,7 +219,7 @@ func TestV2BatchReportAndPagination(t *testing.T) {
 		p := grid.Center(i % grid.NumCells())
 		releases = append(releases, wire.Release{T: i, X: p.X, Y: p.Y})
 	}
-	resp, err := client.ReportBatch(3, releases)
+	resp, err := client.ReportBatchContext(t.Context(), 3, releases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +227,7 @@ func TestV2BatchReportAndPagination(t *testing.T) {
 		t.Errorf("batch response = %+v", resp)
 	}
 	// Re-sending the same batch replaces everything.
-	resp, err = client.ReportBatch(3, releases)
+	resp, err = client.ReportBatchContext(t.Context(), 3, releases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +240,7 @@ func TestV2BatchReportAndPagination(t *testing.T) {
 	cursor := ""
 	pages := 0
 	for {
-		page, err := client.RecordsPage(3, cursor, 10)
+		page, err := client.RecordsPageContext(t.Context(), 3, cursor, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +261,7 @@ func TestV2BatchReportAndPagination(t *testing.T) {
 	}
 
 	// The drain-everything helper agrees.
-	all, err := client.Records(3)
+	all, err := client.RecordsContext(t.Context(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,17 +294,17 @@ func TestV2BatchAtomicValidation(t *testing.T) {
 func TestClientAutoPolicyRefresh(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
-	if err := client.Report(0, 0, grid.Center(1)); err != nil {
+	if err := client.ReportContext(t.Context(), 0, 0, grid.Center(1)); err != nil {
 		t.Fatal(err)
 	}
 	if cp, ok := client.CachedPolicy(0); !ok || cp.Version != 1 {
 		t.Fatalf("cached policy = %+v, want version 1", cp)
 	}
 	// Policy bump behind the client's back.
-	if _, err := client.MarkInfected([]int{5}); err != nil {
+	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Report(0, 1, grid.Center(2)); err != nil {
+	if err := client.ReportContext(t.Context(), 0, 1, grid.Center(2)); err != nil {
 		t.Fatalf("report after policy bump should auto-refresh, got %v", err)
 	}
 	cp, ok := client.CachedPolicy(0)
@@ -273,7 +314,7 @@ func TestClientAutoPolicyRefresh(t *testing.T) {
 	if cp.Graph == nil || cp.Graph.Degree(5) != 0 {
 		t.Error("refreshed policy graph should isolate the infected cell")
 	}
-	if recs, _ := client.Records(0); len(recs) != 2 {
+	if recs, _ := client.RecordsContext(t.Context(), 0); len(recs) != 2 {
 		t.Errorf("records = %d, want 2 (retry must not drop the report)", len(recs))
 	}
 }
@@ -285,12 +326,12 @@ func TestClientRoundTrip(t *testing.T) {
 	defer done()
 
 	for _, r := range []struct{ user, t, cell int }{{0, 0, 0}, {0, 1, 5}, {1, 0, 5}} {
-		if err := client.Report(r.user, r.t, grid.Center(r.cell)); err != nil {
+		if err := client.ReportContext(t.Context(), r.user, r.t, grid.Center(r.cell)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	pol, err := client.Policy(0)
+	pol, err := client.PolicyContext(t.Context(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +342,14 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Error("baseline policy graph should be connected")
 	}
 
-	counts, err := client.Density(0, 2, 2)
+	counts, err := client.DensityContext(t.Context(), 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if counts[0] != 2 { // cells 0 and 5 share the top-left 2x2 region
 		t.Errorf("density = %v, want 2 in region 0", counts)
 	}
-	series, err := client.DensitySeries(0, 1, 2, 2)
+	series, err := client.DensitySeriesContext(t.Context(), 0, 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,28 +357,28 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("series = %v", series)
 	}
 
-	changed, err := client.MarkInfected([]int{5})
+	changed, err := client.MarkInfectedContext(t.Context(), []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(changed) != 2 {
 		t.Errorf("changed = %v, want both users", changed)
 	}
-	exposure, err := client.Exposure(0, 1)
+	exposure, err := client.ExposureContext(t.Context(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exposure[0] != 1 || exposure[1] != 1 {
 		t.Errorf("exposure = %v, want [1 1]", exposure)
 	}
-	code, err := client.HealthCode(1, 0, -1)
+	code, err := client.HealthCodeContext(t.Context(), 1, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != CodeYellow {
 		t.Errorf("code = %v, want yellow", code)
 	}
-	census, err := client.Census(0, -1)
+	census, err := client.CensusContext(t.Context(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -145,16 +146,24 @@ func TestDBInsertBatchAtomicValidation(t *testing.T) {
 	if db.Len() != 0 {
 		t.Errorf("Len = %d after failed batch, want 0", db.Len())
 	}
-	added, replaced, err := db.InsertBatch([]Record{
+	batch := []Record{
 		{User: 1, T: 0, Cell: 0},
 		{User: 1, T: 0, Cell: 1}, // replaces within the same batch
-		{User: 2, T: 3, Cell: 2},
-	})
+		{User: 2, T: 3, Point: grid.Center(2), Cell: -1},
+	}
+	in := slices.Clone(batch)
+	added, replaced, err := db.InsertBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != 2 || replaced != 1 {
 		t.Errorf("added=%d replaced=%d, want 2/1", added, replaced)
+	}
+	if !slices.Equal(batch, in) {
+		t.Errorf("InsertBatch modified the caller's slice: %+v, want %+v", batch, in)
+	}
+	if rs := db.UserRecords(2); len(rs) != 1 || rs[0].Cell != 2 {
+		t.Errorf("user 2 records = %+v, want its point snapped to cell 2", rs)
 	}
 	if rs := db.UserRecords(1); len(rs) != 1 || rs[0].Cell != 1 {
 		t.Errorf("user 1 records = %+v, want single record at cell 1", rs)

@@ -28,12 +28,18 @@ const (
 	// is neither JSON nor the binary record format (415).
 	CodeUnsupportedMedia = "unsupported_media_type"
 	// CodeUnknown is the client-side sentinel for a response that did
-	// not carry a code: a /v1 envelope (those predate codes and are
-	// frozen without them) or a non-envelope body from an intermediary.
-	// Servers never send it; clients matching on codes can treat it as
-	// "inspect the HTTP status instead".
+	// not carry a code: an {error} body without one, or a non-envelope
+	// body, from an intermediary such as a proxy. Servers never send it;
+	// clients matching on codes can treat it as "inspect the HTTP status
+	// instead".
 	CodeUnknown = "unknown"
 )
+
+// MaxRequestBody bounds the bytes of a request body that a node or the
+// cluster router reads. Both sides use this one constant, so a node
+// never refuses a body the router forwarded. It sits well above the
+// largest well-formed batch (100k releases).
+const MaxRequestBody = 64 << 20
 
 // Error is the uniform /v2 error envelope. Every non-2xx response body
 // decodes into it. On CodeStalePolicy the server includes the user's
@@ -71,11 +77,11 @@ type Release struct {
 }
 
 // BatchReportRequest is the body of POST /v2/reports: many releases from
-// one user under one policy version. PolicyVersion is required (≥ 1);
-// unlike /v1, a zero version is rejected rather than skipping the
-// staleness check. Async, equivalent to the ?mode=async query parameter,
-// requests early acknowledgement: the server validates and enqueues the
-// batch, answering 202 Accepted before the records reach the store.
+// one user under one policy version. PolicyVersion is required (≥ 1):
+// a zero version is rejected, never treated as "skip the staleness
+// check". Async, equivalent to the ?mode=async query parameter, requests
+// early acknowledgement: the server validates and enqueues the batch,
+// answering 202 Accepted before the records reach the store.
 type BatchReportRequest struct {
 	User          int       `json:"user"`
 	PolicyVersion int       `json:"policy_version"`

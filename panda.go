@@ -235,10 +235,9 @@ func (s *System) CellCenter(cell int) Point { return s.grid.Center(cell) }
 // SnapToCell maps a plane point to its containing cell.
 func (s *System) SnapToCell(p Point) int { return s.grid.Snap(p) }
 
-// Handler returns the HTTP API of the server, serving both the legacy
-// /v1 surface and the typed /v2 surface (batch reporting, cursor
-// pagination, inline policy renegotiation — see API.md); mount it with
-// http.ListenAndServe.
+// Handler returns the HTTP API of the server, the typed /v2 surface
+// (batch reporting, cursor pagination, inline policy renegotiation —
+// see API.md); mount it with http.ListenAndServe.
 func (s *System) Handler() http.Handler { return s.srv.Handler() }
 
 // MarkInfected publishes infected (disclosable) locations; every user's

@@ -35,7 +35,7 @@ func TestAsyncIngestFacade(t *testing.T) {
 		for i := range releases {
 			releases[i] = wire.Release{T: i, X: float64(u % 8), Y: float64(i % 8)}
 		}
-		ack, err := client.ReportBatchAsync(u, releases)
+		ack, err := client.ReportBatchAsyncContext(t.Context(), u, releases)
 		if err != nil {
 			t.Fatalf("user %d: %v", u, err)
 		}

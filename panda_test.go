@@ -386,7 +386,7 @@ func TestHTTPHandlerFacade(t *testing.T) {
 	sys, _ := NewSystem(testOptions())
 	ts := httptest.NewServer(sys.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/policy?user=1")
+	resp, err := http.Get(ts.URL + "/v2/policy?user=1")
 	if err != nil {
 		t.Fatal(err)
 	}
