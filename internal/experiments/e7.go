@@ -43,6 +43,7 @@ func RunE7(cfg Config) (*Table, error) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := server.NewClient(ts.URL, ts.Client())
+	ctx := context.Background()
 
 	pol, err := core.NewPolicy(eps, base)
 	if err != nil {
@@ -74,7 +75,7 @@ func RunE7(cfg Config) (*Table, error) {
 			batch = append(batch, wire.Release{T: t, X: z.X, Y: z.Y})
 			reports++
 		}
-		if _, err := client.ReportBatchContext(context.Background(), tr.User, batch); err != nil {
+		if _, err := client.ReportBatchContext(ctx, tr.User, batch); err != nil {
 			return nil, err
 		}
 	}
@@ -86,7 +87,7 @@ func RunE7(cfg Config) (*Table, error) {
 	queries := 0
 	start = time.Now()
 	for t := 0; t < ds.Steps; t += 4 {
-		if _, err := client.DensityContext(context.Background(), t, cfg.MonitorBlock, cfg.MonitorBlock); err != nil {
+		if _, err := client.DensityContext(ctx, t, cfg.MonitorBlock, cfg.MonitorBlock); err != nil {
 			return nil, err
 		}
 		queries++
@@ -98,12 +99,12 @@ func RunE7(cfg Config) (*Table, error) {
 	// Stage 3: infection update + health codes.
 	infected := cfg.infectedCells(ds)
 	start = time.Now()
-	if _, err := client.MarkInfectedContext(context.Background(), infected); err != nil {
+	if _, err := client.MarkInfectedContext(ctx, infected); err != nil {
 		return nil, err
 	}
 	codes := 0
 	for _, tr := range ds.Trajs {
-		if _, err := client.HealthCodeContext(context.Background(), tr.User, cfg.Window, -1); err != nil {
+		if _, err := client.HealthCodeContext(ctx, tr.User, cfg.Window, -1); err != nil {
 			return nil, err
 		}
 		codes++
