@@ -9,31 +9,20 @@ import (
 	"github.com/pglp/panda/internal/scenario"
 )
 
-// scenarioConfig parameterizes a scenario harness run (-load -lscenario):
-// a named city-scale scenario streamed through the /v2 client against
-// the same target the load harness would boot, scored end to end.
-type scenarioConfig struct {
-	load   loadConfig // target/transport knobs shared with the load harness
-	name   string     // registered generator name
-	seed   uint64     // scenario seed (-seed)
-	sample int        // users the adversary replays (-lsample)
-	report string     // NDJSON score report path; empty = stdout only
-}
-
 // runScenario resolves the generator, boots the target, runs the plan,
 // and emits both the human summary and the NDJSON score report.
-func runScenario(cfg scenarioConfig) error {
-	gen, err := scenario.Lookup(cfg.name)
+func runScenario(cfg loadConfig) error {
+	gen, err := scenario.Lookup(cfg.scenario)
 	if err != nil {
 		return err
 	}
-	plan, err := gen.Plan(scenario.Config{Users: cfg.load.users, Steps: cfg.load.steps, Seed: cfg.seed})
+	plan, err := gen.Plan(scenario.Config{Users: cfg.users, Steps: cfg.steps, Seed: cfg.seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("scenario: %s — %s\n", gen.Name(), gen.Describe())
 
-	base, _, cleanup, err := startLoadTarget(cfg.load)
+	base, cleanup, err := startLoadTarget(cfg)
 	if err != nil {
 		return err
 	}
@@ -43,12 +32,12 @@ func runScenario(cfg scenarioConfig) error {
 	rep, err := scenario.Run(context.Background(), plan, scenario.RunConfig{
 		BaseURL: base,
 		HTTP:    hc,
-		Batch:   cfg.load.batch,
-		Queries: cfg.load.queries,
+		Batch:   cfg.batch,
+		Queries: cfg.queries,
 		Sample:  cfg.sample,
-		Async:   cfg.load.async,
-		Binary:  cfg.load.binary,
-		Cluster: cfg.load.cluster,
+		Async:   cfg.async,
+		Binary:  cfg.binary,
+		Cluster: cfg.cluster,
 		Out:     os.Stdout,
 	})
 	if err != nil {

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # cluster-smoke.sh — end-to-end smoke of the real binaries: two
-# panda-server processes pinned to a ring, panda-router in front,
-# panda-bench load through the router, then a kill-one-node check that
-# routing fails fast with a 503 naming the dead node (CLUSTER.md's
-# failure table, exercised over real processes and ports).
-#
-# Appends one NDJSON line to bench-trend.json in the repo root so CI
-# runs accumulate a throughput trend artifact.
+# panda-server processes pinned to a ring, panda-router in front, the
+# commuter scenario driven through the router (reports, infection marks,
+# exposure, records and analytics, scored for privacy), then a
+# kill-one-node check that routing fails fast with a 503 naming the dead
+# node (CLUSTER.md's failure table, exercised over real processes and
+# ports).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,12 +70,34 @@ done
 pids+=($!)
 wait_http "http://$router/v2/healthz"
 
-echo "cluster-smoke: loading through the router"
-"$bindir/panda-bench" -load -url "http://$router" \
-  -lusers 64 -lsteps 20 -lbatch 20 -lqueries 50 | tee "$workdir/bench.out"
+report="$workdir/scenario.ndjson"
+echo "cluster-smoke: running the commuter scenario through the router"
+"$bindir/panda-bench" -load -lscenario commuter -seed 42 -url "http://$router" \
+  -lusers 64 -lsteps 20 -lbatch 20 -lqueries 50 -lreport "$report" | tee "$workdir/bench.out"
 
-rate=$(sed -n 's|.*(\([0-9][0-9]*\) releases/sec).*|\1|p' "$workdir/bench.out" | head -n 1)
+rate=$(sed -n 's|.*(\([0-9][0-9]*\) releases/sec.*|\1|p' "$workdir/bench.out" | head -n 1)
 [ -n "$rate" ] || fail "could not extract releases/sec from the bench output"
+
+# Through the router, no stored release breaks its policy graph, the
+# tracking error holds the scenario floor, and each user sent exactly one
+# request per infection wave (a wave never spans more than the 20-release
+# batch).
+python3 - "$report" <<'EOF' || fail "score report checks failed"
+import json, sys
+
+with open(sys.argv[1]) as f:
+    rep = json.load(f)
+
+score, timing = rep["score"], rep["timing"]
+adv = score["adversary"]
+assert score["policy"]["checked"] > 0, score
+assert score["policy"]["violations"] == 0, (
+    f"{score['policy']['violations']} policy-graph violations stored")
+assert adv["tracking_error"] >= adv["floor"], (
+    f"PRIVACY REGRESSION: tracking error {adv['tracking_error']} "
+    f"below scenario floor {adv['floor']}")
+assert timing["ingest_requests"] == 64 * score["waves"], timing
+EOF
 
 # Healthy fleet: composite healthz is 200 ok over both nodes.
 curl -fsS "http://$router/v2/healthz" > "$workdir/healthz.json"
@@ -107,9 +128,5 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$router/v2/records?user=2"
 code=$(curl -s -o "$workdir/healthz2.json" -w '%{http_code}' "http://$router/v2/healthz")
 [ "$code" = 503 ] || fail "degraded healthz: got $code, want 503"
 grep -q '"status":"degraded"' "$workdir/healthz2.json" || fail "healthz not degraded: $(cat "$workdir/healthz2.json")"
-
-commit=${GITHUB_SHA:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}
-printf '{"bench":"cluster-smoke","commit":"%s","date":"%s","nodes":2,"ingest_releases_per_sec":%s}\n' \
-  "$commit" "$(date -u +%FT%TZ)" "$rate" >> bench-trend.json
 
 echo "cluster-smoke: PASS (${rate} releases/sec through the router)"
