@@ -8,7 +8,8 @@ import (
 )
 
 // Report is the machine-readable score of one scenario run — one NDJSON
-// line, folded into bench-trend.json by scripts/scenario-smoke.sh.
+// line, which scripts/scenario-smoke.sh and scripts/cluster-smoke.sh
+// check.
 //
 // The reproducibility contract: for equal Config+RunConfig, everything
 // except Timing is byte-identical across runs (Timing is measured

@@ -79,8 +79,8 @@ func BenchmarkInsertBatch100WALFsync(b *testing.B) {
 // stripes. This is the headline number of the striped WAL — fsync
 // batch throughput growing with stripes because each stripe fsyncs on
 // its own mutex, with group commit absorbing same-stripe contention.
-// CI records it as the bench-wal-stripes.txt artifact; PERSISTENCE.md
-// keeps a measured table.
+// PERSISTENCE.md keeps a measured table; regenerate it with
+// `go test -run=NONE -bench=BenchmarkStripedBatch100 ./internal/server/storage/wal`.
 func benchStripedBatch(b *testing.B, stripes int, sync Sync) {
 	b.Helper()
 	s := mustOpenB(b, Options{Shards: stripes, Sync: sync, CompactMinGarbage: -1})

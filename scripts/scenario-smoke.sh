@@ -5,9 +5,7 @@
 # through the /v2 client against it. Asserts the NDJSON score report
 # parses, the adversary tracking error stays above the scenario's floor
 # (the privacy regression gate), no policy-graph violations were stored,
-# and the per-seed digests are present — then appends the score line to
-# bench-trend.json so CI runs accumulate a privacy/utility trend next to
-# the throughput trend.
+# and the per-seed digests are present.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,5 +80,4 @@ print(f"scenario-smoke: tracking error {adv['tracking_error']:.3f} "
       f"cache hit rate {score['cache']['hit_rate']:.2f}")
 EOF
 
-cat "$report" >> bench-trend.json
-echo "scenario-smoke: PASS (score line appended to bench-trend.json)"
+echo "scenario-smoke: PASS"
