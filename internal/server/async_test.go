@@ -389,11 +389,11 @@ func TestDrainIngestAppliesAcked(t *testing.T) {
 	}
 }
 
-// TestSaveJSONDuringAsyncDrain is the snapshot-consistency regression:
-// a SaveJSON taken while the workers are actively draining must see
-// every enqueued batch either fully applied or not at all (the store's
+// TestScanDuringAsyncDrain is the scan-consistency regression: a full
+// Scan taken while the workers are actively draining must see every
+// enqueued batch either fully applied or not at all (the store's
 // batch-atomic visibility), never a torn batch.
-func TestSaveJSONDuringAsyncDrain(t *testing.T) {
+func TestScanDuringAsyncDrain(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	mgr, err := policy.NewManager(grid, policy.Baseline(grid), 1.0)
 	if err != nil {
@@ -432,26 +432,17 @@ func TestSaveJSONDuringAsyncDrain(t *testing.T) {
 		}
 	}()
 
-	// Snapshot repeatedly while the drain is in flight.
+	// Scan repeatedly while the drain is in flight.
 	for round := 0; round < 50; round++ {
-		var buf bytes.Buffer
-		if err := db.SaveJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var snap struct {
-			Records []Record `json:"records"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-			t.Fatal(err)
-		}
-		perUser := make(map[int][]int)
-		for _, rec := range snap.Records {
-			perUser[rec.User] = append(perUser[rec.User], rec.T)
-		}
-		for u, ts := range perUser {
-			if len(ts) != steps {
-				t.Fatalf("round %d: snapshot holds %d of user %d's %d-record batch — torn batch visible",
-					round, len(ts), u, steps)
+		perUser := make(map[int]int)
+		db.Store().Scan(func(rec Record) bool {
+			perUser[rec.User]++
+			return true
+		})
+		for u, n := range perUser {
+			if n != steps {
+				t.Fatalf("round %d: scan holds %d of user %d's %d-record batch — torn batch visible",
+					round, n, u, steps)
 			}
 		}
 	}

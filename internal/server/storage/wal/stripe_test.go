@@ -3,7 +3,7 @@ package wal
 // Crash-recovery tests specific to the striped layout: stripe/shard
 // placement agreement, MANIFEST enforcement, refusal of foreign
 // layouts, partial cross-stripe batches, and the rotation/iterator
-// interplay that snapshots (SaveJSON upstream) depend on.
+// interplay that full scans depend on.
 
 import (
 	"errors"
@@ -352,9 +352,9 @@ func TestSyncAlwaysConcurrentStripes(t *testing.T) {
 }
 
 // TestScanAtomicityDuringRotation is the regression test for the
-// compaction/snapshot interplay: a full Scan (what DB.SaveJSON runs)
-// racing cross-stripe batch inserts and per-stripe segment rotations
-// must always observe whole batches — never a half-applied one — and
+// compaction/scan interplay: a full Scan racing cross-stripe batch
+// inserts and per-stripe segment rotations must always observe whole
+// batches — never a half-applied one — and
 // nothing may be lost across the concurrent compactions. The audit
 // behind it: rotation holds only the stripe's own locks and never the
 // memory shard locks, and the stripe snapshot reads the shard under its
@@ -412,7 +412,7 @@ func TestScanAtomicityDuringRotation(t *testing.T) {
 			}
 		}
 	}()
-	// Scanner (this goroutine): the SaveJSON access pattern.
+	// Scanner (this goroutine): repeated full scans.
 	for i := 0; i < 200; i++ {
 		perT := make(map[int]int)
 		s.Scan(func(r storage.Record) bool {
