@@ -1,10 +1,10 @@
 package panda_test
 
-// Benchmark harness: one benchmark per paper artifact (E1–E8, see
-// DESIGN.md §4 and EXPERIMENTS.md), plus micro-benchmarks of the release
-// mechanisms and the ablations called out in DESIGN.md §5. Experiment
-// benches use the Quick configuration so `go test -bench=.` stays
-// laptop-friendly; cmd/panda-bench runs the paper-scale versions.
+// Benchmark harness: one benchmark per paper artifact (E1–E11), plus
+// micro-benchmarks of the release mechanisms and an ablation of PIM's
+// isotropic transform. Experiment benches use the Quick configuration so
+// `go test -bench=.` stays laptop-friendly; cmd/panda-bench runs the
+// paper-scale versions.
 
 import (
 	"testing"
@@ -153,7 +153,7 @@ func BenchmarkMechanismConstruction(b *testing.B) {
 }
 
 // BenchmarkPIMIsotropicAblation compares PIM with and without the
-// isotropic transform on an elongated policy (DESIGN.md §5 ablation).
+// isotropic transform on an elongated policy.
 // Reported metric is mean Euclidean error, not time. Expected result:
 // the two variants report IDENTICAL error — the K-norm mechanism is
 // invariant under the transform (‖T(x)‖_{T·K} = ‖x‖_K); the transform is

@@ -1,6 +1,7 @@
 // Command panda-trace generates synthetic mobility datasets in the CSV
 // interchange format (user,t,row,col) — the stand-ins for the Geolife and
-// Gowalla datasets the paper demonstrates on (see DESIGN.md §2).
+// Gowalla datasets the paper demonstrates on, which are external
+// downloads.
 //
 // Usage:
 //

@@ -14,10 +14,10 @@ import (
 // predefined policy graph × mechanism × ε, with and without posterior
 // remap post-processing.
 //
-// Expected shape (see EXPERIMENTS.md): error falls as ~1/ε; coarser
-// policies (Ga) cost more error than finer ones (Gb) for the same ε under
-// policy-aware mechanisms; Gc is close to G1 (only infected cells are
-// disclosed); remap never hurts on average.
+// Expected shape: error falls as ~1/ε; coarser policies (Ga) cost more
+// error than finer ones (Gb) for the same ε under policy-aware
+// mechanisms; Gc is close to G1 (only infected cells are disclosed);
+// remap never hurts on average.
 func RunE1(cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -4,5 +4,5 @@
 // generators matched to their statistical shape — GeoLifeLike for dense
 // GPS-style continuous movement and GowallaLike for sparse, popularity-
 // skewed check-ins — and (b) CSV import/export so the real datasets can be
-// dropped in. See DESIGN.md §2 for the substitution rationale.
+// dropped in.
 package trace

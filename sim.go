@@ -25,8 +25,8 @@ type TraceDataset struct {
 }
 
 // GenerateTraces produces a GeoLife-like synthetic workload (dense
-// random-waypoint movement with home anchoring; see DESIGN.md §2 for why
-// this substitutes the paper's Geolife dataset).
+// random-waypoint movement with home anchoring). It stands in for the
+// paper's Geolife dataset, which is an external download.
 func GenerateTraces(o Options, users, steps int, seed uint64) (*TraceDataset, error) {
 	grid, err := geo.NewGrid(o.Rows, o.Cols, o.CellSize)
 	if err != nil {
