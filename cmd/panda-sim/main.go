@@ -141,10 +141,7 @@ func run(users, steps, rows, cols int, eps float64, kind panda.MechanismKind, se
 
 	// Health codes after marking the patient's places infected.
 	sys.MarkInfected(res.InfectedCells)
-	counts := map[panda.HealthCode]int{}
-	for u := 0; u < users; u++ {
-		counts[sys.HealthCodeFor(u, steps/3, steps-1)]++
-	}
+	counts := sys.HealthCodeCensus(steps/3, steps-1)
 	fmt.Printf("\nHealth codes: green=%d yellow=%d red=%d\n",
 		counts[panda.CodeGreen], counts[panda.CodeYellow], counts[panda.CodeRed])
 	return nil

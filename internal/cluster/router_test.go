@@ -226,16 +226,20 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	// Census and health codes with now omitted: the router must resolve
 	// the anchor cluster-wide, or per-node anchors would skew the tally.
-	gotCensus, err := via.CensusContext(t.Context(), 0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCensus, err := ref.CensusContext(t.Context(), 0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCensus, wantCensus) {
-		t.Errorf("census: router %v != reference %v", gotCensus, wantCensus)
+	// Each node takes green as its own user count minus its reds and
+	// yellows, so the per-node sums must still add up with a window.
+	for _, q := range []struct{ window, now int }{{0, -1}, {3, -1}, {3, 4}} {
+		gotCensus, err := via.CensusContext(t.Context(), q.window, q.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCensus, err := ref.CensusContext(t.Context(), q.window, q.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotCensus, wantCensus) {
+			t.Errorf("census window=%d now=%d: router %v != reference %v", q.window, q.now, gotCensus, wantCensus)
+		}
 	}
 	for _, u := range []int{0, 1, 5, 12} {
 		got, err := via.HealthCodeContext(t.Context(), u, 0, -1)

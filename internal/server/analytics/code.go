@@ -1,5 +1,11 @@
 package analytics
 
+import (
+	"math"
+
+	"github.com/pglp/panda/internal/server/storage"
+)
+
 // Code is the certification level of the health-code service.
 type Code string
 
@@ -10,6 +16,18 @@ const (
 	CodeRed    Code = "red"    // two or more recorded visits (the paper's contact rule)
 )
 
+// codeOf maps a count of visits to infected places onto a health code.
+func codeOf(visits int) Code {
+	switch {
+	case visits >= 2:
+		return CodeRed
+	case visits == 1:
+		return CodeYellow
+	default:
+		return CodeGreen
+	}
+}
+
 // HealthCodeFor certifies a user from their released locations: visits
 // to infected cells within the last `window` timesteps before `now`
 // (records with T > now-window) are counted; window ≤ 0 counts all
@@ -18,17 +36,13 @@ const (
 // own latest record, so a user who stopped reporting ages out of the
 // window instead of keeping an eternally-fresh certificate. Because it
 // runs on released data only, the certificate is privacy-preserving by
-// post-processing.
+// post-processing. It reads the user's whole history; CodeCensus
+// computes the same codes for everyone from one scan of the window.
 func (e *Engine) HealthCodeFor(user int, infected []int, window, now int) Code {
 	if now < 0 {
 		now = e.store.MaxT()
 	}
-	return e.healthCode(user, cellSet(infected), window, now)
-}
-
-// healthCode is HealthCodeFor with the infected set prebuilt and `now`
-// already resolved — the census loop calls it once per user.
-func (e *Engine) healthCode(user int, inf map[int]bool, window, now int) Code {
+	inf := cellSet(infected)
 	visits := 0
 	for _, r := range e.store.UserRecords(user) {
 		// The window is (now-window, now]: records after the anchor are
@@ -41,22 +55,19 @@ func (e *Engine) healthCode(user int, inf map[int]bool, window, now int) Code {
 			visits++
 		}
 	}
-	switch {
-	case visits >= 2:
-		return CodeRed
-	case visits == 1:
-		return CodeYellow
-	default:
-		return CodeGreen
-	}
+	return codeOf(visits)
 }
 
 // CodeCensus certifies every known user and tallies the health codes —
 // the population-level view of the health-code service. The window is
 // anchored at `now` (negative = the store's latest timestep) so every
-// user is certified against the same clock. The tally is cached against
-// the store's global Epoch: any write anywhere invalidates it, because
-// a census over all history cannot be pinned to one timestep.
+// user is certified against the same clock, by HealthCodeFor's rule.
+// A miss walks the timestep index once over the window (all history
+// when window ≤ 0) counting each user's visits to infected cells, then
+// counts every user without one as green: O(records in window) +
+// O(users). The tally is cached against the store's global Epoch, not
+// the window's Gen(t)s, because any write can add a user and so move
+// the green count.
 func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 	if now < 0 {
 		now = e.store.MaxT()
@@ -71,10 +82,24 @@ func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 		return copyCensus(ent.census)
 	}
 	e.misses.Add(1)
+	t0, t1 := 0, math.MaxInt // window ≤ 0: all history, even past now
+	if window > 0 {
+		t0, t1 = now-window+1, now
+	}
 	inf := cellSet(infected)
-	out := map[Code]int{CodeGreen: 0, CodeYellow: 0, CodeRed: 0}
-	for _, u := range e.store.Users() {
-		out[e.healthCode(u, inf, window, now)]++
+	visits := make(map[int]int)
+	e.store.ScanRange(t0, t1, func(rec storage.Record) bool {
+		if inf[rec.Cell] {
+			visits[rec.User]++
+		}
+		return true
+	})
+	// Users are read after the scan and never removed, so every user
+	// counted above is in the list and green cannot go negative.
+	out := map[Code]int{CodeGreen: len(e.store.Users()), CodeYellow: 0, CodeRed: 0}
+	for _, n := range visits {
+		out[codeOf(n)]++
+		out[CodeGreen]--
 	}
 	e.mu.Lock()
 	if len(e.census) >= maxCensusEntries {

@@ -3,14 +3,16 @@
 // the population health-code census, computed over released records
 // only (so everything here is privacy-preserving post-processing).
 //
-// The Engine layers epoch-versioned caches over a storage.Store. Every
-// cached aggregate remembers the store's write generation at compute
-// time — the per-timestep Gen(t) for per-timestep aggregates, the
-// global Epoch for whole-dataset ones — and is served only while that
-// generation is still current. A write to timestep t therefore
-// invalidates exactly t's cached aggregates: batch-ingesting historical
-// data evicts only the touched steps, and the hot dashboard window
-// stays cached.
+// The Engine layers epoch-versioned caches over a storage.Store, and
+// every aggregate is computed from ScanRange over the timestep index.
+// Every cached aggregate remembers the store's write generation at
+// compute time and is served only while that generation is still
+// current. Density and exposure are per-timestep and pin Gen(t), so a
+// write to timestep t invalidates exactly t's cached aggregates:
+// batch-ingesting historical data evicts only the touched steps, and
+// the hot dashboard window stays cached. The census scans only its
+// window, but it counts users with no visit in the window as green, and
+// a write anywhere can add a user, so it pins the global Epoch.
 //
 // Cache coherence relies on one ordering rule: the generation is read
 // *before* the records are scanned. A write racing with the scan may or

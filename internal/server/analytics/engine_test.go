@@ -190,18 +190,28 @@ func TestHealthCodeAndCensus(t *testing.T) {
 	if code := e.HealthCodeFor(2, []int{5}, 1, 2); code != CodeGreen {
 		t.Errorf("user 2 with window 1 at now=2 = %s, want green", code)
 	}
+	// reads reports the ScanRange and UserRecords calls made since the
+	// previous call.
+	scans, users := cs.scanRanges.Load(), cs.userReads.Load()
+	reads := func() (int64, int64) {
+		s, u := cs.scanRanges.Load(), cs.userReads.Load()
+		ds, du := s-scans, u-users
+		scans, users = s, u
+		return ds, du
+	}
 	census := e.CodeCensus([]int{5}, 0, -1)
 	if census[CodeRed] != 1 || census[CodeGreen] != 2 || census[CodeYellow] != 0 {
 		t.Fatalf("census = %v", census)
 	}
-	// Hot census: no per-user reads.
-	base := cs.userReads.Load()
+	if s, u := reads(); s != 1 || u != 0 {
+		t.Errorf("census miss made %d scans and %d user reads, want 1 and 0", s, u)
+	}
 	again := e.CodeCensus([]int{5}, 0, -1)
 	if !reflect.DeepEqual(census, again) {
 		t.Errorf("cached census differs: %v vs %v", again, census)
 	}
-	if got := cs.userReads.Load(); got != base {
-		t.Errorf("hot census re-read users (%d -> %d)", base, got)
+	if s, u := reads(); s != 0 || u != 0 {
+		t.Errorf("census hit made %d scans and %d user reads, want none", s, u)
 	}
 	// Caller mutation must not corrupt the cache.
 	again[CodeGreen] = 99
@@ -213,5 +223,8 @@ func TestHealthCodeAndCensus(t *testing.T) {
 	after := e.CodeCensus([]int{5}, 0, -1)
 	if after[CodeYellow] != 1 {
 		t.Errorf("census after new yellow user = %v", after)
+	}
+	if s, u := reads(); s != 1 || u != 0 {
+		t.Errorf("census miss after a write made %d scans and %d user reads, want 1 and 0", s, u)
 	}
 }

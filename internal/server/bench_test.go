@@ -176,6 +176,20 @@ func BenchmarkCodeCensusCached(b *testing.B) {
 	}
 }
 
+// BenchmarkCodeCensusMiss measures the census recompute: each iteration
+// replaces one record at the newest step, which bumps the epoch, then
+// takes a window-10 census.
+func BenchmarkCodeCensusMiss(b *testing.B) {
+	db := newAnalyticsBenchDB(b)
+	infected := []int{1, 2, 3, 4, 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db.Store().Insert(Record{User: i % benchUsers, T: benchSteps - 1, Cell: i % 1024})
+		db.CodeCensus(infected, 10, benchSteps-1)
+	}
+}
+
 func benchStoreParallel(b *testing.B, s Store) {
 	var nextUser atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {

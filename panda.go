@@ -285,8 +285,11 @@ func (s *System) ExposureSeries(t0, t1 int) ([]int, error) {
 	return s.db.InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
 }
 
-// HealthCodeCensus certifies every known user against the same clock
-// `now` (negative = latest timestep) and tallies the codes.
+// HealthCodeCensus tallies the code HealthCodeFor gives every known
+// user against the same clock `now` (negative = latest timestep). It
+// costs one scan of the window, O(records in window) + O(users), and is
+// cached until the next write, since any write can add a user and so
+// move the green count.
 func (s *System) HealthCodeCensus(window, now int) map[HealthCode]int {
 	return s.db.CodeCensus(s.mgr.InfectedCells(), window, now)
 }
