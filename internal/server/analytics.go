@@ -42,9 +42,10 @@ func (db *DB) AnalyticsStats() analytics.Stats {
 // the population-level view of the health-code service. The window is
 // anchored at `now` (negative = the database's latest timestep) so every
 // user is certified against the same clock. A recompute scans the
-// window once: O(records in window) + O(users). The tally is cached
-// against the global write epoch, because any write can add a user and
-// so move the green count.
+// window once: O(records in window + users) plus O(min(window width,
+// stored timesteps)) index lookups, however large T grows. The tally is
+// cached against the global write epoch, because any write can add a
+// user and so move the green count.
 func (db *DB) CodeCensus(infected []int, window, now int) map[HealthCode]int {
 	return db.engine.CodeCensus(infected, window, now)
 }

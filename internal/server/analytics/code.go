@@ -1,10 +1,6 @@
 package analytics
 
-import (
-	"math"
-
-	"github.com/pglp/panda/internal/server/storage"
-)
+import "github.com/pglp/panda/internal/server/storage"
 
 // Code is the certification level of the health-code service.
 type Code string
@@ -58,16 +54,27 @@ func (e *Engine) HealthCodeFor(user int, infected []int, window, now int) Code {
 	return codeOf(visits)
 }
 
+// censusSlices caps the ScanRange calls of one census miss. A call
+// read-locks every shard of a sharded store for its whole walk, so the
+// census walks its window in up to this many consecutive slices and a
+// writer waits for one slice, not the whole window: a day of hourly
+// steps is walked a step at a time. The cap keeps the number of calls
+// independent of the window's width.
+const censusSlices = 32
+
 // CodeCensus certifies every known user and tallies the health codes —
 // the population-level view of the health-code service. The window is
 // anchored at `now` (negative = the store's latest timestep) so every
 // user is certified against the same clock, by HealthCodeFor's rule.
 // A miss walks the timestep index once over the window (all history
-// when window ≤ 0) counting each user's visits to infected cells, then
-// counts every user without one as green: O(records in window) +
-// O(users). The tally is cached against the store's global Epoch, not
-// the window's Gen(t)s, because any write can add a user and so move
-// the green count.
+// when window ≤ 0), in at most censusSlices ScanRange calls, counting
+// each user's visits to infected cells, then counts every user without
+// one as green. It costs O(records in window + users) plus
+// O(min(window width, stored timesteps)) index lookups, so a sparse
+// history whose T reaches math.MaxInt costs no more than a dense one.
+// The tally is cached against the store's global Epoch, not the
+// window's Gen(t)s, because any write can add a user and so move the
+// green count.
 func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 	if now < 0 {
 		now = e.store.MaxT()
@@ -82,18 +89,33 @@ func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 		return copyCensus(ent.census)
 	}
 	e.misses.Add(1)
-	t0, t1 := 0, math.MaxInt // window ≤ 0: all history, even past now
+	// MaxT is read after the epoch, so a record past t1 was written
+	// after it too and can only over-invalidate.
+	t0, t1 := 0, e.store.MaxT() // window ≤ 0: all history, even past now
 	if window > 0 {
-		t0, t1 = now-window+1, now
+		t0, t1 = max(now-window+1, 0), min(now, t1)
 	}
 	inf := cellSet(infected)
 	visits := make(map[int]int)
-	e.store.ScanRange(t0, t1, func(rec storage.Record) bool {
+	count := func(rec storage.Record) bool {
 		if inf[rec.Cell] {
 			visits[rec.User]++
 		}
 		return true
-	})
+	}
+	// A write between slices can only over-invalidate: the epoch was
+	// read before the first. The walk stops at t1 without stepping past
+	// it, since t1 may be math.MaxInt.
+	if t0 <= t1 {
+		width := (t1-t0)/censusSlices + 1
+		for lo := t0; ; lo += width {
+			hi := lo + min(width-1, t1-lo)
+			e.store.ScanRange(lo, hi, count)
+			if hi == t1 {
+				break
+			}
+		}
+	}
 	// Users are read after the scan and never removed, so every user
 	// counted above is in the list and green cannot go negative.
 	out := map[Code]int{CodeGreen: len(e.store.Users()), CodeYellow: 0, CodeRed: 0}

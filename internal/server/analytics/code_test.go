@@ -1,9 +1,12 @@
 package analytics
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/server/storage"
@@ -67,5 +70,59 @@ func TestCodeCensusMatchesHealthCodeTally(t *testing.T) {
 					seed, q, store, infected, window, now, got, want)
 			}
 		}
+	}
+}
+
+// TestCodeCensusSparseTimesteps checks the census over a history whose
+// timesteps reach math.MaxInt. A miss must return promptly, because its
+// scan costs the records and stored timesteps in the window, not the
+// width of the window, and the tally must still equal HealthCodeFor's.
+func TestCodeCensusSparseTimesteps(t *testing.T) {
+	grid := geo.MustGrid(4, 4, 1)
+	for _, store := range []storage.Store{storage.NewMemStore(), storage.NewShardedStore(4)} {
+		for u := 0; u < 6; u++ {
+			for ti := 0; ti < 30; ti++ {
+				store.Insert(storage.Record{User: u, T: ti, Cell: (u + ti) % 4})
+			}
+		}
+		store.Insert(storage.Record{User: 6, T: 1 << 40, Cell: 1})
+		store.Insert(storage.Record{User: 7, T: 1 << 40, Cell: 2})
+		store.Insert(storage.Record{User: 7, T: math.MaxInt, Cell: 1})
+		store.Insert(storage.Record{User: 8, T: math.MaxInt - 1, Cell: 1})
+		e := New(grid, store)
+		infected := []int{1, 2}
+		for _, q := range []struct{ window, now int }{
+			{0, -1}, {24, -1}, {2, -1}, {24, 1 << 40}, {1 << 41, -1},
+			{math.MaxInt, -1}, {0, 29}, {24, 29}, {math.MaxInt, 29},
+		} {
+			want := map[Code]int{CodeGreen: 0, CodeYellow: 0, CodeRed: 0}
+			for _, u := range store.Users() {
+				want[e.HealthCodeFor(u, infected, q.window, q.now)]++
+			}
+			var got map[Code]int
+			within(t, fmt.Sprintf("%T census window=%d now=%d", store, q.window, q.now), func() {
+				got = e.CodeCensus(infected, q.window, q.now)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%T window=%d now=%d: census %v, HealthCodeFor tally %v", store, q.window, q.now, got, want)
+			}
+		}
+	}
+}
+
+// within fails the test unless f returns in a few seconds: a scan whose
+// cost grows with the size of T would run for hours, or forever at
+// math.MaxInt.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return within 10s", what)
 	}
 }

@@ -11,8 +11,10 @@
 // write to timestep t invalidates exactly t's cached aggregates:
 // batch-ingesting historical data evicts only the touched steps, and
 // the hot dashboard window stays cached. The census scans only its
-// window, but it counts users with no visit in the window as green, and
-// a write anywhere can add a user, so it pins the global Epoch.
+// window, at a cost set by the records and stored timesteps in it, not
+// by its width. It counts users with no visit in the window as green,
+// though, and a write anywhere can add a user, so it pins the global
+// Epoch.
 //
 // Cache coherence relies on one ordering rule: the generation is read
 // *before* the records are scanned. A write racing with the scan may or

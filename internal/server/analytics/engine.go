@@ -140,10 +140,12 @@ func (e *Engine) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error
 		return nil, fmt.Errorf("analytics: inverted time range [%d, %d]", t0, t1)
 	}
 	out := make([][]int, 0, t1-t0+1)
-	for t := t0; t <= t1; t++ {
+	for t := t0; ; t++ { // stops at t1 without stepping past it: t1 may be math.MaxInt
 		out = append(out, e.DensityAt(t, blockRows, blockCols))
+		if t == t1 {
+			return out, nil
+		}
 	}
-	return out, nil
 }
 
 // TopRegions returns the k busiest regions at timestep t, as (region,
@@ -206,10 +208,12 @@ func (e *Engine) InfectedExposureSeries(t0, t1 int, infected []int) ([]int, erro
 		return nil, fmt.Errorf("analytics: inverted time range [%d, %d]", t0, t1)
 	}
 	out := make([]int, 0, t1-t0+1)
-	for t := t0; t <= t1; t++ {
+	for t := t0; ; t++ { // as in DensitySeries, t1 may be math.MaxInt
 		out = append(out, e.ExposureAt(t, infected))
+		if t == t1 {
+			return out, nil
+		}
 	}
-	return out, nil
 }
 
 // cellSet builds a membership set from a cell list.

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -168,6 +169,25 @@ func TestExposureSeriesCachedPerInfectedSet(t *testing.T) {
 	}
 }
 
+// TestSeriesEndAtMaxInt checks that a series whose range ends at
+// math.MaxInt stops there instead of wrapping around.
+func TestSeriesEndAtMaxInt(t *testing.T) {
+	e, cs := testEngine(t)
+	cs.Insert(storage.Record{User: 2, T: math.MaxInt, Cell: 5})
+	var density [][]int
+	var exposure []int
+	within(t, "series over [math.MaxInt-2, math.MaxInt]", func() {
+		density, _ = e.DensitySeries(math.MaxInt-2, math.MaxInt, 2, 2)
+		exposure, _ = e.InfectedExposureSeries(math.MaxInt-2, math.MaxInt, []int{5})
+	})
+	if len(density) != 3 || density[2][0] != 1 {
+		t.Errorf("density series = %v, want 3 steps with one record in region 0 at the last", density)
+	}
+	if !reflect.DeepEqual(exposure, []int{0, 0, 1}) {
+		t.Errorf("exposure series = %v, want [0 0 1]", exposure)
+	}
+}
+
 func TestTopRegions(t *testing.T) {
 	e, _ := testEngine(t)
 	top := e.TopRegions(0, 2, 2, 1)
@@ -203,8 +223,10 @@ func TestHealthCodeAndCensus(t *testing.T) {
 	if census[CodeRed] != 1 || census[CodeGreen] != 2 || census[CodeYellow] != 0 {
 		t.Fatalf("census = %v", census)
 	}
-	if s, u := reads(); s != 1 || u != 0 {
-		t.Errorf("census miss made %d scans and %d user reads, want 1 and 0", s, u)
+	// The store holds 3 steps, fewer than censusSlices, so a miss scans
+	// each step once.
+	if s, u := reads(); s != 3 || u != 0 {
+		t.Errorf("census miss made %d scans and %d user reads, want 3 and 0", s, u)
 	}
 	again := e.CodeCensus([]int{5}, 0, -1)
 	if !reflect.DeepEqual(census, again) {
@@ -224,7 +246,49 @@ func TestHealthCodeAndCensus(t *testing.T) {
 	if after[CodeYellow] != 1 {
 		t.Errorf("census after new yellow user = %v", after)
 	}
-	if s, u := reads(); s != 1 || u != 0 {
-		t.Errorf("census miss after a write made %d scans and %d user reads, want 1 and 0", s, u)
+	if s, u := reads(); s != 3 || u != 0 {
+		t.Errorf("census miss after a write made %d scans and %d user reads, want 3 and 0", s, u)
+	}
+}
+
+// TestCodeCensusScanSlices checks how a census miss cuts its window
+// into ScanRange calls: one per step while the window is narrower than
+// censusSlices, and never more than censusSlices, however wide the
+// window or large T.
+func TestCodeCensusScanSlices(t *testing.T) {
+	cs := &countingStore{Store: storage.NewShardedStore(4)}
+	e := New(geo.MustGrid(4, 4, 1), cs)
+	for ti := 0; ti < 100; ti++ {
+		cs.Insert(storage.Record{User: ti % 7, T: ti, Cell: ti % 16})
+	}
+	scans := func(window, now int) int64 {
+		before := cs.scanRanges.Load()
+		e.CodeCensus([]int{3}, window, now)
+		return cs.scanRanges.Load() - before
+	}
+	for _, c := range []struct {
+		window, now int
+		want        int64
+	}{
+		{24, -1, 24},
+		{5, 50, 5},
+		{24, 10, 11}, // clamped at step 0
+		{24, 200, 0}, // past the history
+		{0, -1, 25},  // 100 steps in slices of 4
+	} {
+		if got := scans(c.window, c.now); got != c.want {
+			t.Errorf("census window=%d now=%d made %d scans, want %d", c.window, c.now, got, c.want)
+		}
+	}
+	for _, far := range []int{1 << 40, math.MaxInt} {
+		cs.Insert(storage.Record{User: 8, T: far, Cell: 3})
+		for _, c := range []struct {
+			window int
+			want   int64
+		}{{24, 24}, {0, censusSlices}, {math.MaxInt, censusSlices}} {
+			if got := scans(c.window, -1); got != c.want {
+				t.Errorf("MaxT %d: census window=%d made %d scans, want %d", far, c.window, got, c.want)
+			}
+		}
 	}
 }

@@ -76,7 +76,12 @@ func TestEngineConcurrentWithShardedStore(t *testing.T) {
 				case 2:
 					e.ExposureAt(ti, infected)
 				case 3:
-					e.CodeCensus(infected, 5, steps-1)
+					// Users() is read after the census's last slice, so
+					// every user it counted is listed: green stays >= 0
+					// while writers add users between slices.
+					if c := e.CodeCensus(infected, 5, steps-1); c[CodeGreen] < 0 {
+						t.Errorf("census during writes = %v, green below zero", c)
+					}
 				case 4:
 					store.At(ti)
 				default:

@@ -19,9 +19,13 @@
 package storagetest
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/server/storage"
@@ -55,6 +59,7 @@ func TestStore(t *testing.T, newStore Factory) {
 	t.Run("UsersAscending", func(t *testing.T) { testUsersAscending(t, newStore(t)) })
 	t.Run("AtScanRangeEquivalence", func(t *testing.T) { testAtScanRangeEquivalence(t, newStore(t)) })
 	t.Run("ScanRangeBoundsAndEarlyStop", func(t *testing.T) { testScanRangeBounds(t, newStore(t)) })
+	t.Run("ScanRangeSparseTimesteps", func(t *testing.T) { testScanRangeSparse(t, newStore(t)) })
 	t.Run("GenEpochMonotone", func(t *testing.T) { testGenEpochMonotone(t, newStore(t)) })
 	t.Run("GenPinsCache", func(t *testing.T) { testGenPinsCache(t, newStore(t)) })
 	t.Run("BatchAtomicity", func(t *testing.T) { testBatchAtomicity(t, newStore(t)) })
@@ -316,6 +321,72 @@ func testScanRangeBounds(t *testing.T, s storage.Store) {
 	s.Scan(func(storage.Record) bool { visits++; return false })
 	if visits != 1 {
 		t.Errorf("Scan early stop visited %d records, want 1", visits)
+	}
+}
+
+// testScanRangeSparse checks ScanRange over a sparse history whose
+// timesteps reach math.MaxInt: it visits exactly the records in range,
+// in ascending T, and returns promptly, because its cost follows the
+// number of stored timesteps, not the size of T.
+func testScanRangeSparse(t *testing.T, s storage.Store) {
+	const users = 3
+	steps := []int{0, 1, 1 << 40, math.MaxInt - 1, math.MaxInt}
+	for _, tt := range steps {
+		for u := 0; u < users; u++ {
+			s.Insert(rec(u, tt, u))
+		}
+	}
+	if got := s.MaxT(); got != math.MaxInt {
+		t.Fatalf("MaxT() = %d, want math.MaxInt", got)
+	}
+	for _, c := range []struct {
+		t0, t1 int
+		want   []int // the timesteps in range
+	}{
+		{0, math.MaxInt, steps},
+		{-5, math.MaxInt, steps},
+		{0, 1, steps[:2]},
+		{2, 1 << 41, []int{1 << 40}},
+		{2, 1<<40 - 1, nil},
+		{math.MaxInt - 1, math.MaxInt, steps[3:]},
+		{math.MaxInt, math.MaxInt, steps[4:]},
+	} {
+		var want, got []int // T of every record, in visiting order
+		for _, tt := range c.want {
+			for range users {
+				want = append(want, tt)
+			}
+		}
+		within(t, fmt.Sprintf("ScanRange(%d, %d)", c.t0, c.t1), func() {
+			s.ScanRange(c.t0, c.t1, func(r storage.Record) bool { got = append(got, r.T); return true })
+		})
+		if !slices.Equal(got, want) {
+			t.Errorf("ScanRange(%d, %d) visited timesteps %v, want %v", c.t0, c.t1, got, want)
+		}
+	}
+	visits := 0
+	within(t, "ScanRange early stop at math.MaxInt", func() {
+		s.ScanRange(math.MaxInt, math.MaxInt, func(storage.Record) bool { visits++; return false })
+	})
+	if visits != 1 {
+		t.Errorf("ScanRange early stop at math.MaxInt visited %d records, want 1", visits)
+	}
+}
+
+// within fails the test unless f returns in a few seconds: a walk whose
+// cost grows with the size of T would run for hours, or forever at
+// math.MaxInt.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return within 10s", what)
 	}
 }
 

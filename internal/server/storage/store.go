@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -17,7 +18,8 @@ import (
 // and a sharded variant (NewShardedStore) whose N independent locks let
 // ingestion scale with cores. Both maintain a per-timestep secondary
 // index (posting lists of records keyed by T) so At and ScanRange cost
-// O(records in range) instead of O(all records). Persistence backends
+// O(records in range) instead of O(all records); a ScanRange wider than
+// the index visits only the stored timesteps. Persistence backends
 // plug in here.
 type Store interface {
 	// Insert stores a record, replacing any existing record for the same
@@ -50,7 +52,9 @@ type Store interface {
 	// ascending T (order within one timestep unspecified), stopping
 	// early if fn returns false. Like Scan it presents a consistent
 	// point-in-time view. It is served from the timestep index, so its
-	// cost is O(records in range), not O(all records).
+	// cost is O(records in range) plus one index lookup per timestep in
+	// range, capped at the number of stored timesteps: never O(all
+	// records), and never O(t1-t0) over a sparse history.
 	ScanRange(t0, t1 int, fn func(Record) bool)
 	// Gen returns the write generation of timestep t: a counter bumped
 	// by every insert or replacement touching t, 0 if t was never
@@ -249,27 +253,56 @@ func (s *memStore) Scan(fn func(Record) bool) {
 func (s *memStore) ScanRange(t0, t1 int, fn func(Record) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.scanRangeLocked(t0, t1, fn)
-}
-
-// scanRangeLocked walks the timestep index in ascending T; callers hold
-// s.mu. It reports whether the walk ran to completion (false = fn
-// stopped it).
-func (s *memStore) scanRangeLocked(t0, t1 int, fn func(Record) bool) bool {
-	if t0 < 0 {
-		t0 = 0
-	}
-	if t1 > s.maxT {
-		t1 = s.maxT
-	}
-	for t := t0; t <= t1; t++ {
+	walkSteps([]*memStore{s}, t0, t1, func(t int) bool {
 		for _, user := range s.byT[t] {
 			if !fn(s.recordAtLocked(user, t)) {
 				return false
 			}
 		}
+		return true
+	})
+}
+
+// walkSteps calls visit, in ascending order, for each timestep of
+// [t0, t1] (clamped to [0, MaxT]) that a range walk over the shards'
+// timestep indexes must look at, and stops early if visit returns false.
+// Callers hold every shard's read lock. A range no wider than the
+// indexes' entry count is walked step by step. A wider one visits only
+// the steps some index lists, so one record at T = 1<<40 cannot make an
+// all-history walk take 1<<40 lookups: the walk costs
+// O(min(t1-t0, stored timesteps)) whatever the size of T. Neither walk
+// steps past t1, so t1 = math.MaxInt ends.
+func walkSteps(shards []*memStore, t0, t1 int, visit func(t int) bool) {
+	maxT, entries := -1, 0
+	for _, sh := range shards {
+		maxT = max(maxT, sh.maxT)
+		entries += len(sh.byT)
 	}
-	return true
+	t0, t1 = max(t0, 0), min(t1, maxT)
+	if t0 > t1 {
+		return
+	}
+	if t1-t0 < entries {
+		for t := t0; ; t++ {
+			if !visit(t) || t == t1 {
+				return
+			}
+		}
+	}
+	var steps []int
+	for _, sh := range shards {
+		for t := range sh.byT {
+			if t0 <= t && t <= t1 {
+				steps = append(steps, t)
+			}
+		}
+	}
+	slices.Sort(steps)
+	for _, t := range slices.Compact(steps) {
+		if !visit(t) {
+			return
+		}
+	}
 }
 
 // ShardFor is the single routing function of the record layer: it maps a
@@ -525,25 +558,14 @@ func (s *Sharded) ScanRange(t0, t1 int, fn func(Record) bool) {
 			sh.mu.RUnlock()
 		}
 	}()
-	if t0 < 0 {
-		t0 = 0
-	}
-	maxT := -1
-	for _, sh := range s.shards {
-		if sh.maxT > maxT {
-			maxT = sh.maxT
-		}
-	}
-	if t1 > maxT {
-		t1 = maxT
-	}
-	for t := t0; t <= t1; t++ {
+	walkSteps(s.shards, t0, t1, func(t int) bool {
 		for _, sh := range s.shards {
 			for _, user := range sh.byT[t] {
 				if !fn(sh.recordAtLocked(user, t)) {
-					return
+					return false
 				}
 			}
 		}
-	}
+		return true
+	})
 }

@@ -287,9 +287,10 @@ func (s *System) ExposureSeries(t0, t1 int) ([]int, error) {
 
 // HealthCodeCensus tallies the code HealthCodeFor gives every known
 // user against the same clock `now` (negative = latest timestep). It
-// costs one scan of the window, O(records in window) + O(users), and is
-// cached until the next write, since any write can add a user and so
-// move the green count.
+// costs one scan of the window, O(records in window + users) plus one
+// index lookup per timestep of the window, capped at the number of
+// stored timesteps. It is cached until the next write, since any write
+// can add a user and so move the green count.
 func (s *System) HealthCodeCensus(window, now int) map[HealthCode]int {
 	return s.db.CodeCensus(s.mgr.InfectedCells(), window, now)
 }
