@@ -3,9 +3,7 @@
 // documents — pooled-buffer ownership, fsync-outside-the-stripe-mutex,
 // registered wire codes, resolved-now threading, context threading.
 //
-// Two modes share one binary:
-//
-// Standalone, the everyday form (and what scripts/lint.sh and CI run):
+// Usage (scripts/lint.sh runs the first form as CI's hard gate):
 //
 //	panda-lint ./...            # lint packages by go list pattern
 //	panda-lint -list            # print the analyzers and exit
@@ -14,17 +12,6 @@
 // Findings print one per line as file:line:col: message [analyzer],
 // and the exit status is 1 when there are any.
 //
-// Vet tool, so `go vet` integration keeps working for editors and
-// muscle memory:
-//
-//	go vet -vettool=$(pwd)/bin/panda-lint ./...
-//
-// In this mode the go command drives the protocol: it asks for a
-// version stamp (-V=full), for the flag schema (-flags), and then
-// invokes the tool once per package with a .cfg file naming the
-// sources and the gc export data of every import. Type information
-// comes from that export data rather than from source.
-//
 // False positives are suppressed at the offending line (or the line
 // above) with a reason:
 //
@@ -32,16 +19,10 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/importer"
-	"go/token"
-	"io"
 	"os"
 	"regexp"
-	"strings"
 
 	"github.com/pglp/panda/internal/lint"
 	"github.com/pglp/panda/internal/lint/analysis"
@@ -49,23 +30,6 @@ import (
 )
 
 func main() {
-	// The go vet protocol probes before any real work; these arms must
-	// not consume the standalone flag set.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			printVersion()
-			return
-		case os.Args[1] == "-flags":
-			// No analyzer flags: an empty schema tells the go command
-			// there is nothing to forward.
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
-
 	listOnly := flag.Bool("list", false, "print the analyzers and exit")
 	runFilter := flag.String("run", "", "only run analyzers whose name matches this regexp")
 	flag.Parse()
@@ -117,96 +81,4 @@ func main() {
 	if found {
 		os.Exit(1)
 	}
-}
-
-// printVersion emits the -V=full stamp the go command hashes into its
-// cache key. The executable's own digest is the stamp, so rebuilding
-// the tool invalidates stale vet results.
-func printVersion() {
-	stamp := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				stamp = fmt.Sprintf("%x", h.Sum(nil)[:12])
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("panda-lint version devel buildID=%s\n", stamp)
-}
-
-// vetConfig is the subset of the go vet .cfg file the tool needs.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit processes one package on behalf of `go vet -vettool`. The
-// returned value is the process exit code: 0 clean, 1 findings, 2
-// protocol or analysis failure.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "panda-lint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "panda-lint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The suite carries no cross-package facts, but the go command
-	// still expects the facts file to exist before it trusts the run.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "panda-lint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	// Imports resolve through the gc export data the go command already
-	// compiled, exactly as the real unitchecker does.
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	pkg, err := loader.CheckFiles(fset, imp, cfg.ImportPath, cfg.GoFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "panda-lint: %v\n", err)
-		return 2
-	}
-	findings, err := lint.Run(pkg, lint.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "panda-lint: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f.String())
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
 }

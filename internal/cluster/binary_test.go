@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +89,74 @@ func TestClusterBinaryReports(t *testing.T) {
 	status, e = postBody(t, f.routerURL+"/v2/reports", wire.ContentTypeBinary, []byte("PBR1"))
 	if status != http.StatusBadRequest || e.Code != wire.CodeBadRequest {
 		t.Errorf("truncated binary: status=%d code=%q, want 400 %q", status, e.Code, wire.CodeBadRequest)
+	}
+}
+
+// TestClusterReportNegotiation runs the node's Content-Type table
+// (internal/server's TestBinaryContentNegotiation) through the router
+// with every node down: the router applies the node's own rule, so each
+// 415 comes from the router itself, and every type the node accepts is
+// routed — here to a dead node, hence 503.
+func TestClusterReportNegotiation(t *testing.T) {
+	f := startFleet(t, 2, false)
+	for _, fn := range f.flaky {
+		fn.down.Store(true)
+	}
+	binBody := wire.AppendBinaryReport(nil, 5, 1, []wire.Release{{T: 0, X: 1.5, Y: 1.5}})
+	jsonBody := []byte(`{"user":5,"policy_version":1,"releases":[{"t":0,"x":1.5,"y":1.5}]}`)
+	for _, tc := range []struct {
+		ct     string
+		body   []byte
+		status int
+		code   string
+	}{
+		{wire.ContentTypeBinary, binBody, http.StatusServiceUnavailable, wire.CodeNodeDown},
+		{wire.ContentTypeBinary + "; v=1", binBody, http.StatusServiceUnavailable, wire.CodeNodeDown},
+		{"application/json", jsonBody, http.StatusServiceUnavailable, wire.CodeNodeDown},
+		{"Application/JSON", jsonBody, http.StatusServiceUnavailable, wire.CodeNodeDown},
+		{"text/csv", binBody, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia},
+		{"application/json; charset", jsonBody, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia},
+		{wire.ContentTypeBinary + "; v", binBody, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia},
+	} {
+		status, e := postBody(t, f.routerURL+"/v2/reports", tc.ct, tc.body)
+		if status != tc.status || e.Code != tc.code {
+			t.Errorf("Content-Type %q: status=%d code=%q (%s), want %d %q", tc.ct, status, e.Code, e.Error, tc.status, tc.code)
+		}
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRouterBodyLimit: a body longer than the nodes' limit is refused by
+// the router with 413 before any node is dialed, even when it would
+// decode to a valid request (a small JSON value behind that many bytes
+// of whitespace). Cutting it at the limit and forwarding it instead
+// would ship the bytes to a node, here to dead ones that answer 503.
+func TestRouterBodyLimit(t *testing.T) {
+	f := startFleet(t, 2, false)
+	for _, fn := range f.flaky {
+		fn.down.Store(true)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v2/reports", `{"user":0,"policy_version":1,"releases":[{"t":0,"x":1.5,"y":1.5}]}`},
+		{"/v2/infected", `{"cells":[5]}`},
+	} {
+		body := io.MultiReader(io.LimitReader(spaces{}, wire.MaxRequestBody), strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		f.router.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		var e wire.Error
+		_ = json.NewDecoder(rec.Body).Decode(&e)
+		if rec.Code != http.StatusRequestEntityTooLarge || e.Code != wire.CodeBadRequest {
+			t.Errorf("%s: status=%d code=%q (%s), want 413 %q", tc.path, rec.Code, e.Code, e.Error, wire.CodeBadRequest)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"sort"
 	"strconv"
@@ -342,50 +341,55 @@ func (rt *Router) handleUserProxy(w http.ResponseWriter, r *http.Request) {
 // forwards the raw bytes — the router never re-encodes a batch, so the
 // owning node sees exactly what the client sent (mode query parameter
 // included; async early-acks work through the router unchanged). The
-// peek is content-type aware: JSON bodies are peeked with a partial
-// unmarshal, binary bodies read the user out of the fixed header (24
-// bytes, no parsing of the frames) and pass through byte-identical.
-// Unknown content types are refused with 415 before the owning node is
-// dialed.
+// encoding comes from wire.ReportEncoding, the node's own rule, so an
+// unsupported Content-Type is refused with 415 before any node is
+// dialed. JSON bodies are peeked with a partial unmarshal, binary bodies
+// read the user out of the fixed header (24 bytes, no parsing of the
+// frames) and pass through byte-identical.
 func (rt *Router) handleReports(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
-	mediaType := ""
-	if ct != "" {
-		mediaType, _, _ = mime.ParseMediaType(ct)
-	}
-	binary := mediaType == wire.ContentTypeBinary
-	if !binary && ct != "" && mediaType != "application/json" {
+	binary, ok := wire.ReportEncoding(ct)
+	if !ok {
 		routerError(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
 			"unsupported Content-Type %q (want application/json or %s)", ct, wire.ContentTypeBinary)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		routerError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading batch report: %v", err)
-		return
-	}
-	if len(body) > maxProxyBody {
-		routerError(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
-			"batch report exceeds the router's %d-byte body limit", maxProxyBody)
-		return
-	}
-	if binary {
-		user, err := wire.PeekBinaryReportUser(body)
-		if err != nil {
-			routerError(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding batch report: %v", err)
-			return
-		}
-		rt.proxyUser(w, r, user, pathWithQuery(r), ct, body)
+	body, ok := readBody(w, r, "batch report")
+	if !ok {
 		return
 	}
 	var peek struct {
 		User int `json:"user"`
 	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	var err error
+	if binary {
+		peek.User, err = wire.PeekBinaryReportUser(body)
+	} else {
+		err = json.Unmarshal(body, &peek)
+	}
+	if err != nil {
 		routerError(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding batch report: %v", err)
 		return
 	}
 	rt.proxyUser(w, r, peek.User, pathWithQuery(r), ct, body)
+}
+
+// readBody buffers a request body the router forwards, bounded by the
+// nodes' own limit: a longer body is answered 413 here, before any node
+// is dialed, rather than cut short and forwarded. On failure it writes
+// the error and returns ok=false.
+func readBody(w http.ResponseWriter, r *http.Request, what string) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	if err != nil {
+		routerError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading %s: %v", what, err)
+		return nil, false
+	}
+	if len(body) > maxProxyBody {
+		routerError(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
+			"%s exceeds the router's %d-byte body limit", what, maxProxyBody)
+		return nil, false
+	}
+	return body, true
 }
 
 // resolveNow returns the cluster-wide anchor timestep: the max of every
@@ -443,9 +447,8 @@ func (rt *Router) handleHealthCode(w http.ResponseWriter, r *http.Request) {
 // fails the broadcast (it is safe to repeat once the node returns;
 // marking already-infected cells changes nothing).
 func (rt *Router) handleInfected(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
-	if err != nil {
-		routerError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading infected cells: %v", err)
+	body, ok := readBody(w, r, "infected cells")
+	if !ok {
 		return
 	}
 	resps, f := scatter[wire.InfectedResponse](rt, r.Context(), http.MethodPost, pathWithQuery(r), body)

@@ -122,14 +122,6 @@ func LoadDir(dir string) (*Package, error) {
 	return check(fset, imp, filepath.Base(dir), files)
 }
 
-// CheckFiles parses and type-checks the named files as one package
-// with the caller's importer. It is the entry point for the go vet
-// -vettool protocol, where the go command dictates the file set and
-// imports resolve through gc export data instead of source.
-func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []string) (*Package, error) {
-	return check(fset, imp, path, files)
-}
-
 // check parses and type-checks one package's files.
 func check(fset *token.FileSet, imp types.Importer, path string, files []string) (*Package, error) {
 	var asts []*ast.File

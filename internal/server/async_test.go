@@ -253,6 +253,11 @@ func TestAsyncModeValidation(t *testing.T) {
 	if status != http.StatusBadRequest || e.Code != wire.CodeBadRequest {
 		t.Fatalf("mode=banana: status=%d code=%q, want 400 bad_request", status, e.Code)
 	}
+	// The mode is checked before the body, in both encodings.
+	if status, e = postV2(t, base, "/v2/reports?mode=banana", "{nope"); status != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "mode") {
+		t.Fatalf("mode=banana with a bad body: status=%d (%s), want the mode's 400", status, e.Error)
+	}
 
 	bad := `{"user":1,"policy_version":1,"releases":[{"t":-3,"x":0,"y":0}]}`
 	status, e = postV2(t, base, "/v2/reports?mode=async", bad)
@@ -275,6 +280,13 @@ func TestAsyncModeValidation(t *testing.T) {
 	}
 	if sync.Accepted != 1 {
 		t.Fatalf("sync response = %+v, want accepted=1", sync)
+	}
+
+	// ?mode is the only async switch: a leftover body flag is ignored,
+	// so the report is applied synchronously.
+	flagged := fmt.Sprintf(`{"user":2,"policy_version":1,"async":true,"releases":[{"t":0,"x":%v,"y":%v}]}`, p.X, p.Y)
+	if status, e = postV2(t, base, "/v2/reports", flagged); status != http.StatusOK {
+		t.Fatalf("body async flag without ?mode: status=%d (%+v), want the synchronous 200", status, e)
 	}
 }
 

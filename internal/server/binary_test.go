@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -96,6 +97,7 @@ func TestBinaryContentNegotiation(t *testing.T) {
 
 	p := grid.Center(3)
 	binBody := wire.AppendBinaryReport(nil, 5, 1, []wire.Release{{T: 0, X: p.X, Y: p.Y}})
+	jsonBody := []byte(fmt.Sprintf(`{"user":6,"policy_version":1,"releases":[{"t":0,"x":%v,"y":%v}]}`, p.X, p.Y))
 
 	cases := []struct {
 		name, ct string
@@ -112,6 +114,11 @@ func TestBinaryContentNegotiation(t *testing.T) {
 			http.StatusBadRequest, wire.CodeBadRequest},
 		{"binary truncated", wire.ContentTypeBinary, binBody[:len(binBody)-3],
 			http.StatusBadRequest, wire.CodeBadRequest},
+		{"json malformed parameter", "application/json; charset", jsonBody,
+			http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia},
+		{"json mixed case", "Application/JSON", jsonBody, http.StatusOK, ""},
+		{"binary malformed parameter", wire.ContentTypeBinary + "; v", binBody,
+			http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia},
 	}
 	for _, tc := range cases {
 		status, e := postRaw(t, base, "/v2/reports", tc.ct, tc.body)
@@ -128,30 +135,80 @@ func TestBinaryContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestBinaryStaleAndConsent drives the protocol error paths through the
-// binary encoding: version 0 refused, stale version renegotiates with
-// the policy inline, non-consenting user 403s.
+// TestBinaryStaleAndConsent drives the report gate through both
+// encodings, sync and ?mode=async, on a server with an ingest queue: one
+// gate means the same batch gets the same answer whatever it was framed
+// in. Version 0 is refused, a non-consenting user 403s, a stale version
+// renegotiates with the policy inline, a record off the grid's time axis
+// is refused — and none of them is stored or queued — while a good batch
+// is applied (200) or queued (202).
 func TestBinaryStaleAndConsent(t *testing.T) {
-	srv, client, grid, done := newTestServer(t)
+	srv, client, grid, done := newAsyncTestServer(t, 0)
 	defer done()
 	base := client.baseURL()
-
-	p := grid.Center(2)
-	rel := []wire.Release{{T: 0, X: p.X, Y: p.Y}}
-
-	status, e := postRaw(t, base, "/v2/reports", wire.ContentTypeBinary, wire.AppendBinaryReport(nil, 3, 99, rel))
-	if status != http.StatusConflict || e.Code != wire.CodeStalePolicy {
-		t.Errorf("stale version: status=%d code=%q, want 409 %q", status, e.Code, wire.CodeStalePolicy)
-	}
-	if e.Policy == nil || e.Policy.Version != 1 {
-		t.Errorf("stale 409 should carry the current policy inline, got %+v", e.Policy)
-	}
-
 	srv.mgr.Get(7)
 	srv.mgr.Consent(7, false)
-	status, e = postRaw(t, base, "/v2/reports", wire.ContentTypeBinary, wire.AppendBinaryReport(nil, 7, 1, rel))
-	if status != http.StatusForbidden || e.Code != wire.CodeConsent {
-		t.Errorf("no consent: status=%d code=%q, want 403 %q", status, e.Code, wire.CodeConsent)
+
+	p := grid.Center(2)
+	at := func(step int) []wire.Release { return []wire.Release{{T: step, X: p.X, Y: p.Y}} }
+	encodings := []struct {
+		name, ct string
+		encode   func(user, version int, rel []wire.Release) []byte
+	}{
+		{"json", "application/json", func(user, version int, rel []wire.Release) []byte {
+			b, err := json.Marshal(wire.BatchReportRequest{User: user, PolicyVersion: version, Releases: rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+		{"binary", wire.ContentTypeBinary, func(user, version int, rel []wire.Release) []byte {
+			return wire.AppendBinaryReport(nil, user, version, rel)
+		}},
+	}
+	rows := []struct {
+		name          string
+		user, version int
+		releases      []wire.Release
+		status        int // sync; a good batch answers 202 under ?mode=async
+		code          string
+	}{
+		{"version 0", 3, 0, at(0), http.StatusBadRequest, wire.CodeBadRequest},
+		{"no consent", 7, 1, at(0), http.StatusForbidden, wire.CodeConsent},
+		{"stale version", 3, 99, at(0), http.StatusConflict, wire.CodeStalePolicy},
+		{"negative t", 3, 1, at(-1), http.StatusBadRequest, wire.CodeBadRequest},
+		{"good batch", 4, 1, at(0), http.StatusOK, ""},
+	}
+	for _, enc := range encodings {
+		for _, mode := range []string{"", "?mode=async"} {
+			for _, row := range rows {
+				name := enc.name + mode + " " + row.name
+				stored, queued := srv.db.Len(), srv.Ingest().Stats().Enqueued
+				status, e := postRaw(t, base, "/v2/reports"+mode, enc.ct, enc.encode(row.user, row.version, row.releases))
+				want := row.status
+				if want == http.StatusOK && mode != "" {
+					want = http.StatusAccepted
+				}
+				if status != want || e.Code != row.code {
+					t.Errorf("%s: status=%d code=%q (%s), want %d %q", name, status, e.Code, e.Error, want, row.code)
+				}
+				if row.code == wire.CodeStalePolicy && (e.Policy == nil || e.Policy.Version != 1) {
+					t.Errorf("%s: 409 should carry the current policy inline, got %+v", name, e.Policy)
+				}
+				if row.code == "" {
+					waitDrained(t, srv) // settle the store before the next row's snapshot
+					continue
+				}
+				if n, q := srv.db.Len(), srv.Ingest().Stats().Enqueued; n != stored || q != queued {
+					t.Errorf("%s: refused batch changed the store (%d -> %d records) or the queue (%d -> %d enqueued)",
+						name, stored, n, queued, q)
+				}
+			}
+		}
+	}
+	// Every good send replaces the same (4, 0) record.
+	if n := srv.db.Len(); n != 1 || len(srv.db.UserRecords(4)) != 1 {
+		t.Errorf("store holds %d records, want only user 4's good batch", n)
 	}
 }
 

@@ -419,18 +419,8 @@ func (c *Client) adoptStalePolicy(user int, err error) bool {
 // use the in-process panda.User, which rebuilds its mechanism on every
 // policy change.
 func (c *Client) ReportBatchContext(ctx context.Context, user int, releases []wire.Release) (wire.BatchReportResponse, error) {
-	ver, err := c.policyVersion(ctx, user)
-	if err != nil {
-		return wire.BatchReportResponse{}, err
-	}
 	var out wire.BatchReportResponse
-	req := wire.BatchReportRequest{User: user, PolicyVersion: ver, Releases: releases}
-	err = c.post(ctx, "/v2/reports", req, &out)
-	if err != nil && c.adoptStalePolicy(user, err) {
-		req.PolicyVersion, _ = c.policyVersion(ctx, user)
-		err = c.post(ctx, "/v2/reports", req, &out)
-	}
-	if err != nil {
+	if err := c.sendReport(ctx, "/v2/reports", "application/json", user, releases, &out); err != nil {
 		return wire.BatchReportResponse{}, err
 	}
 	return out, nil
@@ -480,18 +470,8 @@ func (r asyncOrSyncResponse) ack() (AsyncAck, error) {
 // re-sending is safe because ingestion replaces on (user, t). Stale
 // policies renegotiate exactly like ReportBatchContext.
 func (c *Client) ReportBatchAsyncContext(ctx context.Context, user int, releases []wire.Release) (AsyncAck, error) {
-	ver, err := c.policyVersion(ctx, user)
-	if err != nil {
-		return AsyncAck{}, err
-	}
 	var out asyncOrSyncResponse
-	req := wire.BatchReportRequest{User: user, PolicyVersion: ver, Releases: releases, Async: true}
-	err = c.post(ctx, "/v2/reports?mode=async", req, &out)
-	if err != nil && c.adoptStalePolicy(user, err) {
-		req.PolicyVersion, _ = c.policyVersion(ctx, user)
-		err = c.post(ctx, "/v2/reports?mode=async", req, &out)
-	}
-	if err != nil {
+	if err := c.sendReport(ctx, "/v2/reports?mode=async", "application/json", user, releases, &out); err != nil {
 		return AsyncAck{}, err
 	}
 	return out.ack()
@@ -502,32 +482,40 @@ func (c *Client) ReportBatchAsyncContext(ctx context.Context, user int, releases
 // body per send.
 var binaryBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
 
-// reportBinary encodes the batch in the binary record format and POSTs
-// it, renegotiating once on a stale policy (re-encoding under the new
-// version — the frames carry the version, so unlike the JSON path the
-// body itself must be rebuilt).
-func (c *Client) reportBinary(ctx context.Context, user int, releases []wire.Release, path string, out any) error {
-	ver, err := c.policyVersion(ctx, user)
-	if err != nil {
-		return err
+// sendReport is the one send loop of the four report methods. It
+// encodes releases under the user's cached policy version, in the JSON
+// or the binary format as contentType says, and POSTs them to path.
+// On a stale_policy conflict it adopts the server's inline policy and
+// sends once more, re-encoded under the new version: both formats
+// carry the version, the binary one in every frame.
+func (c *Client) sendReport(ctx context.Context, path, contentType string, user int, releases []wire.Release, out any) error {
+	var bp *[]byte // binary encode buffer; JSON bodies are marshaled by post
+	if contentType == wire.ContentTypeBinary {
+		bp = binaryBufs.Get().(*[]byte)
+		defer func() {
+			// Oversized encode buffers (a maximum batch is multiple MB)
+			// go to the GC rather than staying pinned in the pool.
+			if cap(*bp) <= maxPooledBody {
+				*bp = (*bp)[:0]
+				binaryBufs.Put(bp)
+			}
+		}()
 	}
-	bp := binaryBufs.Get().(*[]byte)
-	defer func() {
-		// Oversized encode buffers (a maximum batch is multiple MB) go
-		// to the GC rather than staying pinned in the pool.
-		if cap(*bp) <= maxPooledBody {
-			*bp = (*bp)[:0]
-			binaryBufs.Put(bp)
+	for renegotiated := false; ; renegotiated = true {
+		ver, err := c.policyVersion(ctx, user)
+		if err != nil {
+			return err
 		}
-	}()
-	*bp = wire.AppendBinaryReport((*bp)[:0], user, ver, releases)
-	err = c.doBytes(ctx, http.MethodPost, path, wire.ContentTypeBinary, *bp, out)
-	if err != nil && c.adoptStalePolicy(user, err) {
-		ver, _ = c.policyVersion(ctx, user)
-		*bp = wire.AppendBinaryReport((*bp)[:0], user, ver, releases)
-		err = c.doBytes(ctx, http.MethodPost, path, wire.ContentTypeBinary, *bp, out)
+		if bp != nil {
+			*bp = wire.AppendBinaryReport((*bp)[:0], user, ver, releases)
+			err = c.doBytes(ctx, http.MethodPost, path, contentType, *bp, out)
+		} else {
+			err = c.post(ctx, path, wire.BatchReportRequest{User: user, PolicyVersion: ver, Releases: releases}, out)
+		}
+		if err == nil || renegotiated || !c.adoptStalePolicy(user, err) {
+			return err
+		}
 	}
-	return err
 }
 
 // ReportBatchBinaryContext is ReportBatchContext over the binary record
@@ -538,7 +526,7 @@ func (c *Client) reportBinary(ctx context.Context, user int, releases []wire.Rel
 // ingest loops; the JSON path remains the default for debuggability.
 func (c *Client) ReportBatchBinaryContext(ctx context.Context, user int, releases []wire.Release) (wire.BatchReportResponse, error) {
 	var out wire.BatchReportResponse
-	if err := c.reportBinary(ctx, user, releases, "/v2/reports", &out); err != nil {
+	if err := c.sendReport(ctx, "/v2/reports", wire.ContentTypeBinary, user, releases, &out); err != nil {
 		return wire.BatchReportResponse{}, err
 	}
 	return out, nil
@@ -550,7 +538,7 @@ func (c *Client) ReportBatchBinaryContext(ctx context.Context, user int, release
 // behave exactly like ReportBatchAsyncContext.
 func (c *Client) ReportBatchBinaryAsyncContext(ctx context.Context, user int, releases []wire.Release) (AsyncAck, error) {
 	var out asyncOrSyncResponse
-	if err := c.reportBinary(ctx, user, releases, "/v2/reports?mode=async", &out); err != nil {
+	if err := c.sendReport(ctx, "/v2/reports?mode=async", wire.ContentTypeBinary, user, releases, &out); err != nil {
 		return AsyncAck{}, err
 	}
 	return out.ack()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"strconv"
 	"sync"
@@ -75,117 +74,82 @@ func wirePolicy(user int, up policy.UserPolicy) wire.Policy {
 	return wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: up.GraphJSON}
 }
 
-// handleV2Reports negotiates the batch-report encoding on Content-Type:
-// JSON (the default, including an absent header) or the binary record
-// format (application/x-panda-records — the shared storage codec, see
-// wire/binary.go). Anything else is a clean 415, not a JSON decode 400.
+// handleV2Reports is POST /v2/reports, one path for both encodings. It
+// picks the encoding from Content-Type with wire.ReportEncoding (the
+// cluster router applies the same rule) and reads the acknowledgement
+// mode from ?mode, both before touching the body. It decodes the body
+// into a pooled record batch and runs it through the one gate,
+// checkReport. A batch that passes is stored (sync, also the fallback
+// when async is requested but the server runs without an ingest queue:
+// the ack is then stronger than asked for, never weaker) or enqueued.
+// Every path recycles the batch into the record pool — here, or at
+// drain time by the queue's workers.
 func (s *Server) handleV2Reports(w http.ResponseWriter, r *http.Request) {
-	switch ct := r.Header.Get("Content-Type"); ct {
-	// Exact matches first: the canonical header values stay off the
-	// allocating mime parser, which matters at ingest rates.
-	case "", "application/json":
-		s.v2ReportsJSON(w, r)
-	case wire.ContentTypeBinary:
-		s.v2ReportsBinary(w, r)
-	default:
-		switch {
-		case isJSONContent(ct):
-			s.v2ReportsJSON(w, r)
-		case isBinaryContent(ct):
-			s.v2ReportsBinary(w, r)
-		default:
-			v2Error(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
-				"unsupported Content-Type %q (want application/json or %s)", ct, wire.ContentTypeBinary)
-		}
+	ct := r.Header.Get("Content-Type")
+	binary, ok := wire.ReportEncoding(ct)
+	if !ok {
+		v2Error(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
+			"unsupported Content-Type %q (want application/json or %s)", ct, wire.ContentTypeBinary)
+		return
 	}
-}
-
-// isJSONContent reports whether ct selects the JSON report encoding. An
-// absent Content-Type means JSON — the pre-negotiation default every
-// existing client relies on. The exact-match fast path keeps the mime
-// parser (which allocates) off the hot ingest loop; the parse only runs
-// for headers carrying parameters or unusual casing.
-func isJSONContent(ct string) bool {
-	if ct == "" || ct == "application/json" {
-		return true
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	return err == nil && mt == "application/json"
-}
-
-// isBinaryContent reports whether ct selects the binary report encoding;
-// exact match first for the same reason as isJSONContent.
-func isBinaryContent(ct string) bool {
-	if ct == wire.ContentTypeBinary {
-		return true
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	return err == nil && mt == wire.ContentTypeBinary
-}
-
-// reportMode folds the ?mode= query override into the body's async
-// flag. ok=false means the mode was invalid and the error response has
-// been written.
-func (s *Server) reportMode(w http.ResponseWriter, r *http.Request, async bool) (_ bool, ok bool) {
+	async := false
 	switch mode := r.URL.Query().Get("mode"); mode {
-	case "":
-	case "sync":
-		async = false
+	case "", "sync":
 	case "async":
 		async = true
 	default:
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"unknown mode %q (want sync or async)", mode)
-		return false, false
-	}
-	return async, true
-}
-
-// v2ReportsJSON is the JSON leg of POST /v2/reports. Decoded releases
-// land in a pooled record slice that flows through validation, the
-// ingest queue, and the store without another copy.
-func (s *Server) v2ReportsJSON(w http.ResponseWriter, r *http.Request) {
-	var req wire.BatchReportRequest
-	if !decodeJSONBody(w, r, "batch report", &req) {
 		return
 	}
-	async, ok := s.reportMode(w, r, req.Async)
+	decode := decodeJSONReport
+	if binary {
+		decode = decodeBinaryReport
+	}
+	user, version, recs, ok := decode(w, r)
 	if !ok {
 		return
 	}
+	if !s.checkReport(w, user, version, recs) {
+		storage.PutRecords(recs)
+		return
+	}
+	if async && s.queue != nil {
+		s.enqueueReport(w, recs, version)
+		return
+	}
+	added := s.db.Store().InsertBatch(recs)
+	replaced := len(recs) - added
+	storage.PutRecords(recs)
+	writeJSON(w, wire.BatchReportResponse{Accepted: added, Replaced: replaced, PolicyVersion: version})
+}
+
+// decodeJSONReport decodes a JSON report body into a pooled record batch
+// with cells unset, which the caller then owns. On failure — a body that
+// is malformed, over the byte limit, empty or over maxBatchReleases — it
+// writes the error and returns ok=false.
+func decodeJSONReport(w http.ResponseWriter, r *http.Request) (user, version int, recs []Record, ok bool) {
+	var req wire.BatchReportRequest
+	if !decodeJSONBody(w, r, "batch report", &req) {
+		return 0, 0, nil, false
+	}
 	if len(req.Releases) == 0 {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "empty batch: at least one release required")
-		return
+		return 0, 0, nil, false
 	}
 	if len(req.Releases) > maxBatchReleases {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"batch of %d releases exceeds the limit of %d", len(req.Releases), maxBatchReleases)
-		return
+		return 0, 0, nil, false
 	}
-	if req.PolicyVersion <= 0 {
-		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"policy_version is required and must be >= 1 (got %d); /v2 does not accept unversioned reports",
-			req.PolicyVersion)
-		return
-	}
-	up := s.mgr.Get(req.User)
-	if !up.Consented {
-		v2Error(w, http.StatusForbidden, wire.CodeConsent,
-			"user %d has not consented to the current policy", req.User)
-		return
-	}
-	if req.PolicyVersion != up.Version {
-		v2StalePolicy(w, req.User, req.PolicyVersion, up)
-		return
-	}
-	recs := storage.GetRecords()
+	recs = storage.GetRecords()
 	for _, rel := range req.Releases {
 		recs = append(recs, Record{
 			User: req.User, T: rel.T, Point: geo.Pt(rel.X, rel.Y),
-			Cell: -1, PolicyVersion: up.Version,
+			Cell: -1, PolicyVersion: req.PolicyVersion,
 		})
 	}
-	s.v2ReportsApply(w, recs, up.Version, async)
+	return req.User, req.PolicyVersion, recs, true
 }
 
 // maxBinaryBody is the exact upper bound of a well-formed binary report
@@ -242,108 +206,73 @@ func readBinaryBody(r io.Reader) (*[]byte, error) {
 	}
 }
 
-// v2ReportsBinary is the binary leg of POST /v2/reports: the body is
-// read into a pooled buffer, its frames are CRC-verified and decoded
-// into a pooled record slice, and — policy checks permitting — that
-// same slice flows through the queue (or the store) without any JSON
-// materialization in between.
-func (s *Server) v2ReportsBinary(w http.ResponseWriter, r *http.Request) {
-	async, ok := s.reportMode(w, r, false)
-	if !ok {
-		return
-	}
+// decodeBinaryReport is decodeJSONReport for the binary record format:
+// the body is read into a pooled buffer, and its frames are CRC-verified
+// and decoded straight into a pooled record batch, with no JSON
+// materialization in between. The records copy what they need, so the
+// body buffer goes back to its pool before the batch reaches the gate.
+func decodeBinaryReport(w http.ResponseWriter, r *http.Request) (user, version int, recs []Record, ok bool) {
 	bp, err := readBinaryBody(r.Body)
 	defer putBinaryBody(bp)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "reading binary report: %v", err)
-		return
+		return 0, 0, nil, false
 	}
 	if int64(len(*bp)) > maxBinaryBody {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"binary report exceeds the %d-byte limit (%d releases)", maxBinaryBody, maxBatchReleases)
-		return
+		return 0, 0, nil, false
 	}
-	user, ver, recs, err := wire.DecodeBinaryReport(*bp, maxBatchReleases, storage.GetRecords())
+	user, version, recs, err = wire.DecodeBinaryReport(*bp, maxBatchReleases, storage.GetRecords())
 	if err != nil {
 		storage.PutRecords(recs)
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
-		return
+		return 0, 0, nil, false
 	}
-	if ver <= 0 {
-		storage.PutRecords(recs)
+	return user, version, recs, true
+}
+
+// checkReport is the one admission gate of POST /v2/reports, whatever
+// the encoding. recs is a decoded batch with cells unset. In order it
+// checks the policy version (≥ 1), consent, freshness against the
+// user's current policy, then every record against the grid (snapping
+// cells in place); it writes the first failure's error and returns
+// false. It is the only place the report path reads the user's policy.
+func (s *Server) checkReport(w http.ResponseWriter, user, version int, recs []Record) bool {
+	if version <= 0 {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"policy_version is required and must be >= 1 (got %d); /v2 does not accept unversioned reports", ver)
-		return
+			"policy_version is required and must be >= 1 (got %d); /v2 does not accept unversioned reports", version)
+		return false
 	}
 	up := s.mgr.Get(user)
 	if !up.Consented {
-		storage.PutRecords(recs)
 		v2Error(w, http.StatusForbidden, wire.CodeConsent,
 			"user %d has not consented to the current policy", user)
-		return
+		return false
 	}
-	if ver != up.Version {
-		storage.PutRecords(recs)
-		v2StalePolicy(w, user, ver, up)
-		return
+	if version != up.Version {
+		v2StalePolicy(w, user, version, up)
+		return false
 	}
-	s.v2ReportsApply(w, recs, up.Version, async)
-}
-
-// v2ReportsApply is the shared tail of both report encodings: recs is a
-// built (cells unset), policy-checked batch the server now owns — it is
-// validated in place, then either enqueued (async) or stored (sync, also
-// the fallback when async is requested but the server runs without an
-// ingest queue: the ack is then stronger than asked for, never weaker).
-// Every path recycles recs into the record pool — directly here, or at
-// drain time by the queue's workers.
-func (s *Server) v2ReportsApply(w http.ResponseWriter, recs []Record, policyVersion int, async bool) {
 	if err := s.db.ValidateBatchInPlace(recs); err != nil {
-		storage.PutRecords(recs)
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
-		return
+		return false
 	}
-	if async && s.queue != nil {
-		s.v2ReportsAsync(w, recs, policyVersion)
-		return
-	}
-	added := s.db.Store().InsertBatch(recs)
-	replaced := len(recs) - added
-	storage.PutRecords(recs)
-	writeJSON(w, wire.BatchReportResponse{Accepted: added, Replaced: replaced, PolicyVersion: policyVersion})
+	return true
 }
 
-// v2ReportsAsync is the early-acknowledgement leg of POST /v2/reports:
-// enqueue the pre-validated batch, 202. A full queue — or an exhausted
-// per-user fairness budget — answers 429 with the drain-lag retry hint
-// (both in the envelope and the standard Retry-After header); a closed
-// queue (shutdown in progress) answers 503.
-func (s *Server) v2ReportsAsync(w http.ResponseWriter, recs []Record, policyVersion int) {
-	st := s.queue.Stats()
-	// A batch larger than the whole queue can never be admitted — that
-	// is a configuration mismatch, not transient backpressure, so it
-	// must not get a retriable 429 (clients would re-upload the batch
-	// to exhaustion). Send it sync instead, or raise -ingest-queue.
-	if len(recs) > st.Capacity {
-		n := len(recs)
-		storage.PutRecords(recs)
-		v2Error(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
-			"async batch of %d records exceeds the ingest queue capacity of %d; send it synchronously or split it",
-			n, st.Capacity)
-		return
-	}
-	// Same reasoning for the per-user budget: a batch that alone
-	// overflows it would 429 forever.
-	if st.UserCap > 0 && len(recs) > st.UserCap {
-		n := len(recs)
-		storage.PutRecords(recs)
-		v2Error(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
-			"async batch of %d records exceeds the per-user pending budget of %d; send it synchronously or split it",
-			n, st.UserCap)
-		return
-	}
+// enqueueReport is the early-acknowledgement leg of POST /v2/reports:
+// enqueue the checked batch, 202. A batch that can never fit answers a
+// non-retriable 413; a full queue — or an exhausted per-user fairness
+// budget — answers 429 with the drain-lag retry hint (both in the
+// envelope and the standard Retry-After header); a closed queue
+// (shutdown in progress) answers 503.
+func (s *Server) enqueueReport(w http.ResponseWriter, recs []Record, policyVersion int) {
 	queued := len(recs)
 	depth, err := s.queue.TryEnqueue(recs)
+	if err != nil {
+		storage.PutRecords(recs) // refused: the batch is still ours
+	}
 	switch {
 	case err == nil:
 		// The queue owns recs now; its workers recycle the slice.
@@ -352,8 +281,13 @@ func (s *Server) v2ReportsAsync(w http.ResponseWriter, recs []Record, policyVers
 		_ = json.NewEncoder(w).Encode(wire.AsyncReportResponse{
 			Queued: queued, QueueDepth: depth, PolicyVersion: policyVersion,
 		})
+	case errors.Is(err, ingest.ErrTooLarge):
+		// A configuration mismatch, not transient backpressure: a
+		// retriable 429 would have clients re-upload the batch to
+		// exhaustion.
+		v2Error(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
+			"%v; send it synchronously or split it", err)
 	case errors.Is(err, ingest.ErrFull):
-		storage.PutRecords(recs)
 		hint := s.queue.RetryAfter()
 		w.Header().Set("Content-Type", "application/json")
 		// Retry-After is in whole seconds; sub-second hints round up to 1.
@@ -365,7 +299,6 @@ func (s *Server) v2ReportsAsync(w http.ResponseWriter, recs []Record, policyVers
 			RetryAfterMS: int(hint / time.Millisecond),
 		})
 	default: // ingest.ErrClosed
-		storage.PutRecords(recs)
 		v2Error(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "server is shutting down")
 	}
 }

@@ -24,7 +24,9 @@
 //   - Backpressure is explicit. The queue is bounded in records; when
 //     it is full, TryEnqueue fails and the handler answers 429 with a
 //     retry hint derived from the observed drain lag. Re-sending after
-//     backoff is safe because the store replaces on (user, t).
+//     backoff is safe because the store replaces on (user, t). A batch
+//     that could never fit fails with ErrTooLarge instead (413): no
+//     backoff helps it.
 //   - Graceful shutdown drains. Close stops admissions and waits for
 //     the workers to apply everything queued, so on an orderly SIGTERM
 //     every acknowledged record reaches the store (and disk, when the

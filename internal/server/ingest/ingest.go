@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,13 +25,20 @@ const (
 )
 
 // Errors reported by TryEnqueue. Handlers map ErrFull to 429 (with a
-// retry hint) and ErrClosed to 503.
+// retry hint), ErrTooLarge to 413 and ErrClosed to 503.
 var (
 	// ErrFull means the queue — or the enqueuing user's fairness
 	// budget — is at capacity. The caller should back off for RetryAfter
 	// and re-send; re-sending is idempotent because the store replaces
 	// on (user, t).
 	ErrFull = errors.New("ingest: queue full")
+	// ErrTooLarge means the batch alone holds more records than
+	// QueueDepth or MaxUserPending, so it can never be admitted and
+	// retrying cannot help: the caller must split it or apply it
+	// synchronously. TryEnqueue wraps it with the sizes involved; match
+	// it with errors.Is. Such a refusal is not backpressure and counts
+	// in neither Stats.Rejected nor Stats.Throttled.
+	ErrTooLarge = errors.New("ingest: batch can never fit")
 	// ErrClosed means Close has begun: the queue no longer accepts
 	// batches (the server is shutting down).
 	ErrClosed = errors.New("ingest: queue closed")
@@ -56,7 +64,8 @@ type Config struct {
 	Workers int
 	// QueueDepth is the maximum number of pending records (enqueued,
 	// not yet applied). <= 0 uses DefaultQueueDepth. A TryEnqueue that
-	// would exceed it fails with ErrFull — the backpressure signal.
+	// would exceed it fails with ErrFull — the backpressure signal — or
+	// with ErrTooLarge when the batch alone exceeds it.
 	QueueDepth int
 	// MaxApply caps how many records a worker coalesces into one sink
 	// call. Coalescing turns many small client batches into few large
@@ -252,14 +261,23 @@ func (q *Queue) userDone(user, n int) {
 // it again; pass a storage.GetRecords slice to keep the path
 // allocation-free). On error the caller keeps ownership. ErrFull means
 // the queue — or the caller's per-user fairness budget — is at
-// capacity (wait RetryAfter and re-send); ErrClosed means the queue is
-// shutting down. Records must already be validated: the sink applies
-// them unchecked. Batches are routed by their first record's user, so
-// callers should enqueue single-user batches (the HTTP layer always
-// does).
+// capacity (wait RetryAfter and re-send); ErrTooLarge means the batch
+// exceeds one of those bounds on its own (never re-send it as is);
+// ErrClosed means the queue is shutting down. Records must already be
+// validated: the sink applies them unchecked. Batches are routed by
+// their first record's user, so callers should enqueue single-user
+// batches (the HTTP layer always does).
 func (q *Queue) TryEnqueue(recs []storage.Record) (depth int, err error) {
 	if len(recs) == 0 {
 		return int(q.pending.Load()), nil
+	}
+	if len(recs) > q.cfg.QueueDepth {
+		return 0, fmt.Errorf("%w: %d records exceed the queue capacity of %d",
+			ErrTooLarge, len(recs), q.cfg.QueueDepth)
+	}
+	if q.userPending != nil && len(recs) > q.cfg.MaxUserPending {
+		return 0, fmt.Errorf("%w: %d records exceed the per-user pending budget of %d",
+			ErrTooLarge, len(recs), q.cfg.MaxUserPending)
 	}
 	user := recs[0].User
 	n := int64(len(recs))

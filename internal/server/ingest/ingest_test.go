@@ -117,6 +117,26 @@ func TestBackpressureFullQueue(t *testing.T) {
 	}
 }
 
+// TestEnqueueTooLarge: a batch larger than the whole queue, or than one
+// user's pending budget, can never be admitted. It is refused with
+// ErrTooLarge, never the retriable ErrFull, and since that is not
+// backpressure it leaves the depth and the refusal counters alone.
+func TestEnqueueTooLarge(t *testing.T) {
+	q, err := New(newBlockingSink(false), Config{Workers: 1, QueueDepth: 10, MaxUserPending: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close(context.Background())
+	for _, n := range []int{11, 5} { // over QueueDepth, over MaxUserPending
+		if _, err := q.TryEnqueue(recsOf(1, 0, n)); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("batch of %d: err=%v, want ErrTooLarge", n, err)
+		}
+	}
+	if st := q.Stats(); st.Depth != 0 || st.Rejected != 0 || st.Throttled != 0 {
+		t.Errorf("stats after never-fitting batches = %+v, want depth, rejected and throttled 0", st)
+	}
+}
+
 func TestEnqueueAfterCloseFails(t *testing.T) {
 	q, err := New(newBlockingSink(false), Config{Workers: 1})
 	if err != nil {

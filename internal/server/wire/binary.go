@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"mime"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/server/storage"
@@ -33,6 +34,33 @@ import (
 
 // ContentTypeBinary negotiates the binary report format.
 const ContentTypeBinary = "application/x-panda-records"
+
+// ReportEncoding is the one Content-Type rule of POST /v2/reports, used
+// by both the node and the cluster router. binary is true for
+// ContentTypeBinary and false for JSON, which an absent header also
+// selects; media types match case-insensitively and may carry
+// parameters. ok is false for any other media type and for a header
+// that does not parse: the caller answers 415 CodeUnsupportedMedia.
+func ReportEncoding(contentType string) (binary, ok bool) {
+	// Exact matches first: the canonical values stay off the mime
+	// parser, which allocates, on the ingest hot path.
+	switch contentType {
+	case "", "application/json":
+		return false, true
+	case ContentTypeBinary:
+		return true, true
+	}
+	mt, _, err := mime.ParseMediaType(contentType)
+	switch {
+	case err != nil:
+		return false, false
+	case mt == "application/json":
+		return false, true
+	case mt == ContentTypeBinary:
+		return true, true
+	}
+	return false, false
+}
 
 // BinaryMagic opens every binary report body.
 const BinaryMagic = "PBR1"

@@ -76,17 +76,16 @@ type Release struct {
 	Y float64 `json:"y"`
 }
 
-// BatchReportRequest is the body of POST /v2/reports: many releases from
-// one user under one policy version. PolicyVersion is required (≥ 1):
-// a zero version is rejected, never treated as "skip the staleness
-// check". Async, equivalent to the ?mode=async query parameter, requests
-// early acknowledgement: the server validates and enqueues the batch,
-// answering 202 Accepted before the records reach the store.
+// BatchReportRequest is the JSON body of POST /v2/reports: many releases
+// from one user under one policy version. PolicyVersion is required
+// (≥ 1): a zero version is rejected, never treated as "skip the
+// staleness check". The body carries no acknowledgement mode; early
+// acknowledgement is requested with the ?mode=async query parameter
+// alone, for this body and the binary one alike.
 type BatchReportRequest struct {
 	User          int       `json:"user"`
 	PolicyVersion int       `json:"policy_version"`
 	Releases      []Release `json:"releases"`
-	Async         bool      `json:"async,omitempty"`
 }
 
 // BatchReportResponse summarizes a synchronous batch ingest: how many
