@@ -234,7 +234,7 @@ func BenchmarkServerIngest(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec := server.Record{User: i % 1000, T: i / 1000, Cell: i % 256}
-		if err := db.Insert(rec); err != nil {
+		if _, _, err := db.InsertBatch([]server.Record{rec}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,11 +9,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/pglp/panda"
 	"github.com/pglp/panda/internal/cluster"
-	"github.com/pglp/panda/internal/geo"
-	"github.com/pglp/panda/internal/policy"
-	"github.com/pglp/panda/internal/server"
-	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
 // loadConfig parameterizes a -load run: a named city-scale scenario
@@ -35,7 +32,7 @@ type loadConfig struct {
 	// a wal so the run measures what durable appends cost.
 	durable bool
 	dir     string // wal directory; empty = a fresh temp dir
-	fsync   bool   // fsync every append (wal.SyncAlways) vs buffered
+	fsync   bool   // fsync every append vs buffered
 	stripes int    // wal stripes / store shards per node
 
 	// async reports with early acknowledgement (202 + background drain),
@@ -78,9 +75,8 @@ func startLoadTarget(cfg loadConfig) (base string, cleanup func(), err error) {
 		tmp := dir
 		closers = append(closers, func() { os.RemoveAll(tmp) })
 	}
-	grid := geo.MustGrid(32, 32, 1)
 	if cfg.cluster == 0 {
-		base, err = startNode(cfg, grid, dir, &closers)
+		base, err = startNode(cfg, dir, &closers)
 		return base, cleanup, err
 	}
 
@@ -90,7 +86,7 @@ func startLoadTarget(cfg loadConfig) (base string, cleanup func(), err error) {
 	nodes := make([]cluster.Node, cfg.cluster)
 	for i := range nodes {
 		name := fmt.Sprintf("node%d", i)
-		url, err := startNode(cfg, grid, filepath.Join(dir, name), &closers)
+		url, err := startNode(cfg, filepath.Join(dir, name), &closers)
 		if err != nil {
 			return "", cleanup, err
 		}
@@ -123,46 +119,34 @@ func startLoadTarget(cfg loadConfig) (base string, cleanup func(), err error) {
 	return rts.URL, cleanup, nil
 }
 
-// startNode boots one in-process panda-server on grid and returns its
-// URL: a fresh policy manager, a wal in dir (cfg.durable) or an in-memory
-// sharded store, and an httptest frontend. It appends its closers to
-// *closers in start order, so closing in reverse drains the async queue
-// before the wal closes.
-func startNode(cfg loadConfig, grid *geo.Grid, dir string, closers *[]func()) (string, error) {
-	mgr, err := policy.NewManager(grid, policy.Baseline(grid), 1.0)
-	if err != nil {
-		return "", err
-	}
+// startNode boots one in-process panda-server node (a panda.System on
+// the scenario city's 32x32 grid under the baseline policy at ε = 1)
+// with its wal in dir when cfg.durable, and returns its httptest URL. It
+// appends its closers to *closers in start order, so closing in reverse
+// stops the frontend before System.Close drains the async queue and
+// closes the wal.
+func startNode(cfg loadConfig, dir string, closers *[]func()) (string, error) {
+	o := panda.Options{Rows: 32, Cols: 32, CellSize: 1, Epsilon: 1,
+		StoreShards: cfg.stripes, AsyncIngest: cfg.async}
 	store := fmt.Sprintf("memory, %d shards", cfg.stripes)
-	var db *server.DB
 	if cfg.durable {
-		opts := wal.Options{Shards: cfg.stripes, Sync: wal.SyncBuffered}
+		o.DataDir, o.FsyncEveryWrite = dir, cfg.fsync
+		sync := "buffered"
 		if cfg.fsync {
-			opts.Sync = wal.SyncAlways
+			sync = "always"
 		}
-		st, err := wal.Open(dir, opts)
-		if err != nil {
-			return "", err
-		}
-		*closers = append(*closers, func() { st.Close() })
-		if db, err = server.NewDBOn(grid, st); err != nil {
-			return "", err
-		}
-		store = fmt.Sprintf("wal in %s, sync=%s, %d stripes", dir, opts.Sync, cfg.stripes)
-	} else {
-		db = server.NewShardedDB(grid, cfg.stripes)
+		store = fmt.Sprintf("wal in %s, sync=%s, %d stripes", dir, sync, cfg.stripes)
 	}
-	srv, err := server.NewServerOpts(db, mgr, server.Options{AsyncIngest: cfg.async})
+	sys, err := panda.NewSystem(o)
 	if err != nil {
 		return "", err
 	}
+	*closers = append(*closers, func() { sys.Close(context.Background()) })
 	mode := "sync ingest"
 	if cfg.async {
-		// Drain acknowledged batches before the wal closes.
-		*closers = append(*closers, func() { srv.DrainIngest(context.Background()) })
 		mode = "async ingest"
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(sys.Handler())
 	*closers = append(*closers, ts.Close)
 	fmt.Printf("load: in-process server at %s (32x32 grid, %s, %s)\n", ts.URL, store, mode)
 	return ts.URL, nil

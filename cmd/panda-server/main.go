@@ -33,12 +33,11 @@
 // With -async-ingest, POST /v2/reports?mode=async batches are validated,
 // queued and acknowledged with 202 before they reach the store; a full
 // queue answers 429 with a retry hint, and /v2/ingest/stats exposes the
-// queue's depth and drain counters. -ingest-user-cap bounds how many
-// records one user may have pending (default half the queue; negative
-// disables) so a hot client cannot starve everyone else's acks.
-// Graceful shutdown drains the queue (within -shutdown-grace) before
-// the store closes, so every acknowledged record is applied — and
-// durable when -data-dir is set.
+// queue's depth and drain counters. One user may have at most half
+// the queue pending, so a hot client cannot starve everyone else's
+// acks. Graceful shutdown drains the queue (within -shutdown-grace)
+// before the store closes, so every acknowledged record is applied —
+// and durable when -data-dir is set.
 //
 // POST /v2/reports also accepts the binary record format
 // (Content-Type: application/x-panda-records; see API.md) — the same
@@ -59,11 +58,8 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/pglp/panda"
 	"github.com/pglp/panda/internal/cluster"
-	"github.com/pglp/panda/internal/geo"
-	"github.com/pglp/panda/internal/policy"
-	"github.com/pglp/panda/internal/policygraph"
-	"github.com/pglp/panda/internal/server"
 	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
@@ -103,7 +99,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		asyncIngest = fs.Bool("async-ingest", false, "enable POST /v2/reports?mode=async: early 202 acks, background drain")
 		ingWorkers  = fs.Int("ingest-workers", 0, "async ingest drain workers (0 = GOMAXPROCS)")
 		ingDepth    = fs.Int("ingest-queue", 0, "async ingest queue bound in records (0 = default 65536)")
-		ingUserCap  = fs.Int("ingest-user-cap", 0, "async ingest per-user pending budget in records (0 = half the queue, negative = disabled)")
 
 		clusterRing = fs.String("cluster-ring", "", "ring config file; with -cluster-node, pins this node's ring identity")
 		clusterNode = fs.String("cluster-node", "", "this node's name in the -cluster-ring file")
@@ -114,22 +109,20 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if (*clusterRing == "") != (*clusterNode == "") {
 		return errors.New("-cluster-ring and -cluster-node must be set together")
 	}
-	grid, err := geo.NewGrid(*rows, *cols, *cell)
-	if err != nil {
-		return err
+	o := panda.Options{
+		Rows: *rows, Cols: *cols, CellSize: *cell, Epsilon: *eps,
+		DataDir: *dataDir, FsyncEveryWrite: *fsync,
+		AsyncIngest: *asyncIngest, IngestWorkers: *ingWorkers, IngestQueueDepth: *ingDepth,
 	}
-	var g *policygraph.Graph
+	var err error
 	switch *polFlg {
 	case "baseline":
-		g = policy.Baseline(grid)
-	case "monitoring":
-		g = policy.ForMonitoring(grid, *block, *block)
-	case "analysis":
-		g = policy.ForAnalysis(grid, *block, *block)
+		o.PolicyGraph, err = panda.BaselinePolicy(o)
+	case "monitoring", "analysis": // Ga and Gb are the same block partition
+		o.PolicyGraph, err = panda.MonitoringPolicy(o, *block)
 	default:
 		return fmt.Errorf("unknown policy %q", *polFlg)
 	}
-	mgr, err := policy.NewManager(grid, g, *eps)
 	if err != nil {
 		return err
 	}
@@ -159,15 +152,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		}
 	}
 
-	var db *server.DB
-	var store *wal.Store
-	storeShards := *shards
-	durability := "memory-only"
 	if *dataDir != "" {
-		sync := wal.SyncBuffered
-		if *fsync {
-			sync = wal.SyncAlways
-		}
 		// The data dir's MANIFEST pins its stripe count. When -shards
 		// was left at its default (GOMAXPROCS — a value that changes
 		// across machines), adopt the directory's count instead of
@@ -186,60 +171,52 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 			log.Printf("panda-server: %s is laid out with %d stripes; adopting (pass -shards %d to silence, or restripe per PERSISTENCE.md)", *dataDir, n, n)
 			*shards = n
 		}
-		store, err = wal.Open(*dataDir, wal.Options{Shards: *shards, Sync: sync})
-		if err != nil {
-			return err
+	}
+	o.StoreShards = *shards
+	sys, err := panda.NewSystem(o)
+	if err != nil {
+		return err
+	}
+	// Until serving starts, every error path must release the store.
+	serving := false
+	defer func() {
+		if !serving {
+			sys.Close(ctx) // nothing is queued yet, so a canceled ctx drops nothing
 		}
-		st := store.Stats()
+	}()
+	storeShards := *shards
+	durability := "memory-only"
+	if st, durable := sys.StoreStats(); durable {
 		suffix := ""
 		if st.TornTail {
 			suffix = " (dropped a torn final record)"
 		}
 		log.Printf("panda-server: recovered %d records from %s%s", st.LiveRecords, *dataDir, suffix)
 		// Report the count the store opened with: -shards 0 adopts the
-		// MANIFEST's count inside wal.Open.
-		storeShards = store.NumShards()
-		durability = fmt.Sprintf("wal %s (sync=%s, %d stripes)", *dataDir, sync, storeShards)
-		db, err = server.NewDBOn(grid, store)
-	} else {
-		db = server.NewShardedDB(grid, *shards)
-	}
-	// Until serving starts, every error path must release the store.
-	serving := false
-	defer func() {
-		if !serving && store != nil {
-			store.Close()
+		// MANIFEST's count when the store opens.
+		storeShards = st.Stripes
+		sync := "buffered"
+		if *fsync {
+			sync = "always"
 		}
-	}()
-	if err != nil {
-		return err
-	}
-	srv, err := server.NewServerOpts(db, mgr, server.Options{
-		AsyncIngest:          *asyncIngest,
-		IngestWorkers:        *ingWorkers,
-		IngestQueueDepth:     *ingDepth,
-		IngestMaxUserPending: *ingUserCap,
-	})
-	if err != nil {
-		return err
+		durability = fmt.Sprintf("wal %s (sync=%s, %d stripes)", *dataDir, sync, storeShards)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	ingestMode := "sync-only"
-	if q := srv.Ingest(); q != nil {
-		st := q.Stats()
+	if st, ok := sys.IngestStats(); ok {
 		ingestMode = fmt.Sprintf("async ingest (%d workers, queue %d records)", st.Workers, st.Capacity)
 	}
 	log.Printf("panda-server: %dx%d grid, policy %s (edges=%d), ε=%v, store shards=%d, %s, %s, serving /v2 on %s",
-		*rows, *cols, *polFlg, g.NumEdges(), *eps, storeShards, durability, ingestMode, ln.Addr())
+		*rows, *cols, *polFlg, o.PolicyGraph.NumEdges(), *eps, storeShards, durability, ingestMode, ln.Addr())
 	serving = true
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: sys.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -252,7 +229,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	storeFailed := make(chan error, 1)
 	monitorDone := make(chan struct{})
 	defer close(monitorDone)
-	if store != nil {
+	if _, durable := sys.StoreStats(); durable {
 		go func() {
 			ticker := time.NewTicker(time.Second)
 			defer ticker.Stop()
@@ -263,13 +240,13 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 					return
 				case <-ticker.C:
 				}
-				if err := store.Err(); err != nil {
+				if err := sys.Err(); err != nil {
 					storeFailed <- err
 					return
 				}
-				if ce := store.Stats().CompactErr; ce != nil && ce.Error() != loggedCompactErr {
-					loggedCompactErr = ce.Error()
-					log.Printf("panda-server: store compaction failing (log keeps growing): %v", ce)
+				if st, _ := sys.StoreStats(); st.CompactErr != nil && st.CompactErr.Error() != loggedCompactErr {
+					loggedCompactErr = st.CompactErr.Error()
+					log.Printf("panda-server: store compaction failing (log keeps growing): %v", st.CompactErr)
 				}
 			}
 		}()
@@ -282,13 +259,10 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		// bounded by the same grace as a signal shutdown.
 		//panda:allow ctxflow — acknowledged batches must drain even if a signal races the serve failure
 		drainCtx, drainCancel := context.WithTimeout(context.Background(), *grace)
-		if derr := srv.DrainIngest(drainCtx); derr != nil {
+		if derr := sys.Close(drainCtx); derr != nil {
 			log.Printf("panda-server: ingest drain after serve error: %v", derr)
 		}
 		drainCancel()
-		if store != nil {
-			store.Close()
-		}
 		return err
 	case failErr = <-storeFailed:
 		log.Printf("panda-server: store append failure, shutting down to stop acknowledging non-durable writes: %v", failErr)
@@ -308,23 +282,19 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) && shutdownErr == nil {
 		shutdownErr = err
 	}
-	if q := srv.Ingest(); q != nil {
-		err := srv.DrainIngest(shutdownCtx)
-		st := q.Stats()
-		if err != nil {
-			log.Printf("panda-server: ingest drain cut short (%v): %d records dropped", err, st.Dropped)
-			if shutdownErr == nil {
-				shutdownErr = err
-			}
+	closeErr := sys.Close(shutdownCtx)
+	if st, ok := sys.IngestStats(); ok {
+		if errors.Is(closeErr, context.DeadlineExceeded) {
+			log.Printf("panda-server: ingest drain cut short (%v): %d records dropped", closeErr, st.Dropped)
 		} else {
 			log.Printf("panda-server: ingest queue drained (%d records applied over the run)", st.Drained)
 		}
 	}
-	if store != nil {
-		if err := store.Close(); err != nil && shutdownErr == nil && failErr == nil {
-			shutdownErr = err
-		}
-		log.Printf("panda-server: store closed, %d records durable", db.Len())
+	if st, durable := sys.StoreStats(); durable {
+		log.Printf("panda-server: store closed, %d records durable", st.LiveRecords)
+	}
+	if shutdownErr == nil {
+		shutdownErr = closeErr
 	}
 	if failErr != nil {
 		return failErr

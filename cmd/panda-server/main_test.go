@@ -232,6 +232,8 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-rows", "0"},
 		{"-policy", "bogus"},
+		{"-policy", "monitoring", "-block", "0"},
+		{"-policy", "analysis", "-block", "-2"},
 		{"-addr", "not-an-address"},
 		{"-backend", "kv", "-data-dir", dataDir},
 	} {
@@ -241,6 +243,44 @@ func TestBadFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
 		t.Errorf("a refused flag set created %s (stat err %v)", dataDir, err)
+	}
+}
+
+// TestFailStopOnAppendFailure: once the wal can no longer append, run
+// stops serving and returns the failure instead of acknowledging
+// reports it cannot persist. After the store opens, the next segment's
+// path is made a directory, so the rotation that starts a compaction
+// fails and the error sticks. (Made before the launch, the directory
+// would fail the open's replay instead.)
+func TestFailStopOnAppendFailure(t *testing.T) {
+	dataDir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base, errCh := launch(t, ctx, []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4",
+		"-data-dir", dataDir, "-shards", "1"})
+	const blocked = "wal-0000000000000002.log"
+	if err := os.Mkdir(filepath.Join(dataDir, "stripe-000", blocked), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Ten sends of one user's 1,000 releases leave 9,000 superseded
+	// records, over the default compaction trigger of 8,192.
+	client := server.NewClient(base, nil, server.WithRetry(server.RetryPolicy{MaxAttempts: 1}))
+	releases := make([]wire.Release, 1000)
+	for i := range releases {
+		releases[i] = wire.Release{T: i, X: 0.5, Y: 0.5}
+	}
+	for round := 0; round < 10; round++ {
+		if _, err := client.ReportBatchContext(t.Context(), 1, releases); err != nil {
+			break // the monitor may already have stopped the server
+		}
+	}
+	select {
+	case err := <-errCh:
+		if err == nil || !strings.Contains(err.Error(), blocked) {
+			t.Fatalf("run returned %v, want the append failure naming %s", err, blocked)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run kept serving after the wal stopped appending")
 	}
 }
 

@@ -1,6 +1,7 @@
 package panda_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -51,7 +52,7 @@ func ExampleOptions_dataDir() {
 	if _, err := alice.Report(0, 27); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.Close(); err != nil {
+	if err := sys.Close(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 
@@ -61,7 +62,7 @@ func ExampleOptions_dataDir() {
 		log.Fatal(err)
 	}
 	fmt.Println("records after restart:", len(back.Records(1)))
-	if err := back.Close(); err != nil {
+	if err := back.Close(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	// Output:

@@ -120,7 +120,7 @@ func main() {
 	fmt.Printf("all %d releases acknowledged in %v\n\n", users*steps, ackElapsed.Round(time.Millisecond))
 
 	// Drain: Close stops the queue and applies everything acknowledged.
-	if err := sys.Close(); err != nil {
+	if err := sys.Close(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	close(stop)

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -121,7 +122,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("reopening after kill: %v", err)
 	}
-	defer sys.Close()
+	defer sys.Close(context.Background())
 
 	recovered := 0
 	for id := 1; id <= users; id++ {

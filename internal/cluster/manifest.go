@@ -3,8 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -105,24 +107,12 @@ func PinOwnership(dir string, ring *Ring, nodeName string) (Ownership, error) {
 		}
 		return want, nil
 	}
-	if got.Node != want.Node || got.Partitions != want.Partitions || !equalInts(got.Owned, want.Owned) {
+	if got.Node != want.Node || got.Partitions != want.Partitions || !slices.Equal(got.Owned, want.Owned) {
 		return Ownership{}, fmt.Errorf(
 			"%w: %s is pinned to node %q owning %v of %d partitions, but the ring assigns node %q %v of %d — reshaping a ring requires an offline migration, see CLUSTER.md",
 			ErrOwnershipMismatch, dir, got.Node, got.Owned, got.Partitions, want.Node, want.Owned, want.Partitions)
 	}
 	return want, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // writeOwnership atomically creates dir's CLUSTER manifest with
@@ -136,5 +126,5 @@ func writeOwnership(dir string, o Ownership) error {
 	}
 	body := fmt.Sprintf("panda-cluster-manifest v%d\nnode %s\npartitions %d\nowned %s\n",
 		ownershipVersion, o.Node, o.Partitions, strings.Join(owned, ","))
-	return storage.WriteFileAtomic(dir, ownershipName, []byte(body))
+	return storage.WriteFileAtomic(dir, ownershipName, func(w io.Writer) error { _, err := io.WriteString(w, body); return err })
 }

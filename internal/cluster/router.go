@@ -252,18 +252,21 @@ func callNodeJSON[T any](rt *Router, ctx context.Context, i int, method, path st
 // scatter fans method+path (+body) out to every node in parallel and
 // gathers the decoded bodies in ring order. Any leg failing fails the
 // whole query — a partial aggregate would silently undercount, which is
-// worse than an honest 503 (see CLUSTER.md's failure table). Nodes
-// already marked down fail fast without being dialed.
+// worse than an honest 503 (see CLUSTER.md's failure table). If any
+// node is already marked down, the scatter fails naming it before
+// dialing a single node, so a broadcast write such as POST /v2/infected
+// never lands on only the live subset.
 func scatter[T any](rt *Router, ctx context.Context, method, path string, body []byte) ([]T, *fail) {
 	n := len(rt.ring.Nodes)
+	for i := 0; i < n; i++ {
+		if up, reason, _ := rt.nodes[i].snapshot(); !up {
+			return nil, &fail{node: &rt.ring.Nodes[i], reason: reason}
+		}
+	}
 	vals := make([]T, n)
 	fails := make([]*fail, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if up, reason, _ := rt.nodes[i].snapshot(); !up {
-			fails[i] = &fail{node: &rt.ring.Nodes[i], reason: reason}
-			continue
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -443,9 +446,11 @@ func (rt *Router) handleHealthCode(w http.ResponseWriter, r *http.Request) {
 // handleInfected broadcasts the infection notice to every node — each
 // node re-plans policies for the users it owns — and answers with the
 // union of changed users. All nodes must take the notice: a node that
-// misses it would keep certifying exposed users green, so a down node
-// fails the broadcast (it is safe to repeat once the node returns;
-// marking already-infected cells changes nothing).
+// misses it would keep certifying exposed users green, so a node known
+// to be down fails the broadcast before any node is dialed. A node that
+// dies mid-broadcast can still leave the others marked; repeating the
+// notice once it returns is safe (marking already-infected cells
+// changes nothing).
 func (rt *Router) handleInfected(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r, "infected cells")
 	if !ok {

@@ -387,6 +387,57 @@ func TestClusterFailFast(t *testing.T) {
 	}
 }
 
+// TestClusterInfectedWhileNodeDown: with a node known to be down, an
+// infection notice is refused before any node takes it, so the live
+// nodes do not move to a new policy version alone; once the node is
+// back, the retried notice reaches every node.
+func TestClusterInfectedWhileNodeDown(t *testing.T) {
+	f := startFleet(t, 2, false)
+	userOn := map[int]int{}
+	for u := 0; len(userOn) < 2; u++ {
+		if _, ok := userOn[f.ring.OwnerIndex(u)]; !ok {
+			userOn[f.ring.OwnerIndex(u)] = u
+		}
+	}
+	// version reads the policy version of node i's user from node i
+	// itself, bypassing the router.
+	version := func(i int) int {
+		t.Helper()
+		var p wire.Policy
+		if st := getJSON(t, fmt.Sprintf("%s/v2/policy?user=%d", f.nodeURLs[i], userOn[i]), &p); st != http.StatusOK {
+			t.Fatalf("node%d policy: status %d", i, st)
+		}
+		return p.Version
+	}
+	for i := range f.nodeURLs {
+		if v := version(i); v != 1 {
+			t.Fatalf("node%d user at version %d before the notice, want 1", i, v)
+		}
+	}
+
+	f.flaky[1].down.Store(true)
+	f.router.ProbeOnce(context.Background())
+	notice := []byte(`{"cells":[17]}`)
+	st, e := postBody(t, f.routerURL+"/v2/infected", "application/json", notice)
+	if st != http.StatusServiceUnavailable || e.Code != wire.CodeNodeDown || e.Node != "node1" {
+		t.Fatalf("notice with node1 down: status=%d envelope=%+v, want 503 node_unavailable naming node1", st, e)
+	}
+	if v := version(0); v != 1 {
+		t.Errorf("node0 user at version %d after a refused notice, want 1 (the live node must not take it alone)", v)
+	}
+
+	f.flaky[1].down.Store(false)
+	f.router.ProbeOnce(context.Background())
+	if st, e := postBody(t, f.routerURL+"/v2/infected", "application/json", notice); st != http.StatusOK {
+		t.Fatalf("retried notice: status=%d envelope=%+v, want 200", st, e)
+	}
+	for i := range f.nodeURLs {
+		if v := version(i); v != 2 {
+			t.Errorf("node%d user at version %d after the retried notice, want 2", i, v)
+		}
+	}
+}
+
 // TestClusterAsyncIngest: async early-acks pass through the router (202
 // envelopes intact) and /v2/ingest/stats merges the per-node queues.
 func TestClusterAsyncIngest(t *testing.T) {

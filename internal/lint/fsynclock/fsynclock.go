@@ -19,7 +19,9 @@
 //     starts with "sync" or "Sync" — the sync helpers either fsync
 //     (storage.SyncDir) or acquire stripe locks themselves (Store.Sync,
 //     stripe.syncTo), so calling them with `mu` held is an
-//     fsync-under-mutex or a deadlock.
+//     fsync-under-mutex or a deadlock;
+//   - calls to storage.WriteFileAtomic, which fsyncs the file it
+//     commits and its directory although its name does not say so.
 //
 // Functions whose name ends in "Locked" are analyzed as if their
 // receiver's `mu` were held (that is the repo's calling convention),
@@ -385,20 +387,20 @@ func (w *walker) call(call *ast.CallExpr, h held) {
 	}
 }
 
-// isSyncCall reports whether fn is a device flush or one of the
-// package's own sync helpers.
+// isSyncCall reports whether fn is a device flush, one of the
+// package's own sync helpers, or the atomic file writer.
 func isSyncCall(fn *types.Func) bool {
 	if fn.Name() == "Sync" && receiverIsOSFile(fn) {
 		return true
 	}
 	// Sync helpers of any package but os (stripe.sync, syncTo,
 	// Store.Sync, storage.SyncDir): they fsync or take stripe locks
-	// themselves.
+	// themselves. storage.WriteFileAtomic fsyncs under another name.
 	if fn.Pkg() == nil || fn.Pkg().Path() == "os" {
 		return false
 	}
 	lower := strings.ToLower(fn.Name())
-	return strings.HasPrefix(lower, "sync")
+	return strings.HasPrefix(lower, "sync") || fn.Name() == "WriteFileAtomic"
 }
 
 // receiverIsOSFile reports whether fn's receiver is *os.File.

@@ -4,6 +4,7 @@ package a
 
 import (
 	"bufio"
+	"io"
 	"os"
 	"sync"
 
@@ -59,6 +60,18 @@ func (st *stripe) publishAfterUnlock() error {
 	st.w.Flush()
 	st.mu.Unlock()
 	return storage.SyncDir(st.dir)
+}
+
+// snapshotBad commits a file with the append mutex held:
+// storage.WriteFileAtomic fsyncs the file and its directory although
+// its name does not start with "sync".
+func (st *stripe) snapshotBad(body []byte) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return storage.WriteFileAtomic(st.dir, "snapshot.dat", func(w io.Writer) error { // want "WriteFileAtomic called while append mutex st\\.mu is held"
+		_, err := w.Write(body)
+		return err
+	})
 }
 
 // rotateLocked runs under the caller's st.mu by naming convention: the

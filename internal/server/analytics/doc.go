@@ -4,7 +4,9 @@
 // only (so everything here is privacy-preserving post-processing).
 //
 // The Engine layers epoch-versioned caches over a storage.Store, and
-// every aggregate is computed from ScanRange over the timestep index.
+// every cached aggregate is computed from ScanRange over the timestep
+// index. MovementMatrix, which pairs two timesteps, reads Store.At and
+// is not cached.
 // Every cached aggregate remembers the store's write generation at
 // compute time and is served only while that generation is still
 // current. Density and exposure are per-timestep and pin Gen(t), so a

@@ -170,6 +170,29 @@ func (e *Engine) TopRegions(t, blockRows, blockCols, k int) [][2]int {
 	return pairs
 }
 
+// MovementMatrix returns flows[from][to]: how many users moved from
+// region `from` at t1 to region `to` at t2 — the monitor's flows
+// between coarse areas. A user counts only with a record at both
+// timesteps. It reads the store's timestep index on every call and is
+// not cached.
+func (e *Engine) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
+	nr := e.grid.NumRegions(blockRows, blockCols)
+	flows := make([][]int, nr)
+	for i := range flows {
+		flows[i] = make([]int, nr)
+	}
+	to := make(map[int]int) // user → region at t2
+	for _, rec := range e.store.At(t2) {
+		to[rec.User] = e.grid.RegionOf(rec.Cell, blockRows, blockCols)
+	}
+	for _, rec := range e.store.At(t1) {
+		if dst, ok := to[rec.User]; ok {
+			flows[e.grid.RegionOf(rec.Cell, blockRows, blockCols)][dst]++
+		}
+	}
+	return flows
+}
+
 // ExposureAt returns how many users reported a location in an infected
 // cell at timestep t.
 func (e *Engine) ExposureAt(t int, infected []int) int {

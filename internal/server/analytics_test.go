@@ -17,7 +17,7 @@ func analyticsDB(t *testing.T) (*DB, *geo.Grid) {
 		{User: 2, T: 0, Cell: 5}, {User: 2, T: 1, Cell: 5}, {User: 2, T: 2, Cell: 6},
 	}
 	for _, r := range inserts {
-		if err := db.Insert(r); err != nil {
+		if err := insert(db, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -26,7 +26,7 @@ func analyticsDB(t *testing.T) (*DB, *geo.Grid) {
 
 func TestDensitySeries(t *testing.T) {
 	db, _ := analyticsDB(t)
-	series, err := db.DensitySeries(0, 2, 2, 2)
+	series, err := db.Analytics().DensitySeries(0, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +37,14 @@ func TestDensitySeries(t *testing.T) {
 	if series[0][0] != 2 || series[0][3] != 1 {
 		t.Errorf("t=0 density = %v", series[0])
 	}
-	if _, err := db.DensitySeries(2, 0, 2, 2); err == nil {
+	if _, err := db.Analytics().DensitySeries(2, 0, 2, 2); err == nil {
 		t.Error("inverted range should error")
 	}
 }
 
 func TestInfectedExposureSeries(t *testing.T) {
 	db, _ := analyticsDB(t)
-	series, err := db.InfectedExposureSeries(0, 2, []int{5})
+	series, err := db.Analytics().InfectedExposureSeries(0, 2, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,30 +54,30 @@ func TestInfectedExposureSeries(t *testing.T) {
 			t.Fatalf("exposure series = %v, want %v", series, want)
 		}
 	}
-	if _, err := db.InfectedExposureSeries(1, 0, nil); err == nil {
+	if _, err := db.Analytics().InfectedExposureSeries(1, 0, nil); err == nil {
 		t.Error("inverted range should error")
 	}
 }
 
 func TestTopRegions(t *testing.T) {
 	db, _ := analyticsDB(t)
-	top := db.TopRegions(0, 2, 2, 1)
+	top := db.Analytics().TopRegions(0, 2, 2, 1)
 	if len(top) != 1 || top[0][0] != 0 || top[0][1] != 2 {
 		t.Errorf("top regions = %v", top)
 	}
-	all := db.TopRegions(0, 2, 2, 0)
+	all := db.Analytics().TopRegions(0, 2, 2, 0)
 	if len(all) != 2 {
 		t.Errorf("all regions = %v", all)
 	}
 	// Empty timestep.
-	if got := db.TopRegions(9, 2, 2, 3); len(got) != 0 {
+	if got := db.Analytics().TopRegions(9, 2, 2, 3); len(got) != 0 {
 		t.Errorf("empty timestep top = %v", got)
 	}
 }
 
 func TestCodeCensus(t *testing.T) {
 	db, _ := analyticsDB(t)
-	census := db.CodeCensus([]int{5}, 0, -1)
+	census := db.Analytics().CodeCensus([]int{5}, 0, -1)
 	if census[CodeRed] != 1 { // user 2: two visits to cell 5
 		t.Errorf("census = %v, want 1 red", census)
 	}

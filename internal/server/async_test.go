@@ -390,7 +390,7 @@ func TestDrainIngestAppliesAcked(t *testing.T) {
 	if err := srv.DrainIngest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.DB().Len(); got != users*steps {
+	if got := srv.db.Store().Len(); got != users*steps {
 		t.Fatalf("store has %d records after drain, want %d", got, users*steps)
 	}
 	// The queue is closed: further async sends get 503 unavailable.
@@ -462,7 +462,7 @@ func TestScanDuringAsyncDrain(t *testing.T) {
 	if err := srv.DrainIngest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Len(); got != users*steps {
+	if got := db.Store().Len(); got != users*steps {
 		t.Fatalf("store has %d records after drain, want %d", got, users*steps)
 	}
 }

@@ -109,10 +109,10 @@ func BenchmarkDensityAtSeedUncached(b *testing.B) {
 // from the engine's per-timestep cache.
 func BenchmarkDensityAtCached(b *testing.B) {
 	db := newAnalyticsBenchDB(b)
-	db.DensityAt(0, 4, 4) // warm
+	db.Analytics().DensityAt(0, 4, 4) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.DensityAt(i%benchSteps, 4, 4)
+		db.Analytics().DensityAt(i%benchSteps, 4, 4)
 	}
 }
 
@@ -132,7 +132,7 @@ func BenchmarkDensitySeriesCached(b *testing.B) {
 	db := newAnalyticsBenchDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.DensitySeries(0, benchSteps-1, 4, 4); err != nil {
+		if _, err := db.Analytics().DensitySeries(0, benchSteps-1, 4, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func BenchmarkStoreAtIndexed(b *testing.B) {
 	db := newAnalyticsBenchDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.At(i % benchSteps)
+		db.Store().At(i % benchSteps)
 	}
 }
 
@@ -169,10 +169,10 @@ func BenchmarkStoreAtIndexed(b *testing.B) {
 func BenchmarkCodeCensusCached(b *testing.B) {
 	db := newAnalyticsBenchDB(b)
 	infected := []int{1, 2, 3, 4, 5}
-	db.CodeCensus(infected, 10, benchSteps-1) // warm
+	db.Analytics().CodeCensus(infected, 10, benchSteps-1) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.CodeCensus(infected, 10, benchSteps-1)
+		db.Analytics().CodeCensus(infected, 10, benchSteps-1)
 	}
 }
 
@@ -186,7 +186,7 @@ func BenchmarkCodeCensusMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Store().Insert(Record{User: i % benchUsers, T: benchSteps - 1, Cell: i % 1024})
-		db.CodeCensus(infected, 10, benchSteps-1)
+		db.Analytics().CodeCensus(infected, 10, benchSteps-1)
 	}
 }
 

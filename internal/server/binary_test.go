@@ -60,8 +60,8 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 		t.Errorf("binary first send: %+v, want accepted=%d replaced=0", br, len(releases))
 	}
 
-	jrecs := srv.db.UserRecords(1)
-	brecs := srv.db.UserRecords(2)
+	jrecs := srv.db.Store().UserRecords(1)
+	brecs := srv.db.Store().UserRecords(2)
 	if len(jrecs) != len(brecs) {
 		t.Fatalf("record counts diverge: json=%d binary=%d", len(jrecs), len(brecs))
 	}
@@ -183,7 +183,7 @@ func TestBinaryStaleAndConsent(t *testing.T) {
 		for _, mode := range []string{"", "?mode=async"} {
 			for _, row := range rows {
 				name := enc.name + mode + " " + row.name
-				stored, queued := srv.db.Len(), srv.Ingest().Stats().Enqueued
+				stored, queued := srv.db.Store().Len(), srv.Ingest().Stats().Enqueued
 				status, e := postRaw(t, base, "/v2/reports"+mode, enc.ct, enc.encode(row.user, row.version, row.releases))
 				want := row.status
 				if want == http.StatusOK && mode != "" {
@@ -199,7 +199,7 @@ func TestBinaryStaleAndConsent(t *testing.T) {
 					waitDrained(t, srv) // settle the store before the next row's snapshot
 					continue
 				}
-				if n, q := srv.db.Len(), srv.Ingest().Stats().Enqueued; n != stored || q != queued {
+				if n, q := srv.db.Store().Len(), srv.Ingest().Stats().Enqueued; n != stored || q != queued {
 					t.Errorf("%s: refused batch changed the store (%d -> %d records) or the queue (%d -> %d enqueued)",
 						name, stored, n, queued, q)
 				}
@@ -207,7 +207,7 @@ func TestBinaryStaleAndConsent(t *testing.T) {
 		}
 	}
 	// Every good send replaces the same (4, 0) record.
-	if n := srv.db.Len(); n != 1 || len(srv.db.UserRecords(4)) != 1 {
+	if n := srv.db.Store().Len(); n != 1 || len(srv.db.Store().UserRecords(4)) != 1 {
 		t.Errorf("store holds %d records, want only user 4's good batch", n)
 	}
 }
@@ -260,7 +260,7 @@ func TestBinaryAsyncIngest(t *testing.T) {
 		t.Fatalf("ack = %+v, want queued=%d sync_fallback=false", ack, len(releases))
 	}
 	waitDrained(t, srv)
-	recs := srv.db.UserRecords(11)
+	recs := srv.db.Store().UserRecords(11)
 	if len(recs) != len(releases) {
 		t.Fatalf("drained records = %d, want %d", len(recs), len(releases))
 	}

@@ -104,6 +104,9 @@ type APIError struct {
 	Node       string        // cluster node named by a node_unavailable routing error
 }
 
+// Error formats the status, wire code and message, as in
+// "server client: 409 stale_policy: …", so a logged error carries the
+// code automation matches on.
 func (e *APIError) Error() string {
 	return fmt.Sprintf("server client: %d %s: %s", e.Status, e.Code, e.Message)
 }

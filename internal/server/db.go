@@ -14,9 +14,21 @@ import (
 // from the storage package.
 type Record = storage.Record
 
-// DB is the released-location database: grid-aware validation over a
-// pluggable Store, with the surveillance analytics delegated to a
-// cached analytics.Engine.
+// HealthCode is the certification level of the health-code service,
+// re-exported from the analytics package.
+type HealthCode = analytics.Code
+
+// Codes, ordered by increasing risk.
+const (
+	CodeGreen  = analytics.CodeGreen
+	CodeYellow = analytics.CodeYellow
+	CodeRed    = analytics.CodeRed
+)
+
+// DB is the released-location database: grid validation over a
+// pluggable Store, plus the cached analytics.Engine over that store.
+// Reads go to Store and aggregate queries to Analytics; DB itself owns
+// only the rule that every stored record is a valid grid cell.
 type DB struct {
 	grid   *geo.Grid
 	store  Store
@@ -52,17 +64,16 @@ func NewDBOn(grid *geo.Grid, store Store) (*DB, error) {
 // Grid returns the database's grid.
 func (db *DB) Grid() *geo.Grid { return db.grid }
 
-// Store returns the underlying record store.
+// Store returns the underlying record store: the read path of every
+// per-user and per-timestep query.
 func (db *DB) Store() Store { return db.store }
 
 // Analytics returns the cached aggregate-query engine over the store.
 func (db *DB) Analytics() *analytics.Engine { return db.engine }
 
-// Len returns the total number of stored records.
-func (db *DB) Len() int { return db.store.Len() }
-
-// MaxT returns the latest timestep of any stored record, -1 if empty.
-func (db *DB) MaxT() int { return db.store.MaxT() }
+// AnalyticsStats returns the engine's cache counters; it is
+// Analytics().Stats().
+func (db *DB) AnalyticsStats() analytics.Stats { return db.engine.Stats() }
 
 // validate checks a record against the grid, snapping its point if Cell
 // is unset (-1), and returns the normalized record.
@@ -77,18 +88,6 @@ func (db *DB) validate(rec Record) (Record, error) {
 		return rec, fmt.Errorf("server: cell %d out of range", rec.Cell)
 	}
 	return rec, nil
-}
-
-// Insert stores a record, snapping its point if Cell is unset (-1). A
-// record for an existing (user, t) pair replaces the older release — the
-// re-send semantics of the contact-tracing protocol.
-func (db *DB) Insert(rec Record) error {
-	rec, err := db.validate(rec)
-	if err != nil {
-		return err
-	}
-	db.store.Insert(rec)
-	return nil
 }
 
 // ValidateBatchInPlace validates every record against the grid,
@@ -113,8 +112,10 @@ func (db *DB) ValidateBatchInPlace(recs []Record) error {
 // InsertBatch validates every record first and then stores them all —
 // the batch-ingest path of POST /v2/reports. The batch is atomic with
 // respect to validation: if any record is invalid, nothing is stored.
-// It returns how many records were new and how many replaced an
-// existing (user, t) release. The caller's slice is left unmodified.
+// A record for an existing (user, t) pair replaces the older release —
+// the re-send semantics of the contact-tracing protocol. It returns how
+// many records were new and how many replaced an existing release. The
+// caller's slice is left unmodified.
 func (db *DB) InsertBatch(recs []Record) (added, replaced int, err error) {
 	normalized := slices.Clone(recs)
 	if err := db.ValidateBatchInPlace(normalized); err != nil {
@@ -122,77 +123,4 @@ func (db *DB) InsertBatch(recs []Record) (added, replaced int, err error) {
 	}
 	added = db.store.InsertBatch(normalized)
 	return added, len(normalized) - added, nil
-}
-
-// UserRecords returns a copy of one user's records in time order.
-func (db *DB) UserRecords(user int) []Record { return db.store.UserRecords(user) }
-
-// UserRecordsAfter returns up to limit of the user's records with
-// T > afterT — the pagination primitive behind GET /v2/records.
-func (db *DB) UserRecordsAfter(user, afterT, limit int) []Record {
-	return db.store.UserRecordsAfter(user, afterT, limit)
-}
-
-// Users returns the IDs of users with at least one record.
-func (db *DB) Users() []int { return db.store.Users() }
-
-// At returns every user's record at timestep t (users without one are
-// skipped), ordered by user ID. Served from the store's timestep index.
-func (db *DB) At(t int) []Record { return db.store.At(t) }
-
-// ScanRange calls fn for every record with t0 <= T <= t1 in ascending T,
-// stopping early if fn returns false — the streaming form of the
-// monitoring read path.
-func (db *DB) ScanRange(t0, t1 int, fn func(Record) bool) {
-	db.store.ScanRange(t0, t1, fn)
-}
-
-// DensityAt returns the number of released locations per blockRows×blockCols
-// region at timestep t — the location-monitoring aggregate ("people's
-// movement between different cities or provinces in a coarse-grained
-// level"). Served from the analytics engine's per-timestep cache.
-func (db *DB) DensityAt(t, blockRows, blockCols int) []int {
-	return db.engine.DensityAt(t, blockRows, blockCols)
-}
-
-// MovementMatrix returns flows[from][to]: how many users moved from region
-// `from` at t1 to region `to` at t2 (users must have records at both).
-func (db *DB) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
-	nr := db.grid.NumRegions(blockRows, blockCols)
-	flows := make([][]int, nr)
-	for i := range flows {
-		flows[i] = make([]int, nr)
-	}
-	at1 := db.At(t1)
-	at2map := make(map[int]Record)
-	for _, r := range db.At(t2) {
-		at2map[r.User] = r
-	}
-	for _, r1 := range at1 {
-		r2, ok := at2map[r1.User]
-		if !ok {
-			continue
-		}
-		from := db.grid.RegionOf(r1.Cell, blockRows, blockCols)
-		to := db.grid.RegionOf(r2.Cell, blockRows, blockCols)
-		flows[from][to]++
-	}
-	return flows
-}
-
-// HealthCode is the certification level of the health-code service,
-// re-exported from the analytics package.
-type HealthCode = analytics.Code
-
-// Codes, ordered by increasing risk.
-const (
-	CodeGreen  = analytics.CodeGreen
-	CodeYellow = analytics.CodeYellow
-	CodeRed    = analytics.CodeRed
-)
-
-// HealthCodeFor certifies a user from their released locations; see
-// analytics.Engine.HealthCodeFor for the window semantics.
-func (db *DB) HealthCodeFor(user int, infected []int, window, now int) HealthCode {
-	return db.engine.HealthCodeFor(user, infected, window, now)
 }

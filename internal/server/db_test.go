@@ -7,29 +7,35 @@ import (
 	"github.com/pglp/panda/internal/geo"
 )
 
+// insert stores one record through DB's validating batch path.
+func insert(db *DB, rec Record) error {
+	_, _, err := db.InsertBatch([]Record{rec})
+	return err
+}
+
 func TestDBInsertAndQuery(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	db := NewDB(grid)
-	if err := db.Insert(Record{User: 1, T: 0, Point: grid.Center(5), Cell: -1}); err != nil {
+	if err := insert(db, Record{User: 1, T: 0, Point: grid.Center(5), Cell: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert(Record{User: 1, T: 1, Point: grid.Center(6), Cell: 6}); err != nil {
+	if err := insert(db, Record{User: 1, T: 1, Point: grid.Center(6), Cell: 6}); err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 2 {
-		t.Errorf("Len = %d", db.Len())
+	if db.Store().Len() != 2 {
+		t.Errorf("Len = %d", db.Store().Len())
 	}
-	rs := db.UserRecords(1)
+	rs := db.Store().UserRecords(1)
 	if len(rs) != 2 || rs[0].Cell != 5 || rs[1].Cell != 6 {
 		t.Errorf("UserRecords = %+v", rs)
 	}
-	if got := db.Users(); len(got) != 1 || got[0] != 1 {
+	if got := db.Store().Users(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("Users = %v", got)
 	}
-	if at := db.At(1); len(at) != 1 || at[0].Cell != 6 {
+	if at := db.Store().At(1); len(at) != 1 || at[0].Cell != 6 {
 		t.Errorf("At(1) = %+v", at)
 	}
-	if at := db.At(9); len(at) != 0 {
+	if at := db.Store().At(9); len(at) != 0 {
 		t.Errorf("At(9) = %+v, want empty", at)
 	}
 }
@@ -37,17 +43,17 @@ func TestDBInsertAndQuery(t *testing.T) {
 func TestDBInsertValidation(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
 	db := NewDB(grid)
-	if err := db.Insert(Record{User: 0, T: -1, Cell: 0}); err == nil {
+	if err := insert(db, Record{User: 0, T: -1, Cell: 0}); err == nil {
 		t.Error("negative t should error")
 	}
-	if err := db.Insert(Record{User: 0, T: 0, Cell: 99}); err == nil {
+	if err := insert(db, Record{User: 0, T: 0, Cell: 99}); err == nil {
 		t.Error("bad cell should error")
 	}
 	// Snap handles out-of-map points by clamping.
-	if err := db.Insert(Record{User: 0, T: 0, Point: geo.Pt(-50, -50), Cell: -1}); err != nil {
+	if err := insert(db, Record{User: 0, T: 0, Point: geo.Pt(-50, -50), Cell: -1}); err != nil {
 		t.Errorf("clamped insert failed: %v", err)
 	}
-	if rs := db.UserRecords(0); rs[0].Cell != 0 {
+	if rs := db.Store().UserRecords(0); rs[0].Cell != 0 {
 		t.Errorf("clamped cell = %d, want 0", rs[0].Cell)
 	}
 }
@@ -55,17 +61,17 @@ func TestDBInsertValidation(t *testing.T) {
 func TestDBReplaceOnResend(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
 	db := NewDB(grid)
-	_ = db.Insert(Record{User: 3, T: 5, Cell: 0, PolicyVersion: 1})
-	_ = db.Insert(Record{User: 3, T: 5, Cell: 2, PolicyVersion: 2})
-	rs := db.UserRecords(3)
+	_ = insert(db, Record{User: 3, T: 5, Cell: 0, PolicyVersion: 1})
+	_ = insert(db, Record{User: 3, T: 5, Cell: 2, PolicyVersion: 2})
+	rs := db.Store().UserRecords(3)
 	if len(rs) != 1 {
 		t.Fatalf("re-send should replace, got %d records", len(rs))
 	}
 	if rs[0].Cell != 2 || rs[0].PolicyVersion != 2 {
 		t.Errorf("record = %+v, want updated release", rs[0])
 	}
-	if db.Len() != 1 {
-		t.Errorf("Len = %d, want 1", db.Len())
+	if db.Store().Len() != 1 {
+		t.Errorf("Len = %d, want 1", db.Store().Len())
 	}
 }
 
@@ -73,9 +79,9 @@ func TestDBRecordsSortedByTime(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
 	db := NewDB(grid)
 	for _, ti := range []int{5, 1, 3, 0, 4, 2} {
-		_ = db.Insert(Record{User: 0, T: ti, Cell: ti % 4})
+		_ = insert(db, Record{User: 0, T: ti, Cell: ti % 4})
 	}
-	rs := db.UserRecords(0)
+	rs := db.Store().UserRecords(0)
 	for i := 1; i < len(rs); i++ {
 		if rs[i].T <= rs[i-1].T {
 			t.Fatalf("records not sorted: %+v", rs)
@@ -87,11 +93,11 @@ func TestDensityAt(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	db := NewDB(grid)
 	// Three users in region 0 (top-left 2x2), one in region 3.
-	_ = db.Insert(Record{User: 0, T: 0, Cell: 0})
-	_ = db.Insert(Record{User: 1, T: 0, Cell: 1})
-	_ = db.Insert(Record{User: 2, T: 0, Cell: 5})
-	_ = db.Insert(Record{User: 3, T: 0, Cell: 15})
-	counts := db.DensityAt(0, 2, 2)
+	_ = insert(db, Record{User: 0, T: 0, Cell: 0})
+	_ = insert(db, Record{User: 1, T: 0, Cell: 1})
+	_ = insert(db, Record{User: 2, T: 0, Cell: 5})
+	_ = insert(db, Record{User: 3, T: 0, Cell: 15})
+	counts := db.Analytics().DensityAt(0, 2, 2)
 	if len(counts) != 4 {
 		t.Fatalf("regions = %d", len(counts))
 	}
@@ -105,12 +111,12 @@ func TestMovementMatrix(t *testing.T) {
 	db := NewDB(grid)
 	// User 0 moves region 0 → region 3; user 1 stays in region 0;
 	// user 2 has no second record.
-	_ = db.Insert(Record{User: 0, T: 0, Cell: 0})
-	_ = db.Insert(Record{User: 0, T: 1, Cell: 15})
-	_ = db.Insert(Record{User: 1, T: 0, Cell: 1})
-	_ = db.Insert(Record{User: 1, T: 1, Cell: 4})
-	_ = db.Insert(Record{User: 2, T: 0, Cell: 2})
-	flows := db.MovementMatrix(0, 1, 2, 2)
+	_ = insert(db, Record{User: 0, T: 0, Cell: 0})
+	_ = insert(db, Record{User: 0, T: 1, Cell: 15})
+	_ = insert(db, Record{User: 1, T: 0, Cell: 1})
+	_ = insert(db, Record{User: 1, T: 1, Cell: 4})
+	_ = insert(db, Record{User: 2, T: 0, Cell: 2})
+	flows := db.Analytics().MovementMatrix(0, 1, 2, 2)
 	if flows[0][3] != 1 {
 		t.Errorf("flow 0→3 = %d, want 1", flows[0][3])
 	}
@@ -132,25 +138,25 @@ func TestHealthCodeFor(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	db := NewDB(grid)
 	infected := []int{5, 6}
-	_ = db.Insert(Record{User: 0, T: 0, Cell: 0})
-	if code := db.HealthCodeFor(0, infected, 0, -1); code != CodeGreen {
+	_ = insert(db, Record{User: 0, T: 0, Cell: 0})
+	if code := db.Analytics().HealthCodeFor(0, infected, 0, -1); code != CodeGreen {
 		t.Errorf("code = %v, want green", code)
 	}
-	_ = db.Insert(Record{User: 0, T: 1, Cell: 5})
-	if code := db.HealthCodeFor(0, infected, 0, -1); code != CodeYellow {
+	_ = insert(db, Record{User: 0, T: 1, Cell: 5})
+	if code := db.Analytics().HealthCodeFor(0, infected, 0, -1); code != CodeYellow {
 		t.Errorf("code = %v, want yellow", code)
 	}
-	_ = db.Insert(Record{User: 0, T: 2, Cell: 6})
-	if code := db.HealthCodeFor(0, infected, 0, -1); code != CodeRed {
+	_ = insert(db, Record{User: 0, T: 2, Cell: 6})
+	if code := db.Analytics().HealthCodeFor(0, infected, 0, -1); code != CodeRed {
 		t.Errorf("code = %v, want red", code)
 	}
 	// Windowing: only the visit at t=2 counts in a window of 1 anchored
 	// at the latest timestep.
-	if code := db.HealthCodeFor(0, infected, 1, -1); code != CodeYellow {
+	if code := db.Analytics().HealthCodeFor(0, infected, 1, -1); code != CodeYellow {
 		t.Errorf("windowed code = %v, want yellow", code)
 	}
 	// Unknown user is green.
-	if code := db.HealthCodeFor(42, infected, 0, -1); code != CodeGreen {
+	if code := db.Analytics().HealthCodeFor(42, infected, 0, -1); code != CodeGreen {
 		t.Errorf("unknown user code = %v", code)
 	}
 }
@@ -160,26 +166,26 @@ func TestHealthCodeWindowAnchoredAtNow(t *testing.T) {
 	db := NewDB(grid)
 	infected := []int{5}
 	// User 0 visited an infected place at t=2 and then stopped reporting.
-	_ = db.Insert(Record{User: 0, T: 2, Cell: 5})
+	_ = insert(db, Record{User: 0, T: 2, Cell: 5})
 	// While the visit is inside the window, it counts.
-	if code := db.HealthCodeFor(0, infected, 14, 10); code != CodeYellow {
+	if code := db.Analytics().HealthCodeFor(0, infected, 14, 10); code != CodeYellow {
 		t.Errorf("code at now=10 = %v, want yellow", code)
 	}
 	// Long after the visit, an explicit clock ages it out — the window
 	// must not stay anchored at the user's own last record.
-	if code := db.HealthCodeFor(0, infected, 14, 30); code != CodeGreen {
+	if code := db.Analytics().HealthCodeFor(0, infected, 14, 30); code != CodeGreen {
 		t.Errorf("code at now=30 = %v, want green (visit aged out)", code)
 	}
 	// Another user keeps reporting, advancing the DB's latest timestep;
 	// the default clock (now < 0) then ages user 0 out too.
-	_ = db.Insert(Record{User: 1, T: 30, Cell: 0})
-	if code := db.HealthCodeFor(0, infected, 14, -1); code != CodeGreen {
+	_ = insert(db, Record{User: 1, T: 30, Cell: 0})
+	if code := db.Analytics().HealthCodeFor(0, infected, 14, -1); code != CodeGreen {
 		t.Errorf("code at default now = %v, want green", code)
 	}
 	// A visit after the anchor must not count either: the window is
 	// (now-window, now], so a historical query never sees the future.
-	_ = db.Insert(Record{User: 0, T: 40, Cell: 5})
-	if code := db.HealthCodeFor(0, infected, 14, 10); code != CodeYellow {
+	_ = insert(db, Record{User: 0, T: 40, Cell: 5})
+	if code := db.Analytics().HealthCodeFor(0, infected, 14, 10); code != CodeYellow {
 		t.Errorf("code at now=10 with future visit = %v, want yellow (only the t=2 visit)", code)
 	}
 }
@@ -193,14 +199,14 @@ func TestDBConcurrent(t *testing.T) {
 		go func(user int) {
 			defer wg.Done()
 			for ti := 0; ti < 100; ti++ {
-				_ = db.Insert(Record{User: user, T: ti, Cell: (user + ti) % 64})
-				db.At(ti % 10)
-				db.DensityAt(ti%10, 4, 4)
+				_ = insert(db, Record{User: user, T: ti, Cell: (user + ti) % 64})
+				db.Store().At(ti % 10)
+				db.Analytics().DensityAt(ti%10, 4, 4)
 			}
 		}(u)
 	}
 	wg.Wait()
-	if db.Len() != 800 {
-		t.Errorf("Len = %d, want 800", db.Len())
+	if db.Store().Len() != 800 {
+		t.Errorf("Len = %d, want 800", db.Store().Len())
 	}
 }

@@ -36,14 +36,10 @@ type Options struct {
 	// GOMAXPROCS. Only meaningful with AsyncIngest.
 	IngestWorkers int
 	// IngestQueueDepth bounds the queue in records; <= 0 uses
-	// ingest.DefaultQueueDepth. Only meaningful with AsyncIngest.
+	// ingest.DefaultQueueDepth. Only meaningful with AsyncIngest. Half
+	// of it is each user's pending budget, the fairness bound that keeps
+	// a hot client from starving everyone else into 429s.
 	IngestQueueDepth int
-	// IngestMaxUserPending bounds one user's un-applied records in the
-	// queue — the fairness budget that keeps a hot client from starving
-	// everyone else into 429s. 0 defaults to half the queue depth;
-	// negative disables per-user accounting. Only meaningful with
-	// AsyncIngest.
-	IngestMaxUserPending int
 }
 
 // NewServer wires a database and a policy manager with async ingest
@@ -66,13 +62,6 @@ func NewServerOpts(db *DB, mgr *policy.Manager, o Options) (*Server, error) {
 		if depth <= 0 {
 			depth = ingest.DefaultQueueDepth
 		}
-		userCap := o.IngestMaxUserPending
-		switch {
-		case userCap == 0:
-			userCap = depth / 2
-		case userCap < 0:
-			userCap = 0
-		}
 		// Stripe-pin the drain workers when the store exposes its shard
 		// fan-out (sharded memory store, striped WAL): coalesced batches
 		// then stay within each worker's stripe subset.
@@ -84,7 +73,7 @@ func NewServerOpts(db *DB, mgr *policy.Manager, o Options) (*Server, error) {
 			Workers:        o.IngestWorkers,
 			QueueDepth:     depth,
 			Shards:         shards,
-			MaxUserPending: userCap,
+			MaxUserPending: depth / 2,
 		})
 		if err != nil {
 			return nil, err
@@ -109,10 +98,6 @@ func (s *Server) DrainIngest(ctx context.Context) error {
 	}
 	return s.queue.Close(ctx)
 }
-
-// DB exposes the underlying database (the apps query it directly when
-// embedded in-process).
-func (s *Server) DB() *DB { return s.db }
 
 // Handler returns the HTTP routing for the server. Every response —
 // success or error — is a struct from the wire package; errors are the

@@ -81,7 +81,7 @@ func TestV1ConsentRejection(t *testing.T) {
 	if status != http.StatusForbidden || e.Code != wire.CodeConsent {
 		t.Errorf("non-consenting report: status=%d code=%q, want 403 %q", status, e.Code, wire.CodeConsent)
 	}
-	if recs := srv.db.UserRecords(7); len(recs) != 0 {
+	if recs := srv.db.Store().UserRecords(7); len(recs) != 0 {
 		t.Errorf("non-consenting report stored %d records", len(recs))
 	}
 }
@@ -124,8 +124,8 @@ func TestV1DensityAndCensus(t *testing.T) {
 	srv, client, grid, done := newTestServer(t)
 	defer done()
 	base := client.baseURL()
-	_ = srv.db.Insert(Record{User: 0, T: 0, Point: grid.Center(0), Cell: -1})
-	_ = srv.db.Insert(Record{User: 1, T: 0, Point: grid.Center(1), Cell: -1})
+	_ = insert(srv.db, Record{User: 0, T: 0, Point: grid.Center(0), Cell: -1})
+	_ = insert(srv.db, Record{User: 1, T: 0, Point: grid.Center(1), Cell: -1})
 	var density wire.DensityResponse
 	if status := getJSON(t, base, "/v2/density?t=0&block_rows=2&block_cols=2", &density); status != http.StatusOK {
 		t.Fatalf("density status = %d", status)

@@ -313,8 +313,8 @@ func (s *Server) enqueueReport(w http.ResponseWriter, recs []Record, policyVersi
 func (s *Server) handleV2Healthz(w http.ResponseWriter, r *http.Request) {
 	resp := wire.HealthzResponse{
 		Status:  "ok",
-		Records: s.db.Len(),
-		MaxT:    s.db.MaxT(),
+		Records: s.db.Store().Len(),
+		MaxT:    s.db.Store().MaxT(),
 		Epoch:   s.db.Store().Epoch(),
 	}
 	if ws, ok := s.db.Store().(*wal.Store); ok {
@@ -363,7 +363,7 @@ func (s *Server) handleV2IngestStats(w http.ResponseWriter, r *http.Request) {
 // (cumulative hits/misses plus live entry counts). Like the ingest
 // stats, it is a pure counter read — cheap enough to poll.
 func (s *Server) handleV2AnalyticsStats(w http.ResponseWriter, r *http.Request) {
-	st := s.db.AnalyticsStats()
+	st := s.db.Analytics().Stats()
 	writeJSON(w, wire.AnalyticsStatsResponse{
 		Hits:            st.Hits,
 		Misses:          st.Misses,
@@ -397,7 +397,7 @@ func (s *Server) handleV2Records(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Fetch one extra record to learn whether another page exists.
-	recs := s.db.UserRecordsAfter(user, afterT, limit+1)
+	recs := s.db.Store().UserRecordsAfter(user, afterT, limit+1)
 	page := wire.RecordsPage{Records: make([]wire.Record, 0, min(len(recs), limit))}
 	more := len(recs) > limit
 	if more {
@@ -453,9 +453,9 @@ func (s *Server) handleV2HealthCode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if now < 0 {
-		now = s.db.MaxT()
+		now = s.db.Store().MaxT()
 	}
-	code := s.db.HealthCodeFor(user, s.mgr.InfectedCells(), window, now)
+	code := s.db.Analytics().HealthCodeFor(user, s.mgr.InfectedCells(), window, now)
 	writeJSON(w, wire.HealthCodeResponse{User: user, Code: string(code), Window: window, Now: now})
 }
 
@@ -475,7 +475,7 @@ func (s *Server) handleV2Density(w http.ResponseWriter, r *http.Request) {
 	// a client comparing Gens can only over-refresh, never trust stale
 	// data (the same ordering rule the engine's cache uses).
 	gen := s.db.Store().Gen(t)
-	writeJSON(w, wire.DensityResponse{T: t, Counts: s.db.DensityAt(t, br, bc), Gen: gen})
+	writeJSON(w, wire.DensityResponse{T: t, Counts: s.db.Analytics().DensityAt(t, br, bc), Gen: gen})
 }
 
 func (s *Server) handleV2DensitySeries(w http.ResponseWriter, r *http.Request) {
@@ -490,7 +490,7 @@ func (s *Server) handleV2DensitySeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch := s.db.Store().Epoch() // before the compute: see handleV2Density
-	series, err := s.db.DensitySeries(t0, t1, br, bc)
+	series, err := s.db.Analytics().DensitySeries(t0, t1, br, bc)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -505,7 +505,7 @@ func (s *Server) handleV2Exposure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch := s.db.Store().Epoch() // before the compute: see handleV2Density
-	series, err := s.db.InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
+	series, err := s.db.Analytics().InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -525,10 +525,10 @@ func (s *Server) handleV2Census(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if now < 0 {
-		now = s.db.MaxT()
+		now = s.db.Store().MaxT()
 	}
 	epoch := s.db.Store().Epoch() // before the compute: see handleV2Density
-	census := s.db.CodeCensus(s.mgr.InfectedCells(), window, now)
+	census := s.db.Analytics().CodeCensus(s.mgr.InfectedCells(), window, now)
 	out := make(map[string]int, len(census))
 	for code, n := range census {
 		out[string(code)] = n

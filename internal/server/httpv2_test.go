@@ -114,7 +114,7 @@ func TestV2HealthCodeExplicitNow(t *testing.T) {
 	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.db.Insert(Record{User: 2, T: 2, Point: grid.Center(5), Cell: -1}); err != nil {
+	if err := insert(srv.db, Record{User: 2, T: 2, Point: grid.Center(5), Cell: -1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -165,7 +165,7 @@ func TestV2BodyLimit(t *testing.T) {
 			t.Errorf("%s: status=%d code=%q (%s), want 413 %q", tc.path, rec.Code, e.Code, e.Error, wire.CodeBadRequest)
 		}
 	}
-	if n := srv.db.Len(); n != 0 {
+	if n := srv.db.Store().Len(); n != 0 {
 		t.Errorf("%d records stored from an oversized body, want 0", n)
 	}
 	if cells := srv.mgr.InfectedCells(); len(cells) != 0 {
@@ -283,7 +283,7 @@ func TestV2BatchAtomicValidation(t *testing.T) {
 	if status != http.StatusBadRequest || e.Code != wire.CodeBadRequest {
 		t.Fatalf("status=%d code=%q, want 400 bad_request", status, e.Code)
 	}
-	if n := len(srv.db.UserRecords(4)); n != 0 {
+	if n := len(srv.db.Store().UserRecords(4)); n != 0 {
 		t.Errorf("%d records stored from an invalid batch, want 0 (atomic)", n)
 	}
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,7 +76,7 @@ func Manifest(dir string) (stripes int, ok bool, err error) {
 // MANIFEST, and the next Open lays the directory out again.
 func writeManifest(dir string, stripes int) error {
 	body := fmt.Sprintf("panda-wal-manifest v%d\nstripes %d\n", manifestVersion, stripes)
-	return storage.WriteFileAtomic(dir, manifestName, []byte(body))
+	return storage.WriteFileAtomic(dir, manifestName, func(w io.Writer) error { _, err := io.WriteString(w, body); return err })
 }
 
 // stripeDirName formats the subdirectory of stripe i.

@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -590,44 +590,20 @@ func (s *Store) compactStripe(st *stripe) error {
 	// Snapshot: scan the stripe's memory shard (consistent view,
 	// concurrent with new appends) into a temp file, then atomically
 	// replace.
-	tmpPath := filepath.Join(st.dir, snapshotName+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	if _, err := w.Write(fileHeader()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	var frame []byte
-	var writeErr error
-	s.mem.ScanShard(st.idx, func(rec storage.Record) bool {
-		frame = appendFrame(frame[:0], rec)
-		if _, err := w.Write(frame); err != nil {
-			writeErr = err
-			return false
+	err := storage.WriteFileAtomic(st.dir, snapshotName, func(w io.Writer) error {
+		if _, err := w.Write(fileHeader()); err != nil {
+			return err
 		}
-		return true
+		var frame []byte
+		var writeErr error
+		s.mem.ScanShard(st.idx, func(rec storage.Record) bool {
+			frame = appendFrame(frame[:0], rec)
+			_, writeErr = w.Write(frame)
+			return writeErr == nil
+		})
+		return writeErr
 	})
-	if writeErr == nil {
-		writeErr = w.Flush()
-	}
-	if writeErr == nil {
-		writeErr = tmp.Sync()
-	}
-	if closeErr := tmp.Close(); writeErr == nil {
-		writeErr = closeErr
-	}
-	if writeErr != nil {
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("wal: compact: %w", writeErr)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(st.dir, snapshotName)); err != nil {
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := storage.SyncDir(st.dir); err != nil {
+	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 

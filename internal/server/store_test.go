@@ -143,8 +143,8 @@ func TestDBInsertBatchAtomicValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("invalid batch should error")
 	}
-	if db.Len() != 0 {
-		t.Errorf("Len = %d after failed batch, want 0", db.Len())
+	if db.Store().Len() != 0 {
+		t.Errorf("Len = %d after failed batch, want 0", db.Store().Len())
 	}
 	batch := []Record{
 		{User: 1, T: 0, Cell: 0},
@@ -162,10 +162,10 @@ func TestDBInsertBatchAtomicValidation(t *testing.T) {
 	if !slices.Equal(batch, in) {
 		t.Errorf("InsertBatch modified the caller's slice: %+v, want %+v", batch, in)
 	}
-	if rs := db.UserRecords(2); len(rs) != 1 || rs[0].Cell != 2 {
+	if rs := db.Store().UserRecords(2); len(rs) != 1 || rs[0].Cell != 2 {
 		t.Errorf("user 2 records = %+v, want its point snapped to cell 2", rs)
 	}
-	if rs := db.UserRecords(1); len(rs) != 1 || rs[0].Cell != 1 {
+	if rs := db.Store().UserRecords(1); len(rs) != 1 || rs[0].Cell != 1 {
 		t.Errorf("user 1 records = %+v, want single record at cell 1", rs)
 	}
 }
@@ -183,10 +183,10 @@ func TestNewDBOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert(Record{User: 0, T: 0, Cell: 1}); err != nil {
+	if err := insert(db, Record{User: 0, T: 0, Cell: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 1 {
-		t.Errorf("Len = %d", db.Len())
+	if db.Store().Len() != 1 {
+		t.Errorf("Len = %d", db.Store().Len())
 	}
 }

@@ -140,7 +140,6 @@ type System struct {
 	db        *server.DB
 	srv       *server.Server
 	store     *wal.Store // nil unless Options.DataDir was set
-	eps       float64
 	winSteps  int
 	winBudget float64
 }
@@ -195,7 +194,7 @@ func NewSystem(o Options) (*System, error) {
 		return nil, err
 	}
 	return &System{
-		grid: grid, mgr: mgr, db: db, srv: srv, store: store, eps: o.Epsilon,
+		grid: grid, mgr: mgr, db: db, srv: srv, store: store,
 		winSteps: o.WindowSteps, winBudget: o.WindowEpsilon,
 	}, nil
 }
@@ -203,10 +202,14 @@ func NewSystem(o Options) (*System, error) {
 // Close shuts the system down in dependency order: the async ingest
 // queue (Options.AsyncIngest) is drained first — every acknowledged
 // batch is applied — and then the persistent store (Options.DataDir),
-// if any, is flushed and closed. It is a no-op for memory-only systems
-// without async ingest. The system must not be used afterwards.
-func (s *System) Close() error {
-	drainErr := s.srv.DrainIngest(context.Background())
+// if any, is flushed and closed. ctx bounds the drain only: if it
+// expires first, the queued remainder is dropped and ctx's error is
+// returned, but the store is still closed. Pass context.Background()
+// to wait for a full drain. It is a no-op for memory-only systems
+// without async ingest, and a second Close returns the first one's
+// store error. The system must not be used afterwards.
+func (s *System) Close(ctx context.Context) error {
+	drainErr := s.srv.DrainIngest(ctx)
 	if s.store == nil {
 		return drainErr
 	}
@@ -224,6 +227,30 @@ func (s *System) IngestStats() (ingest.Stats, bool) {
 		return ingest.Stats{}, false
 	}
 	return q.Stats(), true
+}
+
+// StoreStats returns the durable store's counters (live records,
+// stripes, compactions, a torn tail dropped at open, the last
+// compaction failure) and true, or a zero value and false when the
+// system is memory-only (no Options.DataDir). It stays readable after
+// Close.
+func (s *System) StoreStats() (wal.Stats, bool) {
+	if s.store == nil {
+		return wal.Stats{}, false
+	}
+	return s.store.Stats(), true
+}
+
+// Err returns the durable store's first append failure (disk full, an
+// I/O error), or nil while every write reached the log and always for
+// a memory-only system. The failure is sticky: once it is non-nil, the
+// system keeps serving memory but stored reports are no longer durable,
+// so a server must stop acknowledging writes.
+func (s *System) Err() error {
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Err()
 }
 
 // NumCells returns the number of locations on the map.
@@ -252,12 +279,14 @@ func (s *System) InfectedCells() []int { return s.mgr.InfectedCells() }
 // DensityAt returns released-location counts per coarse region at
 // timestep t — the location-monitoring aggregate.
 func (s *System) DensityAt(t, blockRows, blockCols int) []int {
-	return s.db.DensityAt(t, blockRows, blockCols)
+	return s.db.Analytics().DensityAt(t, blockRows, blockCols)
 }
 
-// MovementMatrix returns region-to-region flows between two timesteps.
+// MovementMatrix returns region-to-region flows between two timesteps:
+// flows[from][to] counts the users in region `from` at t1 and region
+// `to` at t2.
 func (s *System) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
-	return s.db.MovementMatrix(t1, t2, blockRows, blockCols)
+	return s.db.Analytics().MovementMatrix(t1, t2, blockRows, blockCols)
 }
 
 // HealthCodeFor certifies a user from their released locations within
@@ -267,7 +296,7 @@ func (s *System) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
 // who stopped reporting ages out of the window instead of keeping an
 // eternally fresh certificate.
 func (s *System) HealthCodeFor(user, window, now int) HealthCode {
-	return s.db.HealthCodeFor(user, s.mgr.InfectedCells(), window, now)
+	return s.db.Analytics().HealthCodeFor(user, s.mgr.InfectedCells(), window, now)
 }
 
 // PolicyVersion returns a user's current policy version.
@@ -275,14 +304,14 @@ func (s *System) PolicyVersion(user int) int { return s.mgr.Version(user) }
 
 // DensitySeries returns per-region counts for each timestep in [t0, t1].
 func (s *System) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
-	return s.db.DensitySeries(t0, t1, blockRows, blockCols)
+	return s.db.Analytics().DensitySeries(t0, t1, blockRows, blockCols)
 }
 
 // ExposureSeries returns, per timestep in [t0, t1], how many users
 // reported a location in an infected place — the incidence proxy computed
 // on released data only.
 func (s *System) ExposureSeries(t0, t1 int) ([]int, error) {
-	return s.db.InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
+	return s.db.Analytics().InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
 }
 
 // HealthCodeCensus tallies the code HealthCodeFor gives every known
@@ -292,11 +321,11 @@ func (s *System) ExposureSeries(t0, t1 int) ([]int, error) {
 // stored timesteps. It is cached until the next write, since any write
 // can add a user and so move the green count.
 func (s *System) HealthCodeCensus(window, now int) map[HealthCode]int {
-	return s.db.CodeCensus(s.mgr.InfectedCells(), window, now)
+	return s.db.Analytics().CodeCensus(s.mgr.InfectedCells(), window, now)
 }
 
 // Records returns a user's stored releases in time order.
-func (s *System) Records(user int) []server.Record { return s.db.UserRecords(user) }
+func (s *System) Records(user int) []server.Record { return s.db.Store().UserRecords(user) }
 
 // Release is one released location.
 type Release struct {

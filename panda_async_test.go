@@ -1,6 +1,7 @@
 package panda
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestAsyncIngestFacade(t *testing.T) {
 	ts.Close()
 
 	// Close drains the queue, then flushes and closes the WAL.
-	if err := sys.Close(); err != nil {
+	if err := sys.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	st, _ := sys.IngestStats()
@@ -59,7 +60,7 @@ func TestAsyncIngestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys2.Close()
+	defer sys2.Close(context.Background())
 	for u := 0; u < users; u++ {
 		if got := len(sys2.Records(u)); got != steps {
 			t.Fatalf("user %d: %d durable records after reopen, want %d", u, got, steps)
@@ -74,7 +75,7 @@ func TestMemoryOnlyAsyncClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Close(); err != nil {
+	if err := sys.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if _, ok := sys.IngestStats(); !ok {
@@ -88,7 +89,7 @@ func TestIngestStatsDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	defer sys.Close(context.Background())
 	if _, ok := sys.IngestStats(); ok {
 		t.Fatal("IngestStats reports a queue without AsyncIngest")
 	}

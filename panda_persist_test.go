@@ -1,6 +1,7 @@
 package panda
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func testSystemDataDirRestart(t *testing.T, fsync bool) {
 			t.Fatalf("stored %d records, want %d", len(want), len(cells))
 		}
 		wantDensity := sys.DensityAt(2, 4, 4)
-		if err := sys.Close(); err != nil {
+		if err := sys.Close(context.Background()); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
 
@@ -65,7 +66,7 @@ func testSystemDataDirRestart(t *testing.T, fsync bool) {
 				t.Fatalf("fsync=%v: density[%d] = %d after restart, want %d", fsync, i, gotDensity[i], wantDensity[i])
 			}
 		}
-		if err := back.Close(); err != nil {
+		if err := back.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 
@@ -79,7 +80,7 @@ func testSystemDataDirRestart(t *testing.T, fsync bool) {
 		if got := adopted.Records(1); len(got) != len(want) {
 			t.Fatalf("fsync=%v: %d records via adopted reopen, want %d", fsync, len(got), len(want))
 		}
-		if err := adopted.Close(); err != nil {
+		if err := adopted.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +106,7 @@ func TestSystemForeignLayoutRefused(t *testing.T) {
 	}
 	sys, err := NewSystem(Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2, DataDir: dir})
 	if err == nil {
-		sys.Close()
+		sys.Close(context.Background())
 		t.Fatal("NewSystem opened a kv data dir")
 	}
 	if msg := err.Error(); !strings.Contains(msg, "kv store") || strings.Contains(strings.ToLower(msg), "backend") {
@@ -132,10 +133,10 @@ func TestSystemCloseWithoutDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Close(); err != nil {
+	if err := sys.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Close(); err != nil {
+	if err := sys.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,10 +6,12 @@
 #     .go file; by convention it lives in doc.go);
 #  2. every exported symbol of the storage packages (the crash-safety
 #     surface: internal/server/storage and its wal and storagetest
-#     subpackages), the lint packages, and the wire and ingest packages
-#     (the report path's contracts) has a doc comment — exported funcs,
-#     types, and methods on exported receivers must state their
-#     contract, because callers reason from godoc, not from the source.
+#     subpackages), the lint packages, the wire and ingest packages
+#     (the report path's contracts), and the node's public surface (the
+#     root panda facade, internal/server and internal/server/analytics)
+#     has a doc comment — exported funcs, types, and methods on
+#     exported receivers must state their contract, because callers
+#     reason from godoc, not from the source.
 #
 # Run from the repository root:  ./scripts/check-docs.sh
 set -eu
@@ -50,7 +52,9 @@ echo "doc check: every internal package has a package comment"
 # an analyzer whose contract is undocumented cannot be trusted or
 # extended, see internal/lint/README.md), and the wire and ingest
 # packages (the contracts of POST /v2/reports: the body encodings, the
-# envelope, the ingest queue). A decl line counts as
+# envelope, the ingest queue), and the node's public surface (the panda
+# facade that builds and stops a node, the DB, handlers and client of
+# internal/server, and the analytics engine). A decl line counts as
 # documented when the line above it is a // comment. Checked: top-level
 # `func Name`, `type Name`, and `func (r *Recv) Name` where the
 # receiver type is exported; methods on unexported types are internal
@@ -58,7 +62,8 @@ echo "doc check: every internal package has a package comment"
 lint_pkgs="internal/lint $(find internal/lint -mindepth 1 -maxdepth 1 -type d | sort)"
 storage_pkgs="internal/server/storage internal/server/storage/wal internal/server/storage/storagetest"
 report_pkgs="internal/server/wire internal/server/ingest"
-for dir in $storage_pkgs $lint_pkgs $report_pkgs; do
+node_pkgs=". internal/server internal/server/analytics"
+for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs; do
     for f in "$dir"/*.go; do
         [ -e "$f" ] || continue
         case "$f" in *_test.go) continue ;; esac
@@ -86,7 +91,7 @@ for dir in $storage_pkgs $lint_pkgs $report_pkgs; do
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "doc check failed: exported storage/lint/wire/ingest symbols need doc comments stating their contract" >&2
+    echo "doc check failed: exported storage/lint/wire/ingest/node symbols need doc comments stating their contract" >&2
     exit 1
 fi
-echo "doc check: every exported storage, lint, wire and ingest symbol has a doc comment"
+echo "doc check: every exported storage, lint, wire, ingest and node symbol has a doc comment"
