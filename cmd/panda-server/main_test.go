@@ -225,9 +225,9 @@ func TestMemoryOnlyStillWorks(t *testing.T) {
 
 // TestBadFlags pins run's error paths so misconfiguration fails fast.
 // An undefined flag such as -backend fails at flag parsing, before any
-// I/O.
+// I/O. A flag set that run wrongly accepts serves until its context's
+// deadline and then returns nil, so the row fails instead of hanging.
 func TestBadFlags(t *testing.T) {
-	ctx := context.Background()
 	dataDir := filepath.Join(t.TempDir(), "data")
 	for _, args := range [][]string{
 		{"-rows", "0"},
@@ -236,8 +236,12 @@ func TestBadFlags(t *testing.T) {
 		{"-policy", "analysis", "-block", "-2"},
 		{"-addr", "not-an-address"},
 		{"-backend", "kv", "-data-dir", dataDir},
+		{"-addr", "127.0.0.1:0", "-eps", "NaN"},
 	} {
-		if err := run(ctx, args, nil); err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := run(ctx, args, nil)
+		cancel()
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}

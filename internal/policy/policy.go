@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -43,8 +44,11 @@ type UserPolicy struct {
 	// Graph may be shared between users (every user on the default
 	// policy holds the same graph), so treat it as read-only.
 	Graph *policygraph.Graph
-	// GraphJSON is Graph's JSON encoding, computed once per graph and
-	// shared like it; read-only as well.
+	// GraphJSON is the compact output of json.Marshal(Graph), computed
+	// once per graph and shared like it; read-only as well. Only the
+	// manager's encodeGraph sets it. The server writes it into responses
+	// as is, without validating or compacting it, so it must stay
+	// exactly what json.Marshal produced.
 	GraphJSON json.RawMessage
 	Epsilon   float64
 	Version   int  // bumped on every change; triggers client re-sends
@@ -65,6 +69,15 @@ func encodeGraph(g *policygraph.Graph) encodedGraph {
 		panic(fmt.Sprintf("policy: encoding graph: %v", err))
 	}
 	return encodedGraph{graph: g, json: b}
+}
+
+// checkEpsilon refuses an ε that is not a positive finite number, as
+// core.Policy.Validate does; NaN and +Inf pass an eps <= 0 test alone.
+func checkEpsilon(eps float64) error {
+	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return fmt.Errorf("policy: epsilon must be positive and finite, got %v", eps)
+	}
+	return nil
 }
 
 // Manager holds per-user policies. It is safe for concurrent use — the
@@ -93,8 +106,8 @@ func NewManager(grid *geo.Grid, defaultGraph *policygraph.Graph, eps float64) (*
 		return nil, fmt.Errorf("policy: graph over %d nodes, grid has %d cells",
 			defaultGraph.NumNodes(), grid.NumCells())
 	}
-	if eps <= 0 {
-		return nil, fmt.Errorf("policy: epsilon must be positive, got %v", eps)
+	if err := checkEpsilon(eps); err != nil {
+		return nil, err
 	}
 	return &Manager{
 		grid:         grid,
@@ -140,8 +153,8 @@ func (m *Manager) Set(user int, g *policygraph.Graph, eps float64) error {
 	if g == nil || g.NumNodes() != m.grid.NumCells() {
 		return fmt.Errorf("policy: invalid graph for user %d", user)
 	}
-	if eps <= 0 {
-		return fmt.Errorf("policy: epsilon must be positive, got %v", eps)
+	if err := checkEpsilon(eps); err != nil {
+		return err
 	}
 	enc := encodeGraph(g)
 	m.mu.Lock()

@@ -3,6 +3,7 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -45,6 +46,18 @@ func TestManagerValidation(t *testing.T) {
 	}
 	if _, err := NewManager(grid, g, 0); err == nil {
 		t.Error("zero eps should error")
+	}
+	m, err := NewManager(grid, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewManager(grid, g, eps); err == nil {
+			t.Errorf("NewManager accepted eps %v", eps)
+		}
+		if err := m.Set(1, g, eps); err == nil {
+			t.Errorf("Set accepted eps %v", eps)
+		}
 	}
 }
 

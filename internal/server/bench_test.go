@@ -1,6 +1,8 @@
 package server
 
 import (
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -14,25 +16,37 @@ import (
 // whole history of 10k releases.
 const benchReleases = 10_000
 
-func newBenchServer(b *testing.B, shards int) (*Client, *geo.Grid, func()) {
-	b.Helper()
-	grid := geo.MustGrid(32, 32, 1)
+// newBenchServer serves a 32x32 grid under the G1 baseline policy over
+// loopback, to a client on the server's own transport. dials counts the
+// connections the server accepted. At this size a policy body is about
+// 38 KB, well over the 2 KB below which net/http sets Content-Length
+// itself.
+func newBenchServer(tb testing.TB, shards int) (client *Client, grid *geo.Grid, dials *atomic.Int64, done func()) {
+	tb.Helper()
+	grid = geo.MustGrid(32, 32, 1)
 	mgr, err := policy.NewManager(grid, policy.Baseline(grid), 1.0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := NewServer(NewShardedDB(grid, shards), mgr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	return NewClient(ts.URL, ts.Client()), grid, ts.Close
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	dials = new(atomic.Int64)
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	return NewClient(ts.URL, ts.Client()), grid, dials, ts.Close
 }
 
 // BenchmarkV2BatchReports ingests 10k releases as one POST /v2/reports
 // batch — the whole-history re-send in one round trip.
 func BenchmarkV2BatchReports(b *testing.B) {
-	client, grid, done := newBenchServer(b, 1)
+	client, grid, _, done := newBenchServer(b, 1)
 	defer done()
 	releases := make([]wire.Release, benchReleases)
 	for i := range releases {
@@ -46,6 +60,22 @@ func BenchmarkV2BatchReports(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(benchReleases*b.N)/b.Elapsed().Seconds(), "releases/sec")
+}
+
+// BenchmarkPolicyFetch fetches the 32x32 G1 policy once per iteration,
+// the client's half of a renegotiation wave. dials/op near 0 means the
+// connection is kept across fetches.
+func BenchmarkPolicyFetch(b *testing.B) {
+	client, _, dials, done := newBenchServer(b, 1)
+	defer done()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.PolicyContext(b.Context(), i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
 }
 
 // BenchmarkMemStoreInsertParallel and the sharded variant measure raw

@@ -305,6 +305,7 @@ func decodeResponse(resp *http.Response, out any) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 		return apiErrorFromResponse(resp, body)
 	}
+	defer drainBody(resp.Body)
 	if out == nil {
 		return nil
 	}
@@ -312,6 +313,20 @@ func decodeResponse(resp *http.Response, out any) error {
 		return fmt.Errorf("server client: decoding response: %w", err)
 	}
 	return nil
+}
+
+// maxDrain bounds what drainBody reads. The server ends a body with one
+// newline after the JSON value; a longer remainder is not worth reading,
+// and the connection is closed with it.
+const maxDrain = 4 << 10
+
+// drainBody reads what a decoder left of a response body: the decoder
+// stops at the value's closing brace, and a chunked body's terminator
+// is still unread. Reading to EOF before the body is closed lets the
+// transport put the connection back in its idle pool instead of
+// dropping it.
+func drainBody(body io.Reader) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
 }
 
 // ClientPolicy is the decoded policy of a user.
@@ -565,7 +580,9 @@ func (c *Client) HealthzContext(ctx context.Context) (wire.HealthzResponse, erro
 	}
 	defer resp.Body.Close()
 	var out wire.HealthzResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil || out.Status == "" {
+	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out)
+	drainBody(resp.Body)
+	if err != nil || out.Status == "" {
 		return wire.HealthzResponse{}, fmt.Errorf("server client: healthz: status %d with non-healthz body", resp.StatusCode)
 	}
 	return out, nil

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server/wire"
 )
@@ -169,6 +172,20 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 	}
 }
 
+// TestPolicyHeadEncodingFailure: a policy whose head encoding/json
+// refuses (a NaN ε, which the manager no longer hands out) answers 500
+// internal, not a 200 with an empty body.
+func TestPolicyHeadEncodingFailure(t *testing.T) {
+	for _, env := range []*wire.Error{nil, {Error: "stale", Code: wire.CodeStalePolicy}} {
+		rec := httptest.NewRecorder()
+		writePolicy(rec, http.StatusOK, env, 1, policy.UserPolicy{Epsilon: math.NaN(), GraphJSON: []byte(`{}`)})
+		var e wire.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Code != wire.CodeInternal {
+			t.Errorf("envelope %v: status %d, body %q; want 500 %s", env != nil, rec.Code, rec.Body, wire.CodeInternal)
+		}
+	}
+}
+
 // TestClientPolicyConcurrent has several users fetch policies and report
 // across a mark; run it under -race. Each must end on the marked policy.
 func TestClientPolicyConcurrent(t *testing.T) {
@@ -220,5 +237,65 @@ func TestClientPolicyConcurrent(t *testing.T) {
 		if cp.Version != 2 || cp.Graph == nil || cp.Graph.Degree(15) != 0 || !cp.Graph.Equal(first.Graph) {
 			t.Errorf("user %d ended on version %d; want 2 with cell 15 isolated and the same graph as user 0", u, cp.Version)
 		}
+	}
+}
+
+// TestClientReusesConnections: two goroutines share one client through
+// renegotiation rounds whose responses are all over net/http's 2 KB
+// auto-length buffer — policy fetches, density series at block 1x1, a
+// records page, reports that draw a 409 with the graph inline — and the
+// server accepts no more connections than there are goroutines.
+func TestClientReusesConnections(t *testing.T) {
+	client, grid, dials, done := newBenchServer(t, 4)
+	defer done()
+	const (
+		workers = 2
+		rounds  = 4
+		steps   = 40 // a records page of about 2.5 KB
+	)
+	// Without a cap, a transport whose demand rises while a dial is in
+	// flight may dial once more and pool the spare. With one connection
+	// per goroutine, a dial past the first two means one was dropped.
+	client.hc.Transport.(*http.Transport).MaxConnsPerHost = workers
+	var wg sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		for user := 0; user < workers; user++ {
+			wg.Add(1)
+			go func(user int) {
+				defer wg.Done()
+				releases := make([]wire.Release, steps)
+				for i := range releases {
+					p := grid.Center((user*steps + i) % grid.NumCells())
+					releases[i] = wire.Release{T: i, X: p.X, Y: p.Y}
+				}
+				// After a mark the cached version is stale: the report
+				// draws a 409 and is re-sent under the inline policy.
+				ack, err := client.ReportBatchContext(t.Context(), user, releases)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ack.PolicyVersion != round+1 {
+					t.Errorf("round %d, user %d: report accepted under version %d, want %d",
+						round, user, ack.PolicyVersion, round+1)
+				}
+				if _, err := client.PolicyContext(t.Context(), user); err != nil {
+					t.Error(err)
+				}
+				if _, err := client.DensitySeriesContext(t.Context(), 0, 23, 1, 1); err != nil {
+					t.Error(err)
+				}
+				if page, err := client.RecordsPageContext(t.Context(), user, "", steps); err != nil || len(page.Records) != steps {
+					t.Errorf("records page: %d records, error %v; want %d", len(page.Records), err, steps)
+				}
+			}(user)
+		}
+		wg.Wait()
+		if _, err := client.MarkInfectedContext(t.Context(), []int{round}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n > workers {
+		t.Errorf("the server accepted %d connections for %d goroutines; responses are not read to their end", n, workers)
 	}
 }

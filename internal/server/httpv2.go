@@ -58,20 +58,45 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any) 
 // trip instead of following up with GET /v2/policy. up is the policy the
 // report was checked against, so the message and the inline policy agree.
 func v2StalePolicy(w http.ResponseWriter, user, gotVersion int, up policy.UserPolicy) {
-	pol := wirePolicy(user, up)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusConflict)
-	_ = json.NewEncoder(w).Encode(wire.Error{
-		Error:  fmt.Sprintf("stale policy version %d (current %d)", gotVersion, up.Version),
-		Code:   wire.CodeStalePolicy,
-		Policy: &pol,
-	})
+	writePolicy(w, http.StatusConflict, &wire.Error{
+		Error: fmt.Sprintf("stale policy version %d (current %d)", gotVersion, up.Version),
+		Code:  wire.CodeStalePolicy,
+	}, user, up)
 }
 
-// wirePolicy is the wire form of a user's policy, carrying the graph
-// encoding the manager stored with it.
-func wirePolicy(user int, up policy.UserPolicy) wire.Policy {
-	return wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: up.GraphJSON}
+// writePolicy writes a response that carries a user's policy: the
+// wire.Policy of GET /v2/policy or, when env is non-nil, the envelope
+// *env with that policy inline. env's Policy and the omitempty fields
+// after it must be unset, because the policy is written last. The bytes
+// are those json.Encoder writes for the whole struct
+// (TestPolicyBodiesUnchanged pins them). Only the small head, the
+// policy without its graph, goes through encoding/json: up.GraphJSON is
+// already the compact, non-empty encoding of the graph (see its doc),
+// so it is written as is, never scanned again. The exact Content-Length
+// lets the client keep the connection. Write errors go unhandled, as in
+// writeJSON: the status is already sent.
+func writePolicy(w http.ResponseWriter, status int, env *wire.Error, user int, up policy.UserPolicy) {
+	head, err := json.Marshal(wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version})
+	tail := "}\n"
+	if env != nil && err == nil {
+		var outer []byte
+		if outer, err = json.Marshal(env); err == nil {
+			head = append(append(outer[:len(outer)-1], `,"policy":`...), head...)
+			tail = "}}\n"
+		}
+	}
+	if err != nil {
+		v2Error(w, http.StatusInternalServerError, wire.CodeInternal, "encoding policy: %v", err)
+		return
+	}
+	head = append(head[:len(head)-1], `,"graph":`...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(up.GraphJSON)+len(tail)))
+	w.WriteHeader(status)
+	_, _ = w.Write(head)
+	_, _ = w.Write(up.GraphJSON)
+	_, _ = io.WriteString(w, tail)
 }
 
 // handleV2Reports is POST /v2/reports, one path for both encodings. It
@@ -421,7 +446,7 @@ func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, wirePolicy(user, s.mgr.Get(user)))
+	writePolicy(w, http.StatusOK, nil, user, s.mgr.Get(user))
 }
 
 func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {

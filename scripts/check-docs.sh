@@ -7,8 +7,9 @@
 #  2. every exported symbol of the storage packages (the crash-safety
 #     surface: internal/server/storage and its wal and storagetest
 #     subpackages), the lint packages, the wire and ingest packages
-#     (the report path's contracts), and the node's public surface (the
-#     root panda facade, internal/server and internal/server/analytics)
+#     (the report path's contracts), the node's public surface (the
+#     root panda facade, internal/server and internal/server/analytics),
+#     and the policy surface (internal/policy and internal/policygraph)
 #     has a doc comment — exported funcs, types, and methods on
 #     exported receivers must state their contract, because callers
 #     reason from godoc, not from the source.
@@ -54,16 +55,19 @@ echo "doc check: every internal package has a package comment"
 # packages (the contracts of POST /v2/reports: the body encodings, the
 # envelope, the ingest queue), and the node's public surface (the panda
 # facade that builds and stops a node, the DB, handlers and client of
-# internal/server, and the analytics engine). A decl line counts as
-# documented when the line above it is a // comment. Checked: top-level
-# `func Name`, `type Name`, and `func (r *Recv) Name` where the
-# receiver type is exported; methods on unexported types are internal
-# plumbing and exempt.
+# internal/server, and the analytics engine), and the policy packages
+# (the server writes the manager's stored graph encoding into responses
+# without checking it, so its contract must be written down). A decl
+# line counts as documented when the line above it is a // comment.
+# Checked: top-level `func Name`, `type Name`, and `func (r *Recv) Name`
+# where the receiver type is exported; methods on unexported types are
+# internal plumbing and exempt.
 lint_pkgs="internal/lint $(find internal/lint -mindepth 1 -maxdepth 1 -type d | sort)"
 storage_pkgs="internal/server/storage internal/server/storage/wal internal/server/storage/storagetest"
 report_pkgs="internal/server/wire internal/server/ingest"
 node_pkgs=". internal/server internal/server/analytics"
-for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs; do
+policy_pkgs="internal/policy internal/policygraph"
+for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs; do
     for f in "$dir"/*.go; do
         [ -e "$f" ] || continue
         case "$f" in *_test.go) continue ;; esac
@@ -91,7 +95,7 @@ for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs; do
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "doc check failed: exported storage/lint/wire/ingest/node symbols need doc comments stating their contract" >&2
+    echo "doc check failed: exported storage/lint/wire/ingest/node/policy symbols need doc comments stating their contract" >&2
     exit 1
 fi
-echo "doc check: every exported storage, lint, wire, ingest and node symbol has a doc comment"
+echo "doc check: every exported storage, lint, wire, ingest, node and policy symbol has a doc comment"
