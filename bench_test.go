@@ -17,6 +17,7 @@ import (
 	"github.com/pglp/panda/internal/mechanism"
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage"
 )
 
 func benchConfig() experiments.Config { return experiments.Quick() }
@@ -230,7 +231,10 @@ func BenchmarkAdversaryPosterior(b *testing.B) {
 // BenchmarkServerIngest measures raw database insert throughput.
 func BenchmarkServerIngest(b *testing.B) {
 	grid := geo.MustGrid(16, 16, 1)
-	db := server.NewDB(grid)
+	db, err := server.NewDBOn(grid, storage.NewShardedStore(1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec := server.Record{User: i % 1000, T: i / 1000, Cell: i % 256}

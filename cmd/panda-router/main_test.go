@@ -15,6 +15,7 @@ import (
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -46,7 +47,11 @@ func startNode(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.NewServer(server.NewShardedDB(grid, 2), mgr)
+	db, err := server.NewDBOn(grid, storage.NewShardedStore(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewServer(db, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}

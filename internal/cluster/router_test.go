@@ -17,6 +17,7 @@ import (
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -62,7 +63,11 @@ func startFleet(t *testing.T, n int, async bool) *fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.NewServerOpts(server.NewShardedDB(grid, 4), mgr, server.Options{AsyncIngest: async})
+		db, err := server.NewDBOn(grid, storage.NewShardedStore(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.NewServerOpts(db, mgr, server.Options{AsyncIngest: async})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +133,11 @@ func TestClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSrv, err := server.NewServer(server.NewShardedDB(refGrid, 4), refMgr)
+	refDB, err := server.NewDBOn(refGrid, storage.NewShardedStore(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSrv, err := server.NewServer(refDB, refMgr)
 	if err != nil {
 		t.Fatal(err)
 	}

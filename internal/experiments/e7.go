@@ -10,6 +10,7 @@ import (
 	"github.com/pglp/panda/internal/mechanism"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -36,7 +37,11 @@ func RunE7(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := server.NewServer(server.NewDB(grid), mgr)
+	db, err := server.NewDBOn(grid, storage.NewShardedStore(1))
+	if err != nil {
+		return nil, err
+	}
+	srv, err := server.NewServer(db, mgr)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage"
 )
 
 // startTestServer boots a fresh in-process panda-server on the scenario
@@ -20,7 +21,9 @@ func startTestServer(t *testing.T, async bool) (base string, db *server.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db = server.NewShardedDB(grid, 8)
+	if db, err = server.NewDBOn(grid, storage.NewShardedStore(8)); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := server.NewServerOpts(db, mgr, server.Options{AsyncIngest: async})
 	if err != nil {
 		t.Fatal(err)

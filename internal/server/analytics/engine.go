@@ -22,6 +22,12 @@ const (
 	maxCensusEntries   = 1 << 12
 )
 
+// MaxSeriesSpan bounds one series query's timestep count: a series
+// costs O(t1-t0) in time and memory, so an unbounded span would let one
+// call allocate without limit. It is deliberately far below the cache
+// capacity so no single query can churn the whole density cache.
+const MaxSeriesSpan = 10_000
+
 type densityKey struct{ t, blockRows, blockCols int }
 
 type densityEntry struct {
@@ -131,13 +137,27 @@ func (e *Engine) DensityAt(t, blockRows, blockCols int) []int {
 	return append([]int(nil), counts...)
 }
 
-// DensitySeries returns DensityAt for each timestep in [t0, t1]. Each
-// timestep is cached individually, so a repeated dashboard window is
-// served entirely from cache and a write to one step evicts only that
-// step's entry.
-func (e *Engine) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
+// checkSeriesRange refuses an inverted range and one of more than
+// MaxSeriesSpan timesteps, before a series allocates anything.
+func checkSeriesRange(t0, t1 int) error {
 	if t1 < t0 {
-		return nil, fmt.Errorf("analytics: inverted time range [%d, %d]", t0, t1)
+		return fmt.Errorf("analytics: inverted time range [%d, %d]", t0, t1)
+	}
+	// uint(t1-t0) is the exact width even where t1-t0 overflows int.
+	if uint(t1-t0) >= MaxSeriesSpan {
+		return fmt.Errorf("analytics: time range [%d, %d] spans more than the limit of %d timesteps",
+			t0, t1, MaxSeriesSpan)
+	}
+	return nil
+}
+
+// DensitySeries returns DensityAt for each timestep in [t0, t1], at
+// most MaxSeriesSpan of them. Each timestep is cached individually, so
+// a repeated dashboard window is served entirely from cache and a write
+// to one step evicts only that step's entry.
+func (e *Engine) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
+	if err := checkSeriesRange(t0, t1); err != nil {
+		return nil, err
 	}
 	out := make([][]int, 0, t1-t0+1)
 	for t := t0; ; t++ { // stops at t1 without stepping past it: t1 may be math.MaxInt
@@ -224,11 +244,11 @@ func (e *Engine) ExposureAt(t int, infected []int) int {
 }
 
 // InfectedExposureSeries returns ExposureAt for each timestep in
-// [t0, t1] — the incidence proxy the health authority watches on
-// released data only.
+// [t0, t1], at most MaxSeriesSpan of them — the incidence proxy the
+// health authority watches on released data only.
 func (e *Engine) InfectedExposureSeries(t0, t1 int, infected []int) ([]int, error) {
-	if t1 < t0 {
-		return nil, fmt.Errorf("analytics: inverted time range [%d, %d]", t0, t1)
+	if err := checkSeriesRange(t0, t1); err != nil {
+		return nil, err
 	}
 	out := make([]int, 0, t1-t0+1)
 	for t := t0; ; t++ { // as in DensitySeries, t1 may be math.MaxInt

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -31,7 +32,7 @@ func (c *countingStore) UserRecords(user int) []storage.Record {
 func testEngine(t *testing.T) (*Engine, *countingStore) {
 	t.Helper()
 	grid := geo.MustGrid(4, 4, 1)
-	cs := &countingStore{Store: storage.NewMemStore()}
+	cs := &countingStore{Store: storage.NewShardedStore(1)}
 	e := New(grid, cs)
 	// Three users over 3 steps; user 2 visits infected cell 5 twice.
 	inserts := []storage.Record{
@@ -185,6 +186,36 @@ func TestSeriesEndAtMaxInt(t *testing.T) {
 	}
 	if !reflect.DeepEqual(exposure, []int{0, 0, 1}) {
 		t.Errorf("exposure series = %v, want [0 0 1]", exposure)
+	}
+}
+
+// TestSeriesSpanLimit checks both series against MaxSeriesSpan: the
+// widest allowed range answers in full, and a wider one, even one whose
+// width overflows int, is refused before anything is allocated.
+func TestSeriesSpanLimit(t *testing.T) {
+	e, _ := testEngine(t)
+	for _, c := range []struct {
+		t0, t1 int
+		ok     bool
+	}{
+		{0, MaxSeriesSpan - 1, true},
+		{0, MaxSeriesSpan, false},
+		{math.MinInt, math.MaxInt, false},
+	} {
+		var density [][]int
+		var exposure []int
+		var derr, eerr error
+		within(t, fmt.Sprintf("series over [%d, %d]", c.t0, c.t1), func() {
+			density, derr = e.DensitySeries(c.t0, c.t1, 2, 2)
+			exposure, eerr = e.InfectedExposureSeries(c.t0, c.t1, []int{5})
+		})
+		if (derr == nil) != c.ok || (eerr == nil) != c.ok {
+			t.Errorf("series over [%d, %d]: density err %v, exposure err %v, want ok=%v", c.t0, c.t1, derr, eerr, c.ok)
+		}
+		if c.ok && (len(density) != MaxSeriesSpan || len(exposure) != MaxSeriesSpan) {
+			t.Errorf("series over [%d, %d]: %d density and %d exposure steps, want %d",
+				c.t0, c.t1, len(density), len(exposure), MaxSeriesSpan)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // turns the next query back into a miss.
 func TestStatsCounters(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
-	store := storage.NewMemStore()
+	store := storage.NewShardedStore(1)
 	e := New(grid, store)
 	store.Insert(storage.Record{User: 1, T: 0, Cell: 5})
 

@@ -9,7 +9,7 @@ import (
 func analyticsDB(t *testing.T) (*DB, *geo.Grid) {
 	t.Helper()
 	grid := geo.MustGrid(4, 4, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	// Three users over 3 steps; user 2 visits infected cell 5 twice.
 	inserts := []Record{
 		{User: 0, T: 0, Cell: 0}, {User: 0, T: 1, Cell: 1}, {User: 0, T: 2, Cell: 2},

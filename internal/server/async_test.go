@@ -15,6 +15,7 @@ import (
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server/ingest"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -27,7 +28,7 @@ func newAsyncTestServer(t *testing.T, queueDepth int) (*Server, *Client, *geo.Gr
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerOpts(NewShardedDB(grid, 4), mgr, Options{
+	srv, err := NewServerOpts(newDB(t, grid, 4), mgr, Options{
 		AsyncIngest: true, IngestWorkers: 2, IngestQueueDepth: queueDepth,
 	})
 	if err != nil {
@@ -160,7 +161,7 @@ func TestAsyncBackpressure429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewDBOn(grid, NewMemStore())
+	db, err := NewDBOn(grid, storage.NewShardedStore(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestScanDuringAsyncDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewDBOn(grid, NewShardedStore(4))
+	db, err := NewDBOn(grid, storage.NewShardedStore(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func newIngestAllocCase(tb testing.TB) *ingestAllocCase {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(NewShardedDB(grid, 4), mgr)
+	srv, err := NewServer(newDB(tb, grid, 4), mgr)
 	if err != nil {
 		tb.Fatal(err)
 	}

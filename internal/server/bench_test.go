@@ -9,6 +9,7 @@ import (
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -28,7 +29,7 @@ func newBenchServer(tb testing.TB, shards int) (client *Client, grid *geo.Grid, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(NewShardedDB(grid, shards), mgr)
+	srv, err := NewServer(newDB(tb, grid, shards), mgr)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -78,11 +79,16 @@ func BenchmarkPolicyFetch(b *testing.B) {
 	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
 }
 
-// BenchmarkMemStoreInsertParallel and the sharded variant measure raw
-// concurrent ingestion with GOMAXPROCS writers, each writing its own
-// user stream — the contention the sharded store removes.
-func BenchmarkMemStoreInsertParallel(b *testing.B)     { benchStoreParallel(b, NewMemStore()) }
-func BenchmarkShardedStoreInsertParallel(b *testing.B) { benchStoreParallel(b, NewShardedStore(32)) }
+// BenchmarkOneShardStoreInsertParallel and the sharded variant measure
+// raw concurrent ingestion with GOMAXPROCS writers, each writing its own
+// user stream — the contention more shards remove.
+func BenchmarkOneShardStoreInsertParallel(b *testing.B) {
+	benchStoreParallel(b, storage.NewShardedStore(1))
+}
+
+func BenchmarkShardedStoreInsertParallel(b *testing.B) {
+	benchStoreParallel(b, storage.NewShardedStore(32))
+}
 
 // --- read-path benchmarks: the seed's full-scan analytics vs the
 // timestep index and the engine's epoch-versioned cache ---
@@ -97,7 +103,7 @@ const (
 func newAnalyticsBenchDB(b *testing.B) *DB {
 	b.Helper()
 	grid := geo.MustGrid(32, 32, 1)
-	db := NewShardedDB(grid, 16)
+	db := newDB(b, grid, 16)
 	batch := make([]Record, 0, benchSteps)
 	for u := 0; u < benchUsers; u++ {
 		batch = batch[:0]
@@ -220,7 +226,7 @@ func BenchmarkCodeCensusMiss(b *testing.B) {
 	}
 }
 
-func benchStoreParallel(b *testing.B, s Store) {
+func benchStoreParallel(b *testing.B, s storage.Store) {
 	var nextUser atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		user := int(nextUser.Add(1))

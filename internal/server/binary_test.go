@@ -14,6 +14,7 @@ import (
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server/ingest"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -286,7 +287,7 @@ func TestFairnessHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewDBOn(grid, NewMemStore())
+	db, err := NewDBOn(grid, storage.NewShardedStore(1))
 	if err != nil {
 		t.Fatal(err)
 	}

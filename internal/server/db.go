@@ -31,30 +31,14 @@ const (
 // only the rule that every stored record is a valid grid cell.
 type DB struct {
 	grid   *geo.Grid
-	store  Store
+	store  storage.Store
 	engine *analytics.Engine
 }
 
-// NewDB creates an empty location database over the grid, backed by the
-// single-lock in-memory store.
-func NewDB(grid *geo.Grid) *DB {
-	db, _ := NewDBOn(grid, NewMemStore())
-	return db
-}
-
-// NewShardedDB creates a database backed by a store with `shards`
-// independent locks keyed by user, so ingestion scales with cores.
-func NewShardedDB(grid *geo.Grid, shards int) *DB {
-	if shards <= 1 {
-		return NewDB(grid)
-	}
-	db, _ := NewDBOn(grid, NewShardedStore(shards))
-	return db
-}
-
-// NewDBOn creates a database over the grid backed by an explicit Store —
-// the seam where alternative (persistent, remote) backends plug in.
-func NewDBOn(grid *geo.Grid, store Store) (*DB, error) {
+// NewDBOn creates a database over the grid backed by store: a
+// storage.NewShardedStore for memory only, or a wal.Store for
+// durability. It is the one way to build a DB.
+func NewDBOn(grid *geo.Grid, store storage.Store) (*DB, error) {
 	if grid == nil || store == nil {
 		return nil, errors.New("server: nil grid or store")
 	}
@@ -66,7 +50,7 @@ func (db *DB) Grid() *geo.Grid { return db.grid }
 
 // Store returns the underlying record store: the read path of every
 // per-user and per-timestep query.
-func (db *DB) Store() Store { return db.store }
+func (db *DB) Store() storage.Store { return db.store }
 
 // Analytics returns the cached aggregate-query engine over the store.
 func (db *DB) Analytics() *analytics.Engine { return db.engine }

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/pglp/panda/internal/geo"
+	"github.com/pglp/panda/internal/server/storage"
 )
 
 // insert stores one record through DB's validating batch path.
@@ -13,9 +15,20 @@ func insert(db *DB, rec Record) error {
 	return err
 }
 
+// newDB builds a DB over an in-memory store with the given number of
+// lock shards.
+func newDB(tb testing.TB, grid *geo.Grid, shards int) *DB {
+	tb.Helper()
+	db, err := NewDBOn(grid, storage.NewShardedStore(shards))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
 func TestDBInsertAndQuery(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	if err := insert(db, Record{User: 1, T: 0, Point: grid.Center(5), Cell: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +55,7 @@ func TestDBInsertAndQuery(t *testing.T) {
 
 func TestDBInsertValidation(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	if err := insert(db, Record{User: 0, T: -1, Cell: 0}); err == nil {
 		t.Error("negative t should error")
 	}
@@ -60,7 +73,7 @@ func TestDBInsertValidation(t *testing.T) {
 
 func TestDBReplaceOnResend(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	_ = insert(db, Record{User: 3, T: 5, Cell: 0, PolicyVersion: 1})
 	_ = insert(db, Record{User: 3, T: 5, Cell: 2, PolicyVersion: 2})
 	rs := db.Store().UserRecords(3)
@@ -77,7 +90,7 @@ func TestDBReplaceOnResend(t *testing.T) {
 
 func TestDBRecordsSortedByTime(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	for _, ti := range []int{5, 1, 3, 0, 4, 2} {
 		_ = insert(db, Record{User: 0, T: ti, Cell: ti % 4})
 	}
@@ -91,7 +104,7 @@ func TestDBRecordsSortedByTime(t *testing.T) {
 
 func TestDensityAt(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	// Three users in region 0 (top-left 2x2), one in region 3.
 	_ = insert(db, Record{User: 0, T: 0, Cell: 0})
 	_ = insert(db, Record{User: 1, T: 0, Cell: 1})
@@ -108,7 +121,7 @@ func TestDensityAt(t *testing.T) {
 
 func TestMovementMatrix(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	// User 0 moves region 0 → region 3; user 1 stays in region 0;
 	// user 2 has no second record.
 	_ = insert(db, Record{User: 0, T: 0, Cell: 0})
@@ -136,7 +149,7 @@ func TestMovementMatrix(t *testing.T) {
 
 func TestHealthCodeFor(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	infected := []int{5, 6}
 	_ = insert(db, Record{User: 0, T: 0, Cell: 0})
 	if code := db.Analytics().HealthCodeFor(0, infected, 0, -1); code != CodeGreen {
@@ -163,7 +176,7 @@ func TestHealthCodeFor(t *testing.T) {
 
 func TestHealthCodeWindowAnchoredAtNow(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	infected := []int{5}
 	// User 0 visited an infected place at t=2 and then stopped reporting.
 	_ = insert(db, Record{User: 0, T: 2, Cell: 5})
@@ -192,7 +205,7 @@ func TestHealthCodeWindowAnchoredAtNow(t *testing.T) {
 
 func TestDBConcurrent(t *testing.T) {
 	grid := geo.MustGrid(8, 8, 1)
-	db := NewDB(grid)
+	db := newDB(t, grid, 1)
 	var wg sync.WaitGroup
 	for u := 0; u < 8; u++ {
 		wg.Add(1)
@@ -208,5 +221,65 @@ func TestDBConcurrent(t *testing.T) {
 	wg.Wait()
 	if db.Store().Len() != 800 {
 		t.Errorf("Len = %d, want 800", db.Store().Len())
+	}
+}
+
+// TestDBInsertBatchAtomicValidation: a batch containing an invalid
+// record stores nothing.
+func TestDBInsertBatchAtomicValidation(t *testing.T) {
+	grid := geo.MustGrid(2, 2, 1)
+	db := newDB(t, grid, 1)
+	_, _, err := db.InsertBatch([]Record{
+		{User: 1, T: 0, Cell: 0},
+		{User: 1, T: -1, Cell: 0}, // invalid
+	})
+	if err == nil {
+		t.Fatal("invalid batch should error")
+	}
+	if db.Store().Len() != 0 {
+		t.Errorf("Len = %d after failed batch, want 0", db.Store().Len())
+	}
+	batch := []Record{
+		{User: 1, T: 0, Cell: 0},
+		{User: 1, T: 0, Cell: 1}, // replaces within the same batch
+		{User: 2, T: 3, Point: grid.Center(2), Cell: -1},
+	}
+	in := slices.Clone(batch)
+	added, replaced, err := db.InsertBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 2 || replaced != 1 {
+		t.Errorf("added=%d replaced=%d, want 2/1", added, replaced)
+	}
+	if !slices.Equal(batch, in) {
+		t.Errorf("InsertBatch modified the caller's slice: %+v, want %+v", batch, in)
+	}
+	if rs := db.Store().UserRecords(2); len(rs) != 1 || rs[0].Cell != 2 {
+		t.Errorf("user 2 records = %+v, want its point snapped to cell 2", rs)
+	}
+	if rs := db.Store().UserRecords(1); len(rs) != 1 || rs[0].Cell != 1 {
+		t.Errorf("user 1 records = %+v, want single record at cell 1", rs)
+	}
+}
+
+// TestNewDBOn wires a custom store through the DB seam.
+func TestNewDBOn(t *testing.T) {
+	grid := geo.MustGrid(2, 2, 1)
+	if _, err := NewDBOn(nil, storage.NewShardedStore(1)); err == nil {
+		t.Error("nil grid should error")
+	}
+	if _, err := NewDBOn(grid, nil); err == nil {
+		t.Error("nil store should error")
+	}
+	db, err := NewDBOn(grid, storage.NewShardedStore(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(db, Record{User: 0, T: 0, Cell: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if db.Store().Len() != 1 {
+		t.Errorf("Len = %d", db.Store().Len())
 	}
 }

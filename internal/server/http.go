@@ -168,15 +168,8 @@ func queryIntOpt(r *http.Request, key string, def, min int) (int, error) {
 	return queryIntMin(r, key, min)
 }
 
-// maxSeriesSpan bounds one range query's timestep count: series
-// responses and the engine's per-timestep work are O(t1-t0), so an
-// unbounded span would let one request allocate without limit. It is
-// deliberately far below the engine's cache capacity so no single
-// request can churn the whole density cache.
-const maxSeriesSpan = 10_000
-
-// queryTimeRange parses t0 and t1 and enforces 0 <= t0 <= t1 with at
-// most maxSeriesSpan timesteps in the range.
+// queryTimeRange parses t0 and t1 and enforces 0 <= t0 <= t1. The
+// engine refuses a span of more than analytics.MaxSeriesSpan steps.
 func queryTimeRange(r *http.Request) (t0, t1 int, err error) {
 	if t0, err = queryIntMin(r, "t0", 0); err != nil {
 		return 0, 0, err
@@ -186,12 +179,6 @@ func queryTimeRange(r *http.Request) (t0, t1 int, err error) {
 	}
 	if t0 > t1 {
 		return 0, 0, fmt.Errorf("inverted time range [%d, %d]", t0, t1)
-	}
-	// t1-t0 cannot overflow (both are >= 0); t1-t0+1 could for
-	// t1 = MaxInt, so compare without the +1.
-	if t1-t0 >= maxSeriesSpan {
-		return 0, 0, fmt.Errorf("time range [%d, %d] spans more than the limit of %d timesteps",
-			t0, t1, maxSeriesSpan)
 	}
 	return t0, t1, nil
 }

@@ -9,8 +9,13 @@ import (
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
+	"github.com/pglp/panda/internal/server/analytics"
 	"github.com/pglp/panda/internal/server/wire"
 )
+
+// maxSeriesSpan is the engine's series limit; a wider range over HTTP
+// is a 400 bad_request.
+const maxSeriesSpan = analytics.MaxSeriesSpan
 
 // newTestServer spins up a full backend and a typed /v2 client against it.
 func newTestServer(t *testing.T) (*Server, *Client, *geo.Grid, func()) {
@@ -20,7 +25,7 @@ func newTestServer(t *testing.T) (*Server, *Client, *geo.Grid, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(NewShardedDB(grid, 4), mgr)
+	srv, err := NewServer(newDB(t, grid, 4), mgr)
 	if err != nil {
 		t.Fatal(err)
 	}

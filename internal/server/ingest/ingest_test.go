@@ -40,7 +40,7 @@ func (b *blockingSink) InsertBatch(recs []storage.Record) int {
 }
 
 func newBlockingSink(gated bool) *blockingSink {
-	s := &blockingSink{inner: storage.NewMemStore()}
+	s := &blockingSink{inner: storage.NewShardedStore(1)}
 	if gated {
 		s.gate = make(chan struct{})
 	}

@@ -7,15 +7,9 @@ import (
 	"github.com/pglp/panda/internal/server/storage/storagetest"
 )
 
-// The two in-memory backends pass the shared Store conformance
-// battery (storagetest). The durable backends run the same battery
-// from their own packages.
-
-func TestMemStoreConformance(t *testing.T) {
-	storagetest.TestStore(t, func(t *testing.T) storage.Store {
-		return storage.NewMemStore()
-	})
-}
+// The in-memory store passes the shared Store conformance battery
+// (storagetest) at several shards and at one. The durable backend runs
+// the same battery from its own package.
 
 func TestShardedStoreConformance(t *testing.T) {
 	storagetest.TestStore(t, func(t *testing.T) storage.Store {

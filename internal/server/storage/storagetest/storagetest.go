@@ -11,10 +11,10 @@
 //		storagetest.TestStore(t, func(t *testing.T) storage.Store { ... })
 //	}
 //
-// It is wired against every store: mem and sharded (package storage)
-// and wal. The concurrency cases are deliberately run under -race in
-// CI; they are the only place the Scan-vs-InsertBatch atomicity and
-// the Gen-pins-cache protocol are exercised against real
+// It is wired against every store: Sharded at one shard and at several
+// (package storage) and wal. The concurrency cases are deliberately
+// run under -race in CI; they are the only place the Scan-vs-InsertBatch
+// atomicity and the Gen-pins-cache protocol are exercised against real
 // interleavings rather than argued in comments.
 package storagetest
 
@@ -167,6 +167,9 @@ func testPagination(t *testing.T, s storage.Store) {
 	}
 	if got := s.UserRecordsAfter(9, 4, -1); len(got) != 5 {
 		t.Fatalf("UserRecordsAfter(9, 4, -1) returned %d records, want 5", len(got))
+	}
+	if got := s.UserRecordsAfter(99, -1, 10); len(got) != 0 {
+		t.Fatalf("UserRecordsAfter(99, -1, 10) = %v for a user with no records, want empty", got)
 	}
 	// Cursor walk: paging by 3 must reconstruct the full history.
 	var walked []storage.Record
@@ -625,7 +628,7 @@ func testConcurrentReadersWriters(t *testing.T, s storage.Store) {
 	readerWG.Wait()
 
 	// Post-join invariants: every user holds one record per timestep,
-	// strictly ascending; totals agree.
+	// strictly ascending; totals and the newest timestep agree.
 	users := s.Users()
 	if len(users) != writers*perU {
 		t.Fatalf("Users() has %d entries, want %d", len(users), writers*perU)
@@ -645,5 +648,8 @@ func testConcurrentReadersWriters(t *testing.T, s storage.Store) {
 	}
 	if got := s.Len(); got != total {
 		t.Fatalf("Len() = %d but per-user sum = %d", got, total)
+	}
+	if got := s.MaxT(); got != steps-1 {
+		t.Fatalf("MaxT() = %d, want %d", got, steps-1)
 	}
 }

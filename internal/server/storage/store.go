@@ -14,13 +14,13 @@ import (
 // validated and snapped by the DB wrapper; a Store never consults the
 // grid.
 //
-// Two implementations ship in-process — a single-lock map (NewMemStore)
-// and a sharded variant (NewShardedStore) whose N independent locks let
-// ingestion scale with cores. Both maintain a per-timestep secondary
-// index (posting lists of records keyed by T) so At and ScanRange cost
+// The in-memory implementation is Sharded (NewShardedStore), whose N
+// independent locks let ingestion scale with cores; at one shard it is
+// the single-lock store. It maintains a per-timestep secondary index
+// (posting lists of records keyed by T) so At and ScanRange cost
 // O(records in range) instead of O(all records); a ScanRange wider than
-// the index visits only the stored timesteps. Persistence backends
-// plug in here.
+// the index visits only the stored timesteps. The durable wal.Store
+// logs every write and keeps its records in a Sharded.
 type Store interface {
 	// Insert stores a record, replacing any existing record for the same
 	// (user, t) pair. It reports whether the record was new (false =
@@ -83,12 +83,12 @@ func insertSorted(rs []Record, rec Record) ([]Record, bool) {
 	return rs, true
 }
 
-// memStore is the single-lock in-memory Store: a map of per-user record
-// slices guarded by one RWMutex, plus the timestep index and write
-// generations that back At/ScanRange/Gen. The index holds user IDs, not
-// record copies — 8 bytes per record instead of doubling the store —
-// and reads resolve each ID against the user's sorted history.
-type memStore struct {
+// shard is one lock shard of Sharded: a map of per-user record slices
+// guarded by one RWMutex, plus the timestep index and write generations
+// that back At/ScanRange/Gen. The index holds user IDs, not record
+// copies — 8 bytes per record instead of doubling the store — and reads
+// resolve each ID against the user's sorted history.
+type shard struct {
 	mu    sync.RWMutex
 	recs  map[int][]Record // per user, ascending T
 	byT   map[int][]int    // timestep index: T -> IDs of users with a record at T
@@ -98,11 +98,8 @@ type memStore struct {
 	maxT  int
 }
 
-// NewMemStore returns an empty single-lock in-memory store.
-func NewMemStore() Store { return newMemStore() }
-
-func newMemStore() *memStore {
-	return &memStore{
+func newShard() *shard {
+	return &shard{
 		recs: make(map[int][]Record),
 		byT:  make(map[int][]int),
 		gen:  make(map[int]uint64),
@@ -110,13 +107,13 @@ func newMemStore() *memStore {
 	}
 }
 
-func (s *memStore) Insert(rec Record) bool {
+func (s *shard) Insert(rec Record) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.insertLocked(rec)
 }
 
-func (s *memStore) insertLocked(rec Record) bool {
+func (s *shard) insertLocked(rec Record) bool {
 	rs, added := insertSorted(s.recs[rec.User], rec)
 	s.recs[rec.User] = rs
 	if added {
@@ -137,43 +134,31 @@ func (s *memStore) insertLocked(rec Record) bool {
 	return added
 }
 
-func (s *memStore) InsertBatch(recs []Record) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	added := 0
-	for _, rec := range recs {
-		if s.insertLocked(rec) {
-			added++
-		}
-	}
-	return added
-}
-
-func (s *memStore) Len() int {
+func (s *shard) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.n
 }
 
-func (s *memStore) MaxT() int {
+func (s *shard) MaxT() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.maxT
 }
 
-func (s *memStore) Gen(t int) uint64 {
+func (s *shard) Gen(t int) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.gen[t]
 }
 
-func (s *memStore) Epoch() uint64 {
+func (s *shard) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch
 }
 
-func (s *memStore) UserRecords(user int) []Record {
+func (s *shard) UserRecords(user int) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rs := s.recs[user]
@@ -182,7 +167,7 @@ func (s *memStore) UserRecords(user int) []Record {
 	return out
 }
 
-func (s *memStore) UserRecordsAfter(user, afterT, limit int) []Record {
+func (s *shard) UserRecordsAfter(user, afterT, limit int) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rs := s.recs[user]
@@ -196,7 +181,7 @@ func (s *memStore) UserRecordsAfter(user, afterT, limit int) []Record {
 	return out
 }
 
-func (s *memStore) Users() []int {
+func (s *shard) Users() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]int, 0, len(s.recs))
@@ -207,18 +192,10 @@ func (s *memStore) Users() []int {
 	return out
 }
 
-func (s *memStore) At(t int) []Record {
-	s.mu.RLock()
-	out := s.atLocked(t)
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
-}
-
 // recordAtLocked resolves one posting-list entry: the record user holds
 // at timestep t. The index only lists users that have one; callers hold
 // s.mu.
-func (s *memStore) recordAtLocked(user, t int) Record {
+func (s *shard) recordAtLocked(user, t int) Record {
 	rs := s.recs[user]
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].T >= t })
 	return rs[i]
@@ -226,7 +203,7 @@ func (s *memStore) recordAtLocked(user, t int) Record {
 
 // atLocked collects records at t from the timestep index, without
 // sorting; callers hold s.mu.
-func (s *memStore) atLocked(t int) []Record {
+func (s *shard) atLocked(t int) []Record {
 	post := s.byT[t]
 	if len(post) == 0 {
 		return nil
@@ -238,31 +215,6 @@ func (s *memStore) atLocked(t int) []Record {
 	return out
 }
 
-func (s *memStore) Scan(fn func(Record) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rs := range s.recs {
-		for _, rec := range rs {
-			if !fn(rec) {
-				return
-			}
-		}
-	}
-}
-
-func (s *memStore) ScanRange(t0, t1 int, fn func(Record) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	walkSteps([]*memStore{s}, t0, t1, func(t int) bool {
-		for _, user := range s.byT[t] {
-			if !fn(s.recordAtLocked(user, t)) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 // walkSteps calls visit, in ascending order, for each timestep of
 // [t0, t1] (clamped to [0, MaxT]) that a range walk over the shards'
 // timestep indexes must look at, and stops early if visit returns false.
@@ -272,7 +224,7 @@ func (s *memStore) ScanRange(t0, t1 int, fn func(Record) bool) {
 // all-history walk take 1<<40 lookups: the walk costs
 // O(min(t1-t0, stored timesteps)) whatever the size of T. Neither walk
 // steps past t1, so t1 = math.MaxInt ends.
-func walkSteps(shards []*memStore, t0, t1 int, visit func(t int) bool) {
+func walkSteps(shards []*shard, t0, t1 int, visit func(t int) bool) {
 	maxT, entries := -1, 0
 	for _, sh := range shards {
 		maxT = max(maxT, sh.maxT)
@@ -318,18 +270,19 @@ func ShardFor(user, n int) int {
 	return int(uint(user) % uint(n))
 }
 
-// Sharded distributes users across N independently locked memStores
-// so concurrent ingestion from different users does not contend on one
-// mutex. Cross-user reads (Users, At, Scan, ScanRange, Len, MaxT) visit
-// every shard; Gen and Epoch are sums of per-shard counters, which stay
-// monotonic because each addend only grows.
+// Sharded is the in-memory Store. It distributes users across N
+// independently locked shards so concurrent ingestion from different
+// users does not contend on one mutex; at one shard it is the
+// single-lock store. Cross-user reads (Users, At, Scan, ScanRange, Len,
+// MaxT) visit every shard; Gen and Epoch are sums of per-shard
+// counters, which stay monotonic because each addend only grows.
 //
 // Beyond the plain Store interface, Sharded exposes its partition to
 // cooperating layers (NumShards, ShardLen, ScanShard, InsertGrouped):
 // the WAL uses these to keep one log stripe per memory shard and to
 // snapshot a single shard's records under that shard's lock alone.
 type Sharded struct {
-	shards []*memStore
+	shards []*shard
 }
 
 // NewSharded returns a store with n independent lock shards keyed by
@@ -338,9 +291,9 @@ func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
-	s := &Sharded{shards: make([]*memStore, n)}
+	s := &Sharded{shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = newMemStore()
+		s.shards[i] = newShard()
 	}
 	return s
 }
@@ -372,14 +325,14 @@ func (s *Sharded) ScanShard(i int, fn func(Record) bool) {
 	}
 }
 
-func (s *Sharded) shard(user int) *memStore {
+func (s *Sharded) shardOf(user int) *shard {
 	return s.shards[ShardFor(user, len(s.shards))]
 }
 
 // Insert stores rec in its user's shard, replacing on (user, t); only
 // that shard's lock is taken.
 func (s *Sharded) Insert(rec Record) bool {
-	return s.shard(rec.User).Insert(rec)
+	return s.shardOf(rec.User).Insert(rec)
 }
 
 // InsertBatch write-locks every involved shard (in index order, the
@@ -493,13 +446,13 @@ func (s *Sharded) Epoch() uint64 {
 // UserRecords returns a copy of one user's records (ascending T) from
 // their shard.
 func (s *Sharded) UserRecords(user int) []Record {
-	return s.shard(user).UserRecords(user)
+	return s.shardOf(user).UserRecords(user)
 }
 
 // UserRecordsAfter pages one user's records (T > afterT, up to limit)
 // from their shard.
 func (s *Sharded) UserRecordsAfter(user, afterT, limit int) []Record {
-	return s.shard(user).UserRecordsAfter(user, afterT, limit)
+	return s.shardOf(user).UserRecordsAfter(user, afterT, limit)
 }
 
 // Users merges every shard's user IDs, ascending.

@@ -1,49 +1,173 @@
 package storage
 
 import (
+	"cmp"
+	"maps"
+	"math"
 	"math/rand/v2"
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
-// TestTimestepIndexMatchesHistory cross-checks the timestep index (At,
-// ScanRange) against the per-user history slices on a random insert
-// stream with replacements, for both implementations.
+// model is the reference TestTimestepIndexMatchesHistory checks the
+// store against: plain maps, with no timestep index, shards or locks.
+type model struct {
+	recs  map[int]map[int]Record // user -> T -> record
+	gen   map[int]uint64         // T -> writes touching T
+	epoch uint64                 // all writes
+}
+
+func (m *model) insert(rec Record) (added bool) {
+	if m.recs[rec.User] == nil {
+		m.recs[rec.User] = make(map[int]Record)
+	}
+	_, had := m.recs[rec.User][rec.T]
+	m.recs[rec.User][rec.T] = rec
+	m.gen[rec.T]++
+	m.epoch++
+	return !had
+}
+
+// inRange returns the model's records with t0 <= T <= t1, ordered by (T, user).
+func (m *model) inRange(t0, t1 int) []Record {
+	var out []Record
+	for _, byT := range m.recs {
+		for _, rec := range byT {
+			if t0 <= rec.T && rec.T <= t1 {
+				out = append(out, rec)
+			}
+		}
+	}
+	sortByTUser(out)
+	return out
+}
+
+func sortByTUser(rs []Record) {
+	slices.SortFunc(rs, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.User, b.User))
+	})
+}
+
+// TestTimestepIndexMatchesHistory checks every read path of the store,
+// at one shard and at five, against a plain map model after a random
+// stream of inserts and batches with replacements. A few records land
+// at sparse timesteps far beyond the dense ones, so range walks take
+// both branches of walkSteps, and Gen and Epoch must equal the exact
+// count of writes.
 func TestTimestepIndexMatchesHistory(t *testing.T) {
+	const users, dense = 50, 40
+	sparse := []int{1 << 40, 1<<40 + 3}
 	for _, tc := range []struct {
-		name string
-		s    Store
-	}{
-		{"mem", NewMemStore()},
-		{"sharded", NewShardedStore(5)},
-	} {
+		name   string
+		shards int
+	}{{"one-shard", 1}, {"sharded", 5}} {
 		t.Run(tc.name, func(t *testing.T) {
+			s := NewShardedStore(tc.shards)
+			m := &model{recs: make(map[int]map[int]Record), gen: make(map[int]uint64)}
 			rng := rand.New(rand.NewPCG(7, 11))
-			want := make(map[int]map[int]Record) // t -> user -> record
-			for i := 0; i < 3000; i++ {
-				rec := Record{
-					User: int(rng.Int64N(50)), T: int(rng.Int64N(40)),
+			randRec := func() Record {
+				ti := int(rng.Int64N(dense))
+				if rng.IntN(50) == 0 {
+					ti = sparse[rng.IntN(len(sparse))]
+				}
+				return Record{
+					User: int(rng.Int64N(users)), T: ti,
 					Cell: int(rng.Int64N(64)), PolicyVersion: 1,
 				}
-				tc.s.Insert(rec)
-				if want[rec.T] == nil {
-					want[rec.T] = make(map[int]Record)
-				}
-				want[rec.T][rec.User] = rec
 			}
-			for ti := 0; ti < 40; ti++ {
-				got := tc.s.At(ti)
-				if len(got) != len(want[ti]) {
-					t.Fatalf("At(%d): %d records, want %d", ti, len(got), len(want[ti]))
+			for n := 0; n < 3000; {
+				if rng.IntN(4) > 0 {
+					rec := randRec()
+					if got, want := s.Insert(rec), m.insert(rec); got != want {
+						t.Fatalf("Insert(%+v) added = %v, want %v", rec, got, want)
+					}
+					n++
+					continue
 				}
-				for i, rec := range got {
-					if i > 0 && got[i-1].User >= rec.User {
-						t.Fatalf("At(%d) not ordered by user: %v", ti, got)
+				batch := make([]Record, 1+rng.IntN(8)) // may repeat a (user, t)
+				want := 0
+				for i := range batch {
+					batch[i] = randRec()
+					if m.insert(batch[i]) {
+						want++
 					}
-					if want[ti][rec.User] != rec {
-						t.Fatalf("At(%d) user %d = %+v, want %+v", ti, rec.User, rec, want[ti][rec.User])
+				}
+				if got := s.InsertBatch(batch); got != want {
+					t.Fatalf("InsertBatch(%+v) = %d new, want %d", batch, got, want)
+				}
+				n += len(batch)
+			}
+
+			all := m.inRange(math.MinInt, math.MaxInt)
+			if got := s.Len(); got != len(all) {
+				t.Errorf("Len() = %d, want %d", got, len(all))
+			}
+			if got, want := s.MaxT(), all[len(all)-1].T; got != want {
+				t.Errorf("MaxT() = %d, want %d", got, want)
+			}
+			wantUsers := slices.Sorted(maps.Keys(m.recs))
+			if got := s.Users(); !slices.Equal(got, wantUsers) {
+				t.Errorf("Users() = %v, want %v", got, wantUsers)
+			}
+			for u := -1; u <= users; u++ { // -1 and users were never written
+				var hist []Record
+				for _, rec := range all {
+					if rec.User == u {
+						hist = append(hist, rec)
 					}
+				}
+				if got := s.UserRecords(u); !slices.Equal(got, hist) {
+					t.Errorf("UserRecords(%d) = %+v, want %+v", u, got, hist)
+				}
+				for _, p := range [][2]int{{-1, 0}, {-1, 3}, {10, 5}, {dense - 1, 0}, {sparse[0], 1}, {math.MaxInt, 0}} {
+					after, limit := p[0], p[1]
+					var want []Record
+					for _, rec := range hist {
+						if rec.T > after && (limit <= 0 || len(want) < limit) {
+							want = append(want, rec)
+						}
+					}
+					if got := s.UserRecordsAfter(u, after, limit); !slices.Equal(got, want) {
+						t.Errorf("UserRecordsAfter(%d, %d, %d) = %+v, want %+v", u, after, limit, got, want)
+					}
+				}
+			}
+
+			steps := append([]int{-1, dense, sparse[0] - 1, sparse[0] + 1, math.MaxInt}, sparse...)
+			for ti := range dense {
+				steps = append(steps, ti)
+			}
+			for _, ti := range steps {
+				want := m.inRange(ti, ti) // one timestep: ordered by user
+				if got := s.At(ti); !slices.Equal(got, want) {
+					t.Errorf("At(%d) = %+v, want %+v", ti, got, want)
+				}
+				if got := s.Gen(ti); got != m.gen[ti] {
+					t.Errorf("Gen(%d) = %d, want %d writes", ti, got, m.gen[ti])
+				}
+			}
+			if got := s.Epoch(); got != m.epoch {
+				t.Errorf("Epoch() = %d, want %d writes", got, m.epoch)
+			}
+
+			var scanned []Record
+			s.Scan(func(rec Record) bool { scanned = append(scanned, rec); return true })
+			sortByTUser(scanned)
+			if !slices.Equal(scanned, all) {
+				t.Errorf("Scan visited %d records, want the model's %d", len(scanned), len(all))
+			}
+			for _, r := range [][2]int{
+				{0, dense - 1}, {5, 5}, {10, 20}, {-5, math.MaxInt}, {25, sparse[0]},
+				{dense, sparse[0] - 1}, {sparse[0], math.MaxInt}, {sparse[1] + 1, math.MaxInt},
+			} {
+				var got []Record
+				s.ScanRange(r[0], r[1], func(rec Record) bool { got = append(got, rec); return true })
+				if !slices.IsSortedFunc(got, func(a, b Record) int { return cmp.Compare(a.T, b.T) }) {
+					t.Errorf("ScanRange(%d, %d) not ascending in T", r[0], r[1])
+				}
+				sortByTUser(got) // order within one timestep is unspecified
+				if want := m.inRange(r[0], r[1]); !slices.Equal(got, want) {
+					t.Errorf("ScanRange(%d, %d) visited %d records, want the model's %d", r[0], r[1], len(got), len(want))
 				}
 			}
 		})
@@ -55,7 +179,7 @@ func TestScanRange(t *testing.T) {
 		name string
 		s    Store
 	}{
-		{"mem", NewMemStore()},
+		{"one-shard", NewShardedStore(1)},
 		{"sharded", NewShardedStore(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,7 +228,7 @@ func TestGenerations(t *testing.T) {
 		name string
 		s    Store
 	}{
-		{"mem", NewMemStore()},
+		{"one-shard", NewShardedStore(1)},
 		{"sharded", NewShardedStore(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,46 +268,5 @@ func TestGenerations(t *testing.T) {
 				t.Errorf("after batch: Epoch=%d want %d", s.Epoch(), e+2)
 			}
 		})
-	}
-}
-
-// TestShardedRangeMatchesMem feeds both implementations the same stream
-// and checks the new read paths agree record-for-record.
-func TestShardedRangeMatchesMem(t *testing.T) {
-	mem := NewMemStore()
-	sharded := NewShardedStore(7)
-	rng := rand.New(rand.NewPCG(3, 9))
-	for i := 0; i < 2000; i++ {
-		rec := Record{
-			User: int(rng.Int64N(40)), T: int(rng.Int64N(30)),
-			Cell: int(rng.Int64N(64)), PolicyVersion: 1,
-		}
-		mem.Insert(rec)
-		sharded.Insert(rec)
-	}
-	collect := func(s Store, t0, t1 int) []Record {
-		var out []Record
-		s.ScanRange(t0, t1, func(rec Record) bool { out = append(out, rec); return true })
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].T != out[j].T {
-				return out[i].T < out[j].T
-			}
-			return out[i].User < out[j].User
-		})
-		return out
-	}
-	for _, r := range [][2]int{{0, 29}, {5, 5}, {10, 20}, {25, 99}} {
-		a, b := collect(mem, r[0], r[1]), collect(sharded, r[0], r[1])
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("ScanRange(%d,%d): mem %d records, sharded %d", r[0], r[1], len(a), len(b))
-		}
-	}
-	if mem.Epoch() != sharded.Epoch() {
-		t.Errorf("Epoch: mem=%d sharded=%d", mem.Epoch(), sharded.Epoch())
-	}
-	for ti := 0; ti < 30; ti++ {
-		if mem.Gen(ti) != sharded.Gen(ti) {
-			t.Errorf("Gen(%d): mem=%d sharded=%d", ti, mem.Gen(ti), sharded.Gen(ti))
-		}
 	}
 }

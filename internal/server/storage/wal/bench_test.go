@@ -1,16 +1,17 @@
 package wal
 
 // Durability-cost benchmarks: what does the WAL charge per Put on top
-// of the in-memory stores, in buffered and fsync-per-write modes? Run
+// of the in-memory store, in buffered and fsync-per-write modes? Run
 // alongside the storage benchmarks in CI:
 //
 //	go test -bench=. ./internal/server/storage/...
 //
 // Representative numbers (tmpfs-backed CI runners will flatter fsync;
 // see API.md for a local-disk run): buffered appends cost low single-
-// digit microseconds over memStore, fsync-per-write costs whatever the
-// device's flush latency is — typically 100x-1000x, which is why batch
-// ingestion (one fsync per batch) is the intended durable write path.
+// digit microseconds over a one-shard in-memory store, fsync-per-write
+// costs whatever the device's flush latency is — typically 100x-1000x,
+// which is why batch ingestion (one fsync per batch) is the intended
+// durable write path.
 
 import (
 	"fmt"
@@ -44,8 +45,8 @@ func benchInsertBatch(b *testing.B, s storage.Store, batch int) {
 	}
 }
 
-func BenchmarkInsertMem(b *testing.B)     { benchInsert(b, storage.NewMemStore()) }
-func BenchmarkInsertSharded(b *testing.B) { benchInsert(b, storage.NewShardedStore(16)) }
+func BenchmarkInsertOneShard(b *testing.B) { benchInsert(b, storage.NewShardedStore(1)) }
+func BenchmarkInsertSharded(b *testing.B)  { benchInsert(b, storage.NewShardedStore(16)) }
 
 func BenchmarkInsertWALBuffered(b *testing.B) {
 	s := mustOpenB(b, Options{CompactMinGarbage: -1})
@@ -59,7 +60,9 @@ func BenchmarkInsertWALFsync(b *testing.B) {
 	benchInsert(b, s)
 }
 
-func BenchmarkInsertBatch100Mem(b *testing.B) { benchInsertBatch(b, storage.NewMemStore(), 100) }
+func BenchmarkInsertBatch100OneShard(b *testing.B) {
+	benchInsertBatch(b, storage.NewShardedStore(1), 100)
+}
 
 func BenchmarkInsertBatch100WALBuffered(b *testing.B) {
 	s := mustOpenB(b, Options{CompactMinGarbage: -1})

@@ -28,6 +28,7 @@ package panda
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 
@@ -40,6 +41,7 @@ import (
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server"
 	"github.com/pglp/panda/internal/server/ingest"
+	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
@@ -162,10 +164,12 @@ func NewSystem(o Options) (*System, error) {
 		return nil, fmt.Errorf("panda: WindowSteps and WindowEpsilon must be set together")
 	}
 	var (
-		db    *server.DB
-		store *wal.Store
+		records storage.Store
+		store   *wal.Store
 	)
-	if o.DataDir != "" {
+	if o.DataDir == "" {
+		records = storage.NewShardedStore(o.StoreShards)
+	} else {
 		sync := wal.SyncBuffered
 		if o.FsyncEveryWrite {
 			sync = wal.SyncAlways
@@ -174,13 +178,14 @@ func NewSystem(o Options) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("panda: opening data dir: %w", err)
 		}
-		db, err = server.NewDBOn(grid, store)
-		if err != nil {
+		records = store
+	}
+	db, err := server.NewDBOn(grid, records)
+	if err != nil {
+		if store != nil {
 			store.Close()
-			return nil, err
 		}
-	} else {
-		db = server.NewShardedDB(grid, o.StoreShards)
+		return nil, err
 	}
 	srv, err := server.NewServerOpts(db, mgr, server.Options{
 		AsyncIngest:      o.AsyncIngest,
@@ -303,13 +308,16 @@ func (s *System) HealthCodeFor(user, window, now int) HealthCode {
 func (s *System) PolicyVersion(user int) int { return s.mgr.Version(user) }
 
 // DensitySeries returns per-region counts for each timestep in [t0, t1].
+// A range of more than 10,000 timesteps (analytics.MaxSeriesSpan) is an
+// error, like an inverted one.
 func (s *System) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
 	return s.db.Analytics().DensitySeries(t0, t1, blockRows, blockCols)
 }
 
 // ExposureSeries returns, per timestep in [t0, t1], how many users
 // reported a location in an infected place — the incidence proxy computed
-// on released data only.
+// on released data only. A range of more than 10,000 timesteps
+// (analytics.MaxSeriesSpan) is an error, like an inverted one.
 func (s *System) ExposureSeries(t0, t1 int) ([]int, error) {
 	return s.db.Analytics().InfectedExposureSeries(t0, t1, s.mgr.InfectedCells())
 }
@@ -405,6 +413,9 @@ func (u *User) releaseBatch(fromT int, cells []int) ([]Release, error) {
 	// fail between the first Spend and the batch insert.
 	if fromT < 0 {
 		return nil, fmt.Errorf("panda: negative timestep %d", fromT)
+	}
+	if len(cells) > 0 && fromT > math.MaxInt-(len(cells)-1) {
+		return nil, fmt.Errorf("panda: %d steps from timestep %d pass math.MaxInt", len(cells), fromT)
 	}
 	for _, c := range cells {
 		if c < 0 || c >= u.sys.grid.NumCells() {

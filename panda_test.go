@@ -2,6 +2,7 @@ package panda
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -299,6 +300,35 @@ func TestWindowBudgetEnforced(t *testing.T) {
 	}
 }
 
+// TestBatchPastMaxIntSpendsNoBudget: a batch whose timesteps would pass
+// math.MaxInt is refused before the window budget is charged, so it
+// neither stores a record nor blocks a later release at math.MaxInt.
+func TestBatchPastMaxIntSpendsNoBudget(t *testing.T) {
+	o := testOptions()
+	o.WindowSteps = 10
+	o.WindowEpsilon = 1 // ε=1 per release → one release per window
+	sys, err := NewSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.NewUser(1, GEM, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.ReportBatch(math.MaxInt, []int{1, 2}); err == nil {
+		t.Fatal("a batch from math.MaxInt over two steps should error")
+	}
+	if got := sys.Records(1); len(got) != 0 {
+		t.Fatalf("refused batch stored %v", got)
+	}
+	if _, err := u.Report(math.MaxInt, 1); err != nil {
+		t.Fatalf("Report(math.MaxInt) after the refused batch: %v", err)
+	}
+	if got := sys.Records(1); len(got) != 1 || got[0].T != math.MaxInt {
+		t.Errorf("records = %v, want one at math.MaxInt", got)
+	}
+}
+
 func TestVerifyMechanismFacade(t *testing.T) {
 	o := testOptions()
 	base, err := BaselinePolicy(o)
@@ -379,6 +409,21 @@ func TestSystemAnalyticsFacade(t *testing.T) {
 	}
 	if _, err := sys.DensitySeries(2, 0, 4, 4); err == nil {
 		t.Error("inverted range should error")
+	}
+}
+
+// TestSeriesSpanLimitFacade: both series refuse a range wider than
+// analytics.MaxSeriesSpan with an error instead of allocating it.
+func TestSeriesSpanLimitFacade(t *testing.T) {
+	sys, err := NewSystem(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DensitySeries(0, math.MaxInt, 2, 2); err == nil {
+		t.Error("DensitySeries(0, math.MaxInt) should error")
+	}
+	if _, err := sys.ExposureSeries(0, math.MaxInt); err == nil {
+		t.Error("ExposureSeries(0, math.MaxInt) should error")
 	}
 }
 
