@@ -46,13 +46,6 @@ func NewBayesian(grid *geo.Grid, prior []float64) (*Bayesian, error) {
 	return &Bayesian{grid: grid, prior: p}, nil
 }
 
-// Prior returns a copy of the adversary's prior.
-func (a *Bayesian) Prior() []float64 {
-	out := make([]float64, len(a.prior))
-	copy(out, a.prior)
-	return out
-}
-
 // Posterior computes Pr[true cell = s | released z] under the mechanism's
 // likelihood model. The +Inf likelihood convention (exact disclosures) is
 // honoured: if any prior-supported cell matches the observation exactly,
@@ -299,17 +292,10 @@ func (t *Tracker) Observe(z geo.Point) error {
 	})
 }
 
-// Belief returns the tracker's current posterior.
-func (t *Tracker) Belief() []float64 { return t.filter.Belief() }
-
 // Estimate applies an estimator to the current posterior.
 func (t *Tracker) Estimate(est Estimator) geo.Point {
 	return estimatePoint(t.grid, t.filter.Belief(), est)
 }
-
-// DeltaSet exposes the δ-location set of the current belief — the
-// adversarial knowledge against which policy feasibility is assessed.
-func (t *Tracker) DeltaSet(delta float64) []int { return t.filter.DeltaSet(delta) }
 
 // TrackingError releases the trajectory through the mechanism and measures
 // the tracker's mean estimation error along it.

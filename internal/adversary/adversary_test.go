@@ -26,14 +26,14 @@ func TestNewBayesianValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range a.Prior() {
+	for _, v := range a.prior {
 		if math.Abs(v-0.25) > 1e-12 {
-			t.Errorf("uniform prior = %v", a.Prior())
+			t.Errorf("uniform prior = %v", a.prior)
 		}
 	}
 	// Prior normalisation.
 	b, _ := NewBayesian(grid, []float64{2, 2, 0, 0})
-	if p := b.Prior(); math.Abs(p[0]-0.5) > 1e-12 {
+	if p := b.prior; math.Abs(p[0]-0.5) > 1e-12 {
 		t.Errorf("normalised prior = %v", p)
 	}
 }
@@ -184,7 +184,7 @@ func TestTrackerFollowsTrajectory(t *testing.T) {
 	if d := geo.Dist(lastEst, grid.Center(10)); d > 3 {
 		t.Errorf("tracker estimate %v too far from truth (d=%v)", lastEst, d)
 	}
-	if ds := tr.DeltaSet(0.5); len(ds) == 0 || len(ds) > 16 {
+	if ds := tr.filter.DeltaSet(0.5); len(ds) == 0 || len(ds) > 16 {
 		t.Errorf("delta set size %d unreasonable", len(ds))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/markov"
@@ -49,48 +48,4 @@ func ReconstructTrajectory(grid *geo.Grid, m mechanism.Mechanism, chain *markov.
 		likelihoods[t] = row
 	}
 	return markov.Viterbi(chain, initial, likelihoods)
-}
-
-// ReconstructionReport summarises a trajectory-reconstruction attack.
-type ReconstructionReport struct {
-	// MeanError is the mean Euclidean distance between decoded and true
-	// cells along the trajectory.
-	MeanError float64
-	// ExactRate is the fraction of steps decoded to the exact true cell.
-	ExactRate float64
-	// Steps is the trajectory length.
-	Steps int
-}
-
-// ReconstructionError releases a true trajectory through the mechanism
-// and measures how well Viterbi decoding recovers it.
-func ReconstructionError(grid *geo.Grid, m mechanism.Mechanism, chain *markov.Chain, truth []int, rng *rand.Rand) (ReconstructionReport, error) {
-	if len(truth) == 0 {
-		return ReconstructionReport{}, errors.New("adversary: empty trajectory")
-	}
-	released := make([]geo.Point, len(truth))
-	for t, s := range truth {
-		z, err := m.Release(rng, s)
-		if err != nil {
-			return ReconstructionReport{}, err
-		}
-		released[t] = z
-	}
-	decoded, err := ReconstructTrajectory(grid, m, chain, released, nil)
-	if err != nil {
-		return ReconstructionReport{}, err
-	}
-	var sum float64
-	exact := 0
-	for t := range truth {
-		sum += geo.Dist(grid.Center(decoded[t]), grid.Center(truth[t]))
-		if decoded[t] == truth[t] {
-			exact++
-		}
-	}
-	return ReconstructionReport{
-		MeanError: sum / float64(len(truth)),
-		ExactRate: float64(exact) / float64(len(truth)),
-		Steps:     len(truth),
-	}, nil
 }

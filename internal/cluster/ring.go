@@ -129,11 +129,6 @@ func (r *Ring) OwnerIndex(user int) int {
 	return r.owner[r.PartitionFor(user)]
 }
 
-// NodeFor returns the node owning the user's partition.
-func (r *Ring) NodeFor(user int) *Node {
-	return &r.Nodes[r.OwnerIndex(user)]
-}
-
 // NodeNamed returns the node with the given name, or nil.
 func (r *Ring) NodeNamed(name string) *Node {
 	for i := range r.Nodes {

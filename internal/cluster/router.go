@@ -95,9 +95,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Ring returns the ring the router routes over.
-func (rt *Router) Ring() *Ring { return rt.ring }
-
 // Handler returns the router's HTTP surface: the same /v2 paths a
 // single panda-server exposes, so clients point at the router with no
 // code changes.

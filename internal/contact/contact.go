@@ -14,18 +14,6 @@ import (
 	"github.com/pglp/panda/internal/trace"
 )
 
-// CoLocations returns the timesteps at which two cell sequences coincide.
-func CoLocations(a, b []int) []int {
-	n := min(len(a), len(b))
-	var out []int
-	for t := 0; t < n; t++ {
-		if a[t] == b[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // ContactsOf returns the ground-truth contacts of a patient: users with at
 // least minCo co-locations within the last `window` steps (window ≤ 0
 // means the whole horizon).

@@ -9,22 +9,6 @@ import (
 	"github.com/pglp/panda/internal/trace"
 )
 
-func TestCoLocations(t *testing.T) {
-	a := []int{1, 2, 3, 4}
-	b := []int{1, 9, 3, 9}
-	got := CoLocations(a, b)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("CoLocations = %v", got)
-	}
-	if CoLocations(nil, b) != nil {
-		t.Error("empty input should give nil")
-	}
-	// Unequal lengths compare the common prefix.
-	if got := CoLocations([]int{5}, []int{5, 5}); len(got) != 1 {
-		t.Errorf("prefix co-locations = %v", got)
-	}
-}
-
 // tracingDataset builds a deterministic scenario: patient (user 0) meets
 // user 1 twice and user 2 once; user 3 never.
 func tracingDataset(grid *geo.Grid) *trace.Dataset {

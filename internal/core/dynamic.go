@@ -37,7 +37,6 @@ type DynamicReleaser struct {
 	delta  float64
 	chain  *markov.Chain
 	filter *markov.Filter
-	steps  int
 }
 
 // StepResult reports one dynamic release and its policy diagnostics.
@@ -82,9 +81,6 @@ func NewDynamicReleaser(grid *geo.Grid, policy Policy, kind mechanism.Kind, chai
 
 // Belief returns the current public posterior over the user's location.
 func (d *DynamicReleaser) Belief() []float64 { return d.filter.Belief() }
-
-// Steps returns how many releases have been performed.
-func (d *DynamicReleaser) Steps() int { return d.steps }
 
 // Step performs one timestep: predict, δ-set, repair, release, update.
 func (d *DynamicReleaser) Step(rng *rand.Rand, trueCell int) (StepResult, error) {
@@ -159,19 +155,5 @@ func (d *DynamicReleaser) Step(rng *rand.Rand, trueCell int) (StepResult, error)
 		}
 		d.filter = f2
 	}
-	d.steps++
 	return res, nil
-}
-
-// ReleaseTrajectory runs the dynamic pipeline over a whole trajectory.
-func (d *DynamicReleaser) ReleaseTrajectory(rng *rand.Rand, cells []int) ([]StepResult, error) {
-	out := make([]StepResult, 0, len(cells))
-	for i, c := range cells {
-		r, err := d.Step(rng, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: dynamic step %d: %w", i, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

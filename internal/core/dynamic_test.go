@@ -55,9 +55,6 @@ func TestDynamicStepBasics(t *testing.T) {
 	if !grid.InRange(res.Cell) {
 		t.Errorf("released cell %d out of range", res.Cell)
 	}
-	if d.Steps() != 1 {
-		t.Errorf("Steps = %d", d.Steps())
-	}
 	if _, err := d.Step(rng, 99); err == nil {
 		t.Error("out-of-range cell should error")
 	}
@@ -162,20 +159,16 @@ func TestDynamicTrajectoryAndPrivacySpotCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := dp.NewRand(13)
-	traj := []int{0, 1, 2, 6, 10, 11}
-	results, err := d.ReleaseTrajectory(rng, traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(traj) {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
+	for i, c := range []int{0, 1, 2, 6, 10, 11} {
+		r, err := d.Step(rng, c)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.IsNaN(r.Point.X) || !grid.InRange(r.Cell) {
 			t.Fatalf("step %d: bad release %+v", i, r)
 		}
 	}
-	if _, err := d.ReleaseTrajectory(rng, []int{0, 99}); err == nil {
+	if _, err := d.Step(rng, 99); err == nil {
 		t.Error("bad trajectory should error")
 	}
 }

@@ -37,17 +37,6 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// IndistinguishabilityBound returns the bound e^{ε·dG(u,v)} that Lemma 2.1
-// guarantees between two locations, or +Inf when they are disconnected
-// (no requirement).
-func (p Policy) IndistinguishabilityBound(u, v int) float64 {
-	d := p.Graph.Distance(u, v)
-	if d == policygraph.Unreachable {
-		return math.Inf(1)
-	}
-	return math.Exp(p.Epsilon * float64(d))
-}
-
 // BrokenEdge is a policy edge whose indistinguishability requirement is
 // unattainable under adversarial knowledge: one endpoint is inside the
 // adversary's feasible set and the other is not, so the adversary can

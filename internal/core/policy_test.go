@@ -27,22 +27,6 @@ func TestNewPolicyValidation(t *testing.T) {
 	}
 }
 
-func TestIndistinguishabilityBound(t *testing.T) {
-	p, _ := NewPolicy(0.5, policygraph.Path(4))
-	if got := p.IndistinguishabilityBound(0, 1); math.Abs(got-math.Exp(0.5)) > 1e-12 {
-		t.Errorf("bound(0,1) = %v", got)
-	}
-	if got := p.IndistinguishabilityBound(0, 3); math.Abs(got-math.Exp(1.5)) > 1e-12 {
-		t.Errorf("bound(0,3) = %v", got)
-	}
-	g := policygraph.New(4)
-	g.AddEdge(0, 1)
-	p2, _ := NewPolicy(1, g)
-	if got := p2.IndistinguishabilityBound(0, 3); !math.IsInf(got, 1) {
-		t.Errorf("disconnected bound = %v, want +Inf", got)
-	}
-}
-
 func TestBrokenEdgesAndFeasibility(t *testing.T) {
 	g := policygraph.Path(5) // 0-1-2-3-4
 	// Adversary knows the user is in {1,2,3}: edges (0,1) and (3,4) break.

@@ -4,20 +4,17 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
 )
 
 // Releaser is the client-side PGLP pipeline of Fig. 3: it binds a grid, a
-// policy and a mechanism family, optionally enforces a privacy budget, and
-// turns true cells into released locations.
+// policy and a mechanism family, and turns true cells into released
+// locations.
 type Releaser struct {
 	grid   *geo.Grid
 	policy Policy
-	kind   mechanism.Kind
 	mech   mechanism.Mechanism
-	budget *dp.Accountant // optional
 }
 
 // NewReleaser builds a releaser. The mechanism is constructed eagerly so
@@ -30,44 +27,17 @@ func NewReleaser(grid *geo.Grid, policy Policy, kind mechanism.Kind) (*Releaser,
 	if err != nil {
 		return nil, err
 	}
-	return &Releaser{grid: grid, policy: policy, kind: kind, mech: m}, nil
+	return &Releaser{grid: grid, policy: policy, mech: m}, nil
 }
-
-// WithBudget attaches a sequential-composition budget: each Release spends
-// ε. Returns the receiver for chaining.
-func (r *Releaser) WithBudget(total float64) *Releaser {
-	r.budget = dp.NewAccountant(total)
-	return r
-}
-
-// Grid returns the underlying grid.
-func (r *Releaser) Grid() *geo.Grid { return r.grid }
 
 // Policy returns the bound policy.
 func (r *Releaser) Policy() Policy { return r.policy }
 
-// Kind returns the mechanism family.
-func (r *Releaser) Kind() mechanism.Kind { return r.kind }
-
 // Mechanism exposes the underlying mechanism (for adversaries/verifiers).
 func (r *Releaser) Mechanism() mechanism.Mechanism { return r.mech }
 
-// BudgetSpent reports the ε consumed so far (0 when unbudgeted).
-func (r *Releaser) BudgetSpent() float64 {
-	if r.budget == nil {
-		return 0
-	}
-	return r.budget.Spent()
-}
-
-// Release perturbs the true cell s under the policy, spending budget if
-// one is attached.
+// Release perturbs the true cell s under the policy.
 func (r *Releaser) Release(rng *rand.Rand, s int) (geo.Point, error) {
-	if r.budget != nil {
-		if err := r.budget.Spend(r.policy.Epsilon); err != nil {
-			return geo.Point{}, fmt.Errorf("core: release denied: %w", err)
-		}
-	}
 	return r.mech.Release(rng, s)
 }
 

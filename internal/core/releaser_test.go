@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/pglp/panda/internal/dp"
@@ -55,37 +54,8 @@ func TestReleaseAndSnap(t *testing.T) {
 	if grid.Snap(p) != cell {
 		t.Error("snap mismatch")
 	}
-	if r.Kind() != mechanism.KindGLM || r.Mechanism().Name() != "glm" {
+	if r.Mechanism().Name() != "glm" {
 		t.Error("kind plumbing wrong")
-	}
-	if r.Grid() != grid {
-		t.Error("grid plumbing wrong")
-	}
-}
-
-func TestReleaserBudgetEnforcement(t *testing.T) {
-	grid := geo.MustGrid(3, 3, 1)
-	r, err := NewReleaser(grid, testPolicy(t, grid, 0.5), mechanism.KindGEM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.WithBudget(1.0) // allows exactly 2 releases at ε=0.5
-	rng := dp.NewRand(1)
-	for i := 0; i < 2; i++ {
-		if _, err := r.Release(rng, 0); err != nil {
-			t.Fatalf("release %d should succeed: %v", i, err)
-		}
-	}
-	if _, err := r.Release(rng, 0); !errors.Is(err, dp.ErrBudgetExhausted) {
-		t.Errorf("third release should exhaust budget, got %v", err)
-	}
-	if r.BudgetSpent() != 1.0 {
-		t.Errorf("BudgetSpent = %v", r.BudgetSpent())
-	}
-	// Unbudgeted releaser reports zero.
-	r2, _ := NewReleaser(grid, testPolicy(t, grid, 0.5), mechanism.KindGEM)
-	if r2.BudgetSpent() != 0 {
-		t.Error("unbudgeted spent should be 0")
 	}
 }
 

@@ -3,6 +3,8 @@ package dp
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 )
 
@@ -10,70 +12,12 @@ import (
 // budget.
 var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
 
-// Accountant tracks a total ε budget under sequential composition: every
-// release of a location under {ε,G}-location privacy consumes ε. It is safe
-// for concurrent use.
-type Accountant struct {
-	mu    sync.Mutex
-	total float64
-	spent float64
-}
-
-// NewAccountant returns an accountant with the given total budget.
-// A non-positive total means "unlimited".
-func NewAccountant(total float64) *Accountant {
-	return &Accountant{total: total}
-}
-
-// Spend consumes eps from the budget, or returns ErrBudgetExhausted
-// (without consuming anything) if it would overdraw.
-func (a *Accountant) Spend(eps float64) error {
-	if eps < 0 {
-		return fmt.Errorf("dp: negative spend %v", eps)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.total > 0 && a.spent+eps > a.total+1e-12 {
-		return fmt.Errorf("%w: spent %.4g of %.4g, requested %.4g",
-			ErrBudgetExhausted, a.spent, a.total, eps)
-	}
-	a.spent += eps
-	return nil
-}
-
-// Spent returns the ε consumed so far.
-func (a *Accountant) Spent() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent
-}
-
-// Remaining returns the ε left, or +Inf semantics via a large value when
-// unlimited (total ≤ 0 reports remaining = -1).
-func (a *Accountant) Remaining() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.total <= 0 {
-		return -1
-	}
-	r := a.total - a.spent
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// Reset clears the consumed budget (e.g. when a new epoch starts).
-func (a *Accountant) Reset() {
-	a.mu.Lock()
-	a.spent = 0
-	a.mu.Unlock()
-}
-
 // WindowAccountant enforces a per-window ε budget over a sliding window of
 // timesteps — the natural accounting for PANDA, where users share their
-// locations "of the past two weeks". Releases older than the window no
-// longer count against the budget.
+// locations "of the past two weeks". Every release of a location under
+// {ε,G}-location privacy consumes ε (sequential composition), and the
+// releases within any window of consecutive timesteps may not consume
+// more than the limit. It is safe for concurrent use.
 type WindowAccountant struct {
 	mu     sync.Mutex
 	window int
@@ -93,49 +37,64 @@ func NewWindowAccountant(window int, limit float64) (*WindowAccountant, error) {
 	return &WindowAccountant{window: window, limit: limit, spends: make(map[int]float64)}, nil
 }
 
-// Spend records a spend of eps at timestep t, unless the window ending at t
-// would exceed the limit.
-func (w *WindowAccountant) Spend(t int, eps float64) error {
-	if eps < 0 {
-		return fmt.Errorf("dp: negative spend %v", eps)
+// Spend charges eps at each of the n timesteps fromT, …, fromT+n-1, or
+// returns ErrBudgetExhausted and charges nothing if any window of
+// consecutive timesteps that holds one of them would then exceed the
+// limit. Steps may be charged in any order: a charge at an earlier step
+// counts against the windows that later charges already touch.
+func (w *WindowAccountant) Spend(fromT, n int, eps float64) error {
+	if eps < 0 || math.IsNaN(eps) {
+		return fmt.Errorf("dp: spend must be non-negative, got %v", eps)
 	}
+	if fromT < 0 {
+		return fmt.Errorf("dp: negative timestep %d", fromT)
+	}
+	if n <= 0 || eps == 0 {
+		return nil
+	}
+	if fromT > math.MaxInt-(n-1) {
+		return fmt.Errorf("dp: %d steps from timestep %d pass math.MaxInt", n, fromT)
+	}
+	last := fromT + n - 1
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	inWindow := w.spentInWindowLocked(t)
-	if inWindow+eps > w.limit+1e-12 {
-		return fmt.Errorf("%w: window spend %.4g of %.4g at t=%d, requested %.4g",
-			ErrBudgetExhausted, inWindow, w.limit, t, eps)
+	// A window that holds step s ends in [s, s+window-1], so the windows
+	// to check end in [fromT, last+window-1] (cut at math.MaxInt: a window
+	// ending past it holds a subset of the one ending at it) and hold
+	// steps from fromT-window+1 on.
+	lo, hi := fromT-(w.window-1), last+min(w.window-1, math.MaxInt-last)
+	spent := make(map[int]float64)
+	for t, e := range w.spends {
+		if t >= lo && t <= hi {
+			spent[t] = e
+		}
 	}
-	w.spends[t] += eps
+	for i := 0; i < n; i++ {
+		spent[fromT+i] += eps
+	}
+	steps := make([]int, 0, len(spent))
+	for t := range spent {
+		steps = append(steps, t)
+	}
+	sort.Ints(steps)
+	// Moving a window's end down to the last charged step inside it
+	// keeps every charge in it, so checking the windows that end at a
+	// charged step in [fromT, hi] covers every window.
+	var sum float64
+	first := 0
+	for _, end := range steps {
+		sum += spent[end]
+		for steps[first] <= end-w.window {
+			sum -= spent[steps[first]]
+			first++
+		}
+		if end >= fromT && sum > w.limit*(1+1e-9) {
+			return fmt.Errorf("%w: steps (%d, %d] would spend %.4g of %.4g",
+				ErrBudgetExhausted, end-w.window, end, sum, w.limit)
+		}
+	}
+	for i := 0; i < n; i++ {
+		w.spends[fromT+i] += eps
+	}
 	return nil
-}
-
-// SpentInWindow returns the ε spent in the window of timesteps
-// (t-window, t].
-func (w *WindowAccountant) SpentInWindow(t int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.spentInWindowLocked(t)
-}
-
-func (w *WindowAccountant) spentInWindowLocked(t int) float64 {
-	var s float64
-	for ts, e := range w.spends {
-		if ts > t-w.window && ts <= t {
-			s += e
-		}
-	}
-	return s
-}
-
-// GC drops spend records older than the window relative to t, bounding
-// memory for long-running users.
-func (w *WindowAccountant) GC(t int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for ts := range w.spends {
-		if ts <= t-w.window {
-			delete(w.spends, ts)
-		}
-	}
 }

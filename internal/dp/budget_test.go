@@ -2,50 +2,45 @@ package dp
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
 
 func TestAccountantBasics(t *testing.T) {
-	a := NewAccountant(1.0)
-	if err := a.Spend(0.4); err != nil {
+	w, err := NewWindowAccountant(10, 1.0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Spend(0.6); err != nil {
+	if err := w.Spend(0, 1, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Spend(0.01); !errors.Is(err, ErrBudgetExhausted) {
+	if err := w.Spend(1, 1, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Spend(2, 1, 0.01); !errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("expected exhaustion, got %v", err)
 	}
-	if a.Spent() != 1.0 {
-		t.Errorf("Spent = %v", a.Spent())
+	// A zero-length charge or a zero ε charges nothing and always fits.
+	if err := w.Spend(3, 0, 5); err != nil {
+		t.Errorf("empty charge: %v", err)
 	}
-	if a.Remaining() != 0 {
-		t.Errorf("Remaining = %v", a.Remaining())
+	if err := w.Spend(3, 4, 0); err != nil {
+		t.Errorf("zero-ε charge: %v", err)
 	}
-	a.Reset()
-	if a.Spent() != 0 {
-		t.Error("Reset should clear spend")
-	}
-}
-
-func TestAccountantUnlimitedAndNegative(t *testing.T) {
-	a := NewAccountant(0)
-	for i := 0; i < 100; i++ {
-		if err := a.Spend(10); err != nil {
-			t.Fatal("unlimited accountant should never exhaust")
-		}
-	}
-	if a.Remaining() != -1 {
-		t.Errorf("unlimited Remaining = %v, want -1 sentinel", a.Remaining())
-	}
-	if err := a.Spend(-1); err == nil {
-		t.Error("negative spend should error")
+	// Step 10's window (0, 10] no longer holds step 0's 0.4.
+	if err := w.Spend(10, 1, 0.4); err != nil {
+		t.Errorf("t=10 spend should fit: %v", err)
 	}
 }
 
+// TestAccountantConcurrent: concurrent charges into one window never
+// overdraw it, and every refused charge leaves the budget untouched.
 func TestAccountantConcurrent(t *testing.T) {
-	a := NewAccountant(1000)
+	w, err := NewWindowAccountant(100, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2000)
 	for i := 0; i < 20; i++ {
@@ -53,7 +48,7 @@ func TestAccountantConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				errs <- a.Spend(1)
+				errs <- w.Spend(j, 1, 1)
 			}
 		}()
 	}
@@ -68,48 +63,61 @@ func TestAccountantConcurrent(t *testing.T) {
 	if failures != 1000 {
 		t.Errorf("got %d failures, want exactly 1000 (budget 1000 of 2000 spends)", failures)
 	}
-	if a.Spent() != 1000 {
-		t.Errorf("Spent = %v, want 1000", a.Spent())
+	if err := w.Spend(99, 1, 1); !errors.Is(err, ErrBudgetExhausted) {
+		t.Errorf("a full window accepted another charge: %v", err)
 	}
 }
 
+// TestWindowAccountant: whatever order the charges come in, no window of
+// consecutive steps may hold more than the limit, and a refused charge
+// charges none of its steps.
 func TestWindowAccountant(t *testing.T) {
-	w, err := NewWindowAccountant(3, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	type charge struct {
+		fromT, n int
+		ok       bool
 	}
-	// Spend 0.5 at t=1 and t=2: window (t-3, t] at t=3 holds both.
-	if err := w.Spend(1, 0.5); err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name    string
+		window  int
+		limit   float64
+		charges []charge
+	}{
+		{"in order, the window slides", 3, 2, []charge{
+			{1, 1, true}, {2, 1, true}, {3, 1, false}, {4, 1, true}, {5, 1, true}, {6, 1, false},
+		}},
+		{"an earlier step joins a later step's window", 10, 1, []charge{
+			{14, 1, true}, {5, 1, false}, {4, 1, true},
+		}},
+		{"an earlier step between two later ones", 5, 2, []charge{
+			{10, 1, true}, {2, 1, true}, {6, 1, true}, {4, 1, false}, {7, 1, false}, {1, 1, true},
+		}},
+		{"a batch across two later windows", 4, 2, []charge{
+			{4, 1, true}, {9, 1, true}, {5, 3, false}, {5, 1, true}, {6, 3, false}, {7, 1, false}, {8, 1, true},
+		}},
+		{"a refused batch charges none of its steps", 3, 2, []charge{
+			{0, 3, false}, {0, 2, true}, {3, 2, true}, {2, 1, false},
+		}},
+		{"steps at math.MaxInt", 10, 1, []charge{
+			{math.MaxInt, 1, true}, {math.MaxInt - 9, 1, false}, {math.MaxInt - 10, 1, true},
+			{math.MaxInt, 2, false}, {math.MaxInt - 1, 2, false},
+		}},
 	}
-	if err := w.Spend(2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Spend(3, 0.1); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("expected exhaustion at t=3, got %v", err)
-	}
-	// At t=4 the spend at t=1 has expired.
-	if err := w.Spend(4, 0.5); err != nil {
-		t.Errorf("t=4 spend should fit: %v", err)
-	}
-	if got := w.SpentInWindow(4); got != 1.0 {
-		t.Errorf("SpentInWindow(4) = %v, want 1.0", got)
-	}
-}
-
-func TestWindowAccountantGC(t *testing.T) {
-	w, _ := NewWindowAccountant(2, 10)
-	for ts := 0; ts < 100; ts++ {
-		if err := w.Spend(ts, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.GC(100)
-	w.mu.Lock()
-	n := len(w.spends)
-	w.mu.Unlock()
-	if n > 2 {
-		t.Errorf("GC left %d records, want ≤ 2", n)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWindowAccountant(tc.window, tc.limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range tc.charges {
+				err := w.Spend(c.fromT, c.n, 1)
+				if c.ok && err != nil {
+					t.Errorf("charge %d (%d steps from %d): %v", i, c.n, c.fromT, err)
+				}
+				if !c.ok && err == nil {
+					t.Errorf("charge %d (%d steps from %d) fit, want refused", i, c.n, c.fromT)
+				}
+			}
+		})
 	}
 }
 
@@ -121,8 +129,16 @@ func TestWindowAccountantValidation(t *testing.T) {
 		t.Error("zero limit should error")
 	}
 	w, _ := NewWindowAccountant(5, 1)
-	if err := w.Spend(0, -0.1); err == nil {
-		t.Error("negative spend should error")
+	for _, eps := range []float64{-0.1, math.NaN()} {
+		if err := w.Spend(0, 1, eps); err == nil {
+			t.Errorf("spend of %v should error", eps)
+		}
+	}
+	if err := w.Spend(-1, 1, 0.1); err == nil {
+		t.Error("negative timestep should error")
+	}
+	if err := w.Spend(1, 1, 1); err != nil {
+		t.Errorf("refused spends charged the budget: %v", err)
 	}
 }
 

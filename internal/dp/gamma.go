@@ -20,20 +20,3 @@ func GammaInt(rng *rand.Rand, k int, scale float64) float64 {
 	}
 	return -scale * math.Log(prod)
 }
-
-// GammaIntDensity returns the density of GammaInt(k, scale) at x ≥ 0.
-func GammaIntDensity(x float64, k int, scale float64) float64 {
-	if x < 0 || k <= 0 {
-		return 0
-	}
-	logf := float64(k-1)*math.Log(x) - x/scale - float64(k)*math.Log(scale) - logFactorial(k-1)
-	return math.Exp(logf)
-}
-
-func logFactorial(n int) float64 {
-	s := 0.0
-	for i := 2; i <= n; i++ {
-		s += math.Log(float64(i))
-	}
-	return s
-}

@@ -36,37 +36,3 @@ func TestGammaIntZeroShape(t *testing.T) {
 		t.Errorf("GammaInt(k=0) = %v, want 0", got)
 	}
 }
-
-func TestGammaIntDensityIntegratesToOne(t *testing.T) {
-	k, scale := 3, 1.5
-	var integral float64
-	dx := 0.001
-	for x := dx / 2; x < 60; x += dx {
-		integral += GammaIntDensity(x, k, scale) * dx
-	}
-	if math.Abs(integral-1) > 2e-3 {
-		t.Errorf("∫density = %v, want 1", integral)
-	}
-}
-
-func TestGammaIntDensityEdges(t *testing.T) {
-	if GammaIntDensity(-1, 3, 1) != 0 {
-		t.Error("density should be 0 for negative x")
-	}
-	if GammaIntDensity(1, 0, 1) != 0 {
-		t.Error("density should be 0 for non-positive shape")
-	}
-	// Shape 1 is the exponential density.
-	if math.Abs(GammaIntDensity(0.5, 1, 2)-math.Exp(-0.25)/2) > 1e-12 {
-		t.Error("shape-1 density should match exponential")
-	}
-}
-
-func TestLogFactorial(t *testing.T) {
-	if logFactorial(0) != 0 || logFactorial(1) != 0 {
-		t.Error("0! and 1! should be 1")
-	}
-	if math.Abs(logFactorial(5)-math.Log(120)) > 1e-12 {
-		t.Errorf("log 5! = %v", logFactorial(5))
-	}
-}

@@ -7,26 +7,6 @@ import (
 	"github.com/pglp/panda/internal/geo"
 )
 
-// Laplace draws from the one-dimensional Laplace distribution with the
-// given scale b (density exp(-|x|/b)/(2b)).
-func Laplace(rng *rand.Rand, scale float64) float64 {
-	u := rng.Float64() - 0.5
-	if u >= 0 {
-		return -scale * math.Log(1-2*u)
-	}
-	return scale * math.Log(1+2*u)
-}
-
-// LaplaceDensity returns the density of Laplace(scale) at x.
-func LaplaceDensity(x, scale float64) float64 {
-	return math.Exp(-math.Abs(x)/scale) / (2 * scale)
-}
-
-// Exponential draws from the exponential distribution with the given rate.
-func Exponential(rng *rand.Rand, rate float64) float64 {
-	return -math.Log(1-rng.Float64()) / rate
-}
-
 // PlanarLaplace draws a noise vector from the planar (polar) Laplace
 // distribution with parameter eps, i.e. density eps²/(2π)·exp(-eps·‖v‖).
 // This is the mechanism of Geo-Indistinguishability (Andrés et al., CCS'13):

@@ -6,56 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLaplaceMoments(t *testing.T) {
-	rng := NewRand(1)
-	const n = 200000
-	scale := 2.5
-	var sum, sum2 float64
-	for i := 0; i < n; i++ {
-		x := Laplace(rng, scale)
-		sum += x
-		sum2 += x * x
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Errorf("mean = %v, want ≈0", mean)
-	}
-	want := 2 * scale * scale
-	if math.Abs(variance-want)/want > 0.05 {
-		t.Errorf("variance = %v, want ≈%v", variance, want)
-	}
-}
-
-func TestLaplaceDensityIntegratesToOne(t *testing.T) {
-	scale := 1.3
-	var integral float64
-	dx := 0.001
-	for x := -30.0; x < 30; x += dx {
-		integral += LaplaceDensity(x, scale) * dx
-	}
-	if math.Abs(integral-1) > 1e-3 {
-		t.Errorf("∫density = %v, want 1", integral)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	rng := NewRand(7)
-	const n = 100000
-	rate := 3.0
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := Exponential(rng, rate)
-		if x < 0 {
-			t.Fatal("exponential sample negative")
-		}
-		sum += x
-	}
-	if math.Abs(sum/n-1/rate) > 0.01 {
-		t.Errorf("mean = %v, want %v", sum/n, 1/rate)
-	}
-}
-
 func TestLambertWm1Identity(t *testing.T) {
 	// W₋₁(x)·e^{W₋₁(x)} = x across the domain.
 	for _, x := range []float64{-1 / math.E, -0.367, -0.3, -0.2, -0.1, -0.01, -1e-4, -1e-8, -1e-15} {

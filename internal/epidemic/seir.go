@@ -26,16 +26,10 @@ func (p SEIRParams) Validate() error {
 	return nil
 }
 
-// R0 returns the basic reproduction number β/γ.
-func (p SEIRParams) R0() float64 { return p.Beta / p.Gamma }
-
 // SEIRState is a compartment occupancy snapshot.
 type SEIRState struct {
 	S, E, I, R float64
 }
-
-// Total returns S+E+I+R.
-func (s SEIRState) Total() float64 { return s.S + s.E + s.I + s.R }
 
 // deriv computes the SEIR vector field.
 func deriv(p SEIRParams, s SEIRState) SEIRState {

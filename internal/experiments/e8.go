@@ -73,19 +73,3 @@ func RunE8(cfg Config) (*Table, error) {
 	}
 	return table, nil
 }
-
-// RunAll executes every experiment in order.
-func RunAll(cfg Config) ([]*Table, error) {
-	runners := []func(Config) (*Table, error){
-		RunE1, RunE2, RunE3, RunE4, RunE5, RunE6, RunE7, RunE8, RunE9, RunE10, RunE11,
-	}
-	out := make([]*Table, 0, len(runners))
-	for _, run := range runners {
-		t, err := run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

@@ -327,29 +327,6 @@ func TestRunE11GGIDominatesOnRoads(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	cfg := Quick()
-	cfg.Users = 15
-	cfg.Steps = 12
-	cfg.UtilitySamples = 60
-	cfg.AdversaryRounds = 60
-	tables, err := RunAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 11 {
-		t.Fatalf("tables = %d, want 11", len(tables))
-	}
-	for _, tb := range tables {
-		if len(tb.Rows) == 0 {
-			t.Errorf("%s: empty table", tb.ID)
-		}
-	}
-}
-
 func TestRunE8NoViolations(t *testing.T) {
 	cfg := Quick()
 	tb, err := RunE8(cfg)

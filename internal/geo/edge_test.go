@@ -36,15 +36,6 @@ func TestEigenSymNearDegenerate(t *testing.T) {
 	}
 }
 
-func TestSqrtSymClampsNegativeEigenvalues(t *testing.T) {
-	// A slightly indefinite matrix (numerical noise scenario).
-	m := Mat2{A: 1, B: 0, C: 0, D: -1e-15}
-	s := m.SqrtSym()
-	if math.IsNaN(s.A) || math.IsNaN(s.D) {
-		t.Error("SqrtSym produced NaN on near-PSD input")
-	}
-}
-
 func TestGaugeNormDegenerateBodies(t *testing.T) {
 	// Empty body.
 	if g := GaugeNorm(nil, Pt(1, 0)); !math.IsInf(g, 1) {
@@ -87,17 +78,6 @@ func TestSegmentGaugeThroughOrigin(t *testing.T) {
 	}
 	if g := segmentGauge(c, d, Pt(10, 1)); !math.IsInf(g, 1) {
 		t.Errorf("beyond-endpoint gauge = %v", g)
-	}
-}
-
-func TestPolygonCentroidDegenerate(t *testing.T) {
-	// Zero-area polygon falls back to vertex mean.
-	c := PolygonCentroid([]Point{{0, 0}, {1, 1}, {2, 2}})
-	if !AlmostEqual(c, Pt(1, 1), 1e-12) {
-		t.Errorf("degenerate centroid = %v", c)
-	}
-	if !PolygonCentroid(nil).IsZero() {
-		t.Error("empty centroid should be origin")
 	}
 }
 

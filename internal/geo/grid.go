@@ -68,10 +68,6 @@ func (g *Grid) Center(id int) Point {
 	}
 }
 
-// Width and Height return the plane extents of the grid.
-func (g *Grid) Width() float64  { return float64(g.Cols) * g.CellSize }
-func (g *Grid) Height() float64 { return float64(g.Rows) * g.CellSize }
-
 // Snap returns the ID of the cell containing p, clamping out-of-bounds
 // points to the nearest border cell. Released locations may fall outside
 // the map (noise is unbounded); snapping is the canonical discretisation.
@@ -148,16 +144,4 @@ func (g *Grid) Partition(blockRows, blockCols int) [][]int {
 		out[r] = append(out[r], id)
 	}
 	return out
-}
-
-// RegionCentroid returns the mean center of the cells in a region slice.
-func (g *Grid) RegionCentroid(cells []int) Point {
-	var s Point
-	if len(cells) == 0 {
-		return s
-	}
-	for _, id := range cells {
-		s = s.Add(g.Center(id))
-	}
-	return s.Scale(1 / float64(len(cells)))
 }

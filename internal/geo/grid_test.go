@@ -170,25 +170,6 @@ func TestPartitionPartialBlocks(t *testing.T) {
 	}
 }
 
-func TestRegionCentroid(t *testing.T) {
-	g := MustGrid(2, 2, 2)
-	cells := []int{0, 1, 2, 3}
-	c := g.RegionCentroid(cells)
-	if c != Pt(2, 2) {
-		t.Errorf("RegionCentroid = %v, want (2,2)", c)
-	}
-	if z := g.RegionCentroid(nil); !z.IsZero() {
-		t.Errorf("empty centroid = %v, want origin", z)
-	}
-}
-
-func TestGridExtents(t *testing.T) {
-	g := MustGrid(3, 5, 2)
-	if g.Width() != 10 || g.Height() != 6 {
-		t.Errorf("extents = %v x %v, want 10 x 6", g.Width(), g.Height())
-	}
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -76,30 +76,6 @@ func PolygonArea(poly []Point) float64 {
 	return math.Abs(s) / 2
 }
 
-// PolygonCentroid returns the centroid of a simple polygon with nonzero
-// area; for degenerate polygons it returns the vertex mean.
-func PolygonCentroid(poly []Point) Point {
-	if len(poly) == 0 {
-		return Point{}
-	}
-	var cx, cy, a float64
-	for i, p := range poly {
-		q := poly[(i+1)%len(poly)]
-		w := p.Cross(q)
-		a += w
-		cx += (p.X + q.X) * w
-		cy += (p.Y + q.Y) * w
-	}
-	if math.Abs(a) < 1e-18 {
-		var s Point
-		for _, p := range poly {
-			s = s.Add(p)
-		}
-		return s.Scale(1 / float64(len(poly)))
-	}
-	return Point{cx / (3 * a), cy / (3 * a)}
-}
-
 // SecondMoment returns the second-moment matrix M = E[xxᵀ] of the uniform
 // distribution over a polygon that contains the origin (star-shaped about
 // the origin suffices; convex bodies containing the origin always qualify).

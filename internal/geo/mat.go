@@ -32,14 +32,6 @@ func (m Mat2) Mul(n Mat2) Mat2 {
 	}
 }
 
-// Scale returns k*m.
-func (m Mat2) Scale(k float64) Mat2 {
-	return Mat2{k * m.A, k * m.B, k * m.C, k * m.D}
-}
-
-// Transpose returns mᵀ.
-func (m Mat2) Transpose() Mat2 { return Mat2{m.A, m.C, m.B, m.D} }
-
 // Det returns the determinant of m.
 func (m Mat2) Det() float64 { return m.A*m.D - m.B*m.C }
 
@@ -90,16 +82,6 @@ func (m Mat2) EigenSym() (l1, l2 float64, v1, v2 Point) {
 	return l1, l2, v1, v2
 }
 
-// SqrtSym returns the symmetric positive semi-definite square root of a
-// symmetric PSD matrix. Negative eigenvalues (numerical noise) are clamped
-// to zero.
-func (m Mat2) SqrtSym() Mat2 {
-	l1, l2, v1, v2 := m.EigenSym()
-	s1 := math.Sqrt(math.Max(0, l1))
-	s2 := math.Sqrt(math.Max(0, l2))
-	return fromEigen(s1, s2, v1, v2)
-}
-
 // InvSqrtSym returns M^(-1/2) for a symmetric positive-definite matrix,
 // or ErrSingular if an eigenvalue is not strictly positive.
 func (m Mat2) InvSqrtSym() (Mat2, error) {
@@ -118,16 +100,4 @@ func fromEigen(s1, s2 float64, v1, v2 Point) Mat2 {
 		C: s1*v1.Y*v1.X + s2*v2.Y*v2.X,
 		D: s1*v1.Y*v1.Y + s2*v2.Y*v2.Y,
 	}
-}
-
-// OuterSum accumulates Σ wᵢ pᵢpᵢᵀ over the given points with unit weights.
-func OuterSum(pts []Point) Mat2 {
-	var m Mat2
-	for _, p := range pts {
-		m.A += p.X * p.X
-		m.B += p.X * p.Y
-		m.C += p.Y * p.X
-		m.D += p.Y * p.Y
-	}
-	return m
 }

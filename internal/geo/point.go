@@ -46,9 +46,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 { return p.Sub(q).Norm() }
 
-// Dist2 returns the squared Euclidean distance between p and q.
-func Dist2(p, q Point) float64 { return p.Sub(q).Norm2() }
-
 // Lerp returns the point (1-t)*p + t*q.
 func Lerp(p, q Point, t float64) Point {
 	return Point{p.X + t*(q.X-p.X), p.Y + t*(q.Y-p.Y)}

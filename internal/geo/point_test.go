@@ -38,9 +38,6 @@ func TestNormAndDist(t *testing.T) {
 	if got := Dist(Pt(1, 1), Pt(4, 5)); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
 	}
-	if got := Dist2(Pt(1, 1), Pt(4, 5)); got != 25 {
-		t.Errorf("Dist2 = %v, want 25", got)
-	}
 }
 
 func TestLerp(t *testing.T) {

@@ -90,9 +90,3 @@ func (t *Triangulation) Sample(u1, u2, u3 float64) Point {
 		Add(b.Sub(t.apex).Scale(u2)).
 		Add(c.Sub(t.apex).Scale(u3))
 }
-
-// IsDegenerate reports whether the triangulated body has zero area.
-func (t *Triangulation) IsDegenerate() bool { return t.isSeg }
-
-// Area returns the polygon area captured by the triangulation.
-func (t *Triangulation) Area() float64 { return t.total }

@@ -9,11 +9,11 @@ import (
 func TestTriangulationSquareUniform(t *testing.T) {
 	sq := []Point{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
 	tr := NewTriangulation(sq)
-	if tr.IsDegenerate() {
+	if tr.isSeg {
 		t.Fatal("square triangulation reported degenerate")
 	}
-	if math.Abs(tr.Area()-4) > 1e-12 {
-		t.Fatalf("triangulation area = %v, want 4", tr.Area())
+	if math.Abs(tr.total-4) > 1e-12 {
+		t.Fatalf("triangulation area = %v, want 4", tr.total)
 	}
 	rng := rand.New(rand.NewPCG(3, 4))
 	const n = 20000
@@ -61,7 +61,7 @@ func TestTriangulationTriangle(t *testing.T) {
 func TestTriangulationDegenerateSegment(t *testing.T) {
 	seg := []Point{{0, 0}, {4, 0}}
 	tr := NewTriangulation(seg)
-	if !tr.IsDegenerate() {
+	if !tr.isSeg {
 		t.Fatal("segment should be degenerate")
 	}
 	rng := rand.New(rand.NewPCG(9, 1))
@@ -92,7 +92,7 @@ func TestTriangulationSinglePointAndEmpty(t *testing.T) {
 func TestTriangulationCollinearPolygon(t *testing.T) {
 	// A "polygon" with three collinear vertices must fall back to a segment.
 	tr := NewTriangulation([]Point{{0, 0}, {1, 1}, {2, 2}})
-	if !tr.IsDegenerate() {
+	if !tr.isSeg {
 		t.Fatal("collinear polygon should be degenerate")
 	}
 	p := tr.Sample(0.5, 0.5, 0.9)

@@ -125,15 +125,3 @@ func DeltaSet(dist []float64, delta float64) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Entropy returns the Shannon entropy (nats) of the current belief — a
-// privacy proxy used in reports.
-func (f *Filter) Entropy() float64 {
-	var h float64
-	for _, b := range f.belief {
-		if b > 0 {
-			h -= b * math.Log(b)
-		}
-	}
-	return h
-}

@@ -136,17 +136,6 @@ func TestDeltaSetCoversMass(t *testing.T) {
 	}
 }
 
-func TestFilterEntropy(t *testing.T) {
-	f, _ := NewFilter(UniformChain(4), nil)
-	if got, want := f.Entropy(), math.Log(4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("uniform entropy = %v, want %v", got, want)
-	}
-	f2, _ := NewFilter(UniformChain(4), []float64{1, 0, 0, 0})
-	if got := f2.Entropy(); got != 0 {
-		t.Errorf("point-mass entropy = %v, want 0", got)
-	}
-}
-
 func TestFilterTrackingScenario(t *testing.T) {
 	// A user walking right on a 5-cell line, observed with noisy
 	// likelihoods; the filter should track the motion.

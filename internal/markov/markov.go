@@ -76,13 +76,6 @@ func (c *Chain) NumStates() int { return c.n }
 // Prob returns Pr(next = j | cur = i).
 func (c *Chain) Prob(i, j int) float64 { return c.p[i*c.n+j] }
 
-// Row returns a copy of the transition distribution out of state i.
-func (c *Chain) Row(i int) []float64 {
-	out := make([]float64, c.n)
-	copy(out, c.p[i*c.n:(i+1)*c.n])
-	return out
-}
-
 // Step advances a belief distribution one timestep: out = belief × P.
 func (c *Chain) Step(belief []float64) []float64 {
 	out := make([]float64, c.n)
@@ -98,29 +91,6 @@ func (c *Chain) Step(belief []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Stationary iterates the chain from a uniform start until the belief
-// converges (L1 change < tol) or maxIters is reached, returning the
-// resulting distribution. For irreducible aperiodic chains this is the
-// stationary distribution.
-func (c *Chain) Stationary(maxIters int, tol float64) []float64 {
-	belief := make([]float64, c.n)
-	for i := range belief {
-		belief[i] = 1 / float64(c.n)
-	}
-	for it := 0; it < maxIters; it++ {
-		next := c.Step(belief)
-		var diff float64
-		for i := range next {
-			diff += math.Abs(next[i] - belief[i])
-		}
-		belief = next
-		if diff < tol {
-			break
-		}
-	}
-	return belief
 }
 
 // EstimateChain fits a chain by transition counting over trajectories

@@ -63,20 +63,6 @@ func TestStepPreservesMass(t *testing.T) {
 	}
 }
 
-func TestStationaryOfSymmetricWalk(t *testing.T) {
-	// Random walk on a cycle is doubly stochastic: stationary = uniform.
-	n := 8
-	c := LazyRandomWalk(n, func(i int) []int {
-		return []int{(i + 1) % n, (i + n - 1) % n}
-	}, 0.2)
-	pi := c.Stationary(10000, 1e-12)
-	for _, v := range pi {
-		if math.Abs(v-1/float64(n)) > 1e-6 {
-			t.Fatalf("stationary = %v, want uniform", pi)
-		}
-	}
-}
-
 func TestLazyRandomWalkNoNeighbors(t *testing.T) {
 	c := LazyRandomWalk(3, func(i int) []int { return nil }, 0.5)
 	for i := 0; i < 3; i++ {
@@ -94,7 +80,7 @@ func TestEstimateChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Prob(0, 1) != 1 || c.Prob(1, 2) != 1 || c.Prob(2, 0) != 1 {
-		t.Errorf("estimated chain rows: %v %v %v", c.Row(0), c.Row(1), c.Row(2))
+		t.Errorf("estimated chain rows: %v %v %v", c.p[0:3], c.p[3:6], c.p[6:9])
 	}
 }
 
@@ -110,7 +96,7 @@ func TestEstimateChainSmoothing(t *testing.T) {
 	// Unseen state 2 gets uniform row.
 	for j := 0; j < 3; j++ {
 		if math.Abs(c.Prob(2, j)-1.0/3) > 1e-12 {
-			t.Errorf("unseen row = %v", c.Row(2))
+			t.Errorf("unseen row = %v", c.p[6:9])
 		}
 	}
 }

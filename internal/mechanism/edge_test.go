@@ -1,7 +1,6 @@
 package mechanism
 
 import (
-	"math"
 	"testing"
 
 	"github.com/pglp/panda/internal/dp"
@@ -61,32 +60,6 @@ func TestMassOutOfRange(t *testing.T) {
 	}
 }
 
-func TestGLMComponentScaleOutOfRange(t *testing.T) {
-	grid := geo.MustGrid(2, 2, 1)
-	m, _ := NewGraphLaplace(grid, policygraph.Complete(4, nil), 1)
-	if m.ComponentScale(-5) != 0 {
-		t.Error("out-of-range scale should be 0")
-	}
-}
-
-func TestPIMGaugeDistanceEdgeCases(t *testing.T) {
-	grid := geo.MustGrid(3, 3, 1)
-	g := policygraph.IsolateNodes(policygraph.GridEightNeighbor(grid), []int{4})
-	m, _ := NewPIM(grid, g, 1, true)
-	if d := m.GaugeDistance(-1, geo.Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("out-of-range gauge = %v", d)
-	}
-	if d := m.GaugeDistance(4, grid.Center(4)); d != 0 {
-		t.Errorf("isolated self gauge = %v", d)
-	}
-	if d := m.GaugeDistance(4, geo.Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("isolated off-center gauge = %v", d)
-	}
-	if m.SensitivityHull(-1) != nil {
-		t.Error("out-of-range hull should be nil")
-	}
-}
-
 func TestInflateDegenerateOriginOnly(t *testing.T) {
 	hull := inflateDegenerate([]geo.Point{{X: 0, Y: 0}})
 	if geo.PolygonArea(hull) <= 0 {
@@ -100,11 +73,5 @@ func TestBaseAccessors(t *testing.T) {
 	m, _ := NewGraphExponential(grid, g, 1.5)
 	if m.Epsilon() != 1.5 {
 		t.Errorf("Epsilon = %v", m.Epsilon())
-	}
-	if m.Grid() != grid {
-		t.Error("Grid accessor wrong")
-	}
-	if m.PolicyGraph() != g {
-		t.Error("PolicyGraph accessor wrong")
 	}
 }

@@ -26,15 +26,6 @@ func Kinds() []Kind {
 	return []Kind{KindGEM, KindGEME, KindGLM, KindPIM, KindKNorm, KindGeoInd, KindNull}
 }
 
-// PolicyAware reports whether the kind calibrates to the policy graph.
-func (k Kind) PolicyAware() bool {
-	switch k {
-	case KindGEM, KindGEME, KindGLM, KindPIM, KindKNorm:
-		return true
-	}
-	return false
-}
-
 // New constructs a mechanism of the given kind. The policy graph is ignored
 // by the geoind and null baselines (they are not policy-aware).
 func New(kind Kind, grid *geo.Grid, g *policygraph.Graph, eps float64) (Mechanism, error) {

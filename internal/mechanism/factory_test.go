@@ -29,18 +29,6 @@ func TestFactoryBuildsAllKinds(t *testing.T) {
 	}
 }
 
-func TestPolicyAware(t *testing.T) {
-	aware := map[Kind]bool{
-		KindGEM: true, KindGLM: true, KindPIM: true, KindKNorm: true,
-		KindGeoInd: false, KindNull: false,
-	}
-	for k, want := range aware {
-		if k.PolicyAware() != want {
-			t.Errorf("%s.PolicyAware() = %v, want %v", k, k.PolicyAware(), want)
-		}
-	}
-}
-
 func TestNullMechanism(t *testing.T) {
 	grid := geo.MustGrid(3, 3, 1)
 	m, err := NewNull(grid)

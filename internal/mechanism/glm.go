@@ -63,15 +63,6 @@ func NewGraphLaplace(grid *geo.Grid, g *policygraph.Graph, eps float64) (*GraphL
 // Name implements Mechanism.
 func (m *GraphLaplace) Name() string { return "glm" }
 
-// ComponentScale returns the planar-Laplace parameter used for cell s
-// (0 means the cell is disclosed exactly). Exposed for tests and reports.
-func (m *GraphLaplace) ComponentScale(s int) float64 {
-	if !m.grid.InRange(s) {
-		return 0
-	}
-	return m.epsGeo[m.comp[s]]
-}
-
 // Release implements Mechanism.
 func (m *GraphLaplace) Release(rng *rand.Rand, s int) (geo.Point, error) {
 	if err := m.checkCell(s); err != nil {

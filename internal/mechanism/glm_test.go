@@ -26,7 +26,7 @@ func TestGLMPerComponentScale(t *testing.T) {
 	m := mustGLM(t, grid, g, 1)
 	want := 1 / math.Sqrt2
 	for s := 0; s < grid.NumCells(); s++ {
-		if got := m.ComponentScale(s); math.Abs(got-want) > 1e-12 {
+		if got := m.epsGeo[m.comp[s]]; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("scale(%d) = %v, want %v", s, got, want)
 		}
 	}
@@ -39,9 +39,9 @@ func TestGLMFinerPolicyLessNoise(t *testing.T) {
 	mc := mustGLM(t, grid, coarse, 1)
 	mf := mustGLM(t, grid, fine, 1)
 	// Finer areas -> shorter max edge -> larger epsGeo -> less noise.
-	if mf.ComponentScale(0) <= mc.ComponentScale(0) {
+	if mf.epsGeo[mf.comp[0]] <= mc.epsGeo[mc.comp[0]] {
 		t.Errorf("fine scale %v should exceed coarse scale %v",
-			mf.ComponentScale(0), mc.ComponentScale(0))
+			mf.epsGeo[mf.comp[0]], mc.epsGeo[mc.comp[0]])
 	}
 }
 

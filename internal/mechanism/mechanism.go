@@ -35,7 +35,6 @@ const exactTol = 1e-9
 // base carries the state shared by all mechanisms and validates it.
 type base struct {
 	grid *geo.Grid
-	g    *policygraph.Graph
 	eps  float64
 }
 
@@ -53,12 +52,10 @@ func newBase(grid *geo.Grid, g *policygraph.Graph, eps float64) (base, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return base{}, fmt.Errorf("mechanism: epsilon must be positive and finite, got %v", eps)
 	}
-	return base{grid: grid, g: g, eps: eps}, nil
+	return base{grid: grid, eps: eps}, nil
 }
 
-func (b *base) Epsilon() float64                { return b.eps }
-func (b *base) Grid() *geo.Grid                 { return b.grid }
-func (b *base) PolicyGraph() *policygraph.Graph { return b.g }
+func (b *base) Epsilon() float64 { return b.eps }
 
 func (b *base) checkCell(s int) error {
 	if !b.grid.InRange(s) {

@@ -148,23 +148,6 @@ func (m *PIM) Name() string {
 	return "knorm"
 }
 
-// Isotropic reports whether the isotropic transform is enabled.
-func (m *PIM) Isotropic() bool { return m.isotropic }
-
-// SensitivityHull returns the (possibly inflated) sensitivity hull used
-// for cell s, or nil when s is released exactly. The returned slice is
-// shared; callers must not modify it.
-func (m *PIM) SensitivityHull(s int) []geo.Point {
-	if !m.grid.InRange(s) {
-		return nil
-	}
-	body := m.bodies[m.comp[s]]
-	if body == nil {
-		return nil
-	}
-	return body.hull
-}
-
 // Release implements Mechanism.
 func (m *PIM) Release(rng *rand.Rand, s int) (geo.Point, error) {
 	if err := m.checkCell(s); err != nil {
@@ -201,21 +184,4 @@ func (m *PIM) Likelihood(s int, z geo.Point) float64 {
 		return 0
 	}
 	return math.Abs(body.detT) * m.eps * m.eps / (2 * body.areaT) * math.Exp(-m.eps*gauge)
-}
-
-// GaugeDistance returns ‖z − center(s)‖_{K_C}: the sensitivity-hull norm of
-// the noise that would produce z from s, or +Inf for exact-release cells
-// with z ≠ center. Used by tests and the verifier.
-func (m *PIM) GaugeDistance(s int, z geo.Point) float64 {
-	if !m.grid.InRange(s) {
-		return math.Inf(1)
-	}
-	body := m.bodies[m.comp[s]]
-	if body == nil {
-		if m.isExactPoint(s, z) {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return geo.GaugeNorm(body.hullT, body.t.Apply(z.Sub(m.grid.Center(s))))
 }

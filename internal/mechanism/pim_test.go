@@ -24,11 +24,11 @@ func TestPIMSensitivityHullContainsEdges(t *testing.T) {
 	m := mustPIM(t, grid, g, 1, true)
 	for _, e := range g.Edges() {
 		d := grid.Center(e[0]).Sub(grid.Center(e[1]))
-		hull := m.SensitivityHull(e[0])
-		if hull == nil {
+		body := m.bodies[m.comp[e[0]]]
+		if body == nil {
 			t.Fatalf("no hull for connected node %d", e[0])
 		}
-		if gauge := geo.GaugeNorm(hull, d); gauge > 1+1e-9 {
+		if gauge := geo.GaugeNorm(body.hull, d); gauge > 1+1e-9 {
 			t.Fatalf("edge %v difference has gauge %v > 1", e, gauge)
 		}
 	}
@@ -90,7 +90,7 @@ func TestPIMIsolatedExact(t *testing.T) {
 	if p != grid.Center(4) {
 		t.Errorf("isolated release = %v, want exact", p)
 	}
-	if m.SensitivityHull(4) != nil {
+	if m.bodies[m.comp[4]] != nil {
 		t.Error("isolated node should have no hull")
 	}
 	if !math.IsInf(m.Likelihood(4, grid.Center(4)), 1) {
@@ -105,10 +105,11 @@ func TestPIMDegenerateCollinearPolicy(t *testing.T) {
 	g := policygraph.Path(6)
 	eps := 1.0
 	m := mustPIM(t, grid, g, eps, true)
-	hull := m.SensitivityHull(0)
-	if hull == nil || geo.PolygonArea(hull) <= 0 {
-		t.Fatalf("degenerate hull not inflated: %v", hull)
+	body := m.bodies[m.comp[0]]
+	if body == nil || geo.PolygonArea(body.hull) <= 0 {
+		t.Fatalf("degenerate hull not inflated: %v", body)
 	}
+	hull := body.hull
 	for _, e := range g.Edges() {
 		d := grid.Center(e[0]).Sub(grid.Center(e[1]))
 		if gauge := geo.GaugeNorm(hull, d); gauge > 1+1e-9 {
@@ -143,7 +144,8 @@ func TestPIMGaugeDistanceMean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += m.GaugeDistance(12, z)
+		body := m.bodies[m.comp[12]]
+		sum += geo.GaugeNorm(body.hullT, body.t.Apply(z.Sub(grid.Center(12))))
 	}
 	want := 2 / eps
 	if math.Abs(sum/n-want)/want > 0.05 {
@@ -207,10 +209,10 @@ func TestPIMDensityNormalization(t *testing.T) {
 func TestPIMNames(t *testing.T) {
 	grid := geo.MustGrid(2, 2, 1)
 	g := policygraph.Complete(4, nil)
-	if m := mustPIM(t, grid, g, 1, true); m.Name() != "pim" || !m.Isotropic() {
+	if m := mustPIM(t, grid, g, 1, true); m.Name() != "pim" || !m.isotropic {
 		t.Error("isotropic PIM misnamed")
 	}
-	if m := mustPIM(t, grid, g, 1, false); m.Name() != "knorm" || m.Isotropic() {
+	if m := mustPIM(t, grid, g, 1, false); m.Name() != "knorm" || m.isotropic {
 		t.Error("knorm misnamed")
 	}
 }

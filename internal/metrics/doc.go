@@ -1,5 +1,4 @@
-// Package metrics collects the utility and accuracy measures PANDA's
-// evaluation reports: Euclidean location error (§3.2 evaluation 1),
-// precision/recall of contact identification (§3.2 evaluation 2), and
-// distributional distances used when comparing aggregate releases.
+// Package metrics collects the accuracy measures PANDA's evaluation
+// reports: the precision/recall of contact identification (§3.2
+// evaluation 2).
 package metrics

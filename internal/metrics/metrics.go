@@ -1,109 +1,5 @@
 package metrics
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-
-	"github.com/pglp/panda/internal/geo"
-)
-
-// MeanEuclideanError returns the mean distance between released points and
-// the centers of the true cells — the paper's location-monitoring utility
-// metric ("the Euclidean distance between perturbed locations and real
-// locations").
-func MeanEuclideanError(grid *geo.Grid, truth []int, released []geo.Point) (float64, error) {
-	if len(truth) != len(released) {
-		return 0, fmt.Errorf("metrics: %d truths vs %d releases", len(truth), len(released))
-	}
-	if len(truth) == 0 {
-		return 0, errors.New("metrics: empty series")
-	}
-	var sum float64
-	for i, s := range truth {
-		if !grid.InRange(s) {
-			return 0, fmt.Errorf("metrics: truth cell %d out of range", s)
-		}
-		sum += geo.Dist(grid.Center(s), released[i])
-	}
-	return sum / float64(len(truth)), nil
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// MAE returns the mean absolute error between two aligned series.
-func MAE(a, b []float64) (float64, error) {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0, fmt.Errorf("metrics: MAE needs equal non-empty series, got %d and %d", len(a), len(b))
-	}
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a)), nil
-}
-
-// RMSE returns the root mean squared error between two aligned series.
-func RMSE(a, b []float64) (float64, error) {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0, fmt.Errorf("metrics: RMSE needs equal non-empty series, got %d and %d", len(a), len(b))
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a))), nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation; xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // Classification summarises a binary detection outcome.
 type Classification struct {
 	TruePositives  int
@@ -163,66 +59,4 @@ func (c Classification) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// KLDivergence returns D(p‖q) in nats, treating q-zeros with p-mass as an
-// error. Distributions must be equal length; they are renormalised.
-func KLDivergence(p, q []float64) (float64, error) {
-	if len(p) != len(q) || len(p) == 0 {
-		return 0, errors.New("metrics: KL needs equal non-empty distributions")
-	}
-	var sp, sq float64
-	for i := range p {
-		if p[i] < 0 || q[i] < 0 {
-			return 0, errors.New("metrics: negative mass")
-		}
-		sp += p[i]
-		sq += q[i]
-	}
-	if sp == 0 || sq == 0 {
-		return 0, errors.New("metrics: zero-mass distribution")
-	}
-	var d float64
-	for i := range p {
-		pi, qi := p[i]/sp, q[i]/sq
-		if pi == 0 {
-			continue
-		}
-		if qi == 0 {
-			return 0, fmt.Errorf("metrics: KL undefined (q=0 where p>0 at %d)", i)
-		}
-		d += pi * math.Log(pi/qi)
-	}
-	return d, nil
-}
-
-// TotalVariation returns TV(p, q) = ½Σ|p−q| after renormalisation.
-func TotalVariation(p, q []float64) (float64, error) {
-	if len(p) != len(q) || len(p) == 0 {
-		return 0, errors.New("metrics: TV needs equal non-empty distributions")
-	}
-	var sp, sq float64
-	for i := range p {
-		sp += p[i]
-		sq += q[i]
-	}
-	if sp == 0 || sq == 0 {
-		return 0, errors.New("metrics: zero-mass distribution")
-	}
-	var d float64
-	for i := range p {
-		d += math.Abs(p[i]/sp - q[i]/sq)
-	}
-	return d / 2, nil
-}
-
-// Histogram counts cell occurrences into an n-bin distribution (unnormalised).
-func Histogram(cells []int, n int) []float64 {
-	h := make([]float64, n)
-	for _, c := range cells {
-		if c >= 0 && c < n {
-			h[c]++
-		}
-	}
-	return h
 }

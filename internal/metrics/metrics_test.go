@@ -3,73 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"github.com/pglp/panda/internal/geo"
 )
-
-func TestMeanEuclideanError(t *testing.T) {
-	grid := geo.MustGrid(2, 2, 1)
-	truth := []int{0, 1}
-	released := []geo.Point{grid.Center(0), grid.Center(1).Add(geo.Pt(3, 4))}
-	got, err := MeanEuclideanError(grid, truth, released)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2.5 {
-		t.Errorf("error = %v, want 2.5", got)
-	}
-	if _, err := MeanEuclideanError(grid, []int{0}, nil); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := MeanEuclideanError(grid, nil, nil); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := MeanEuclideanError(grid, []int{99}, []geo.Point{{}}); err == nil {
-		t.Error("bad cell should error")
-	}
-}
-
-func TestMeanStdQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if Mean(xs) != 2.5 {
-		t.Errorf("Mean = %v", Mean(xs))
-	}
-	if Mean(nil) != 0 || Std(nil) != 0 {
-		t.Error("empty mean/std should be 0")
-	}
-	if math.Abs(Std([]float64{2, 2, 2})-0) > 1e-12 {
-		t.Error("constant std should be 0")
-	}
-	if got := Quantile(xs, 0.5); got != 2.5 {
-		t.Errorf("median = %v", got)
-	}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
-		t.Error("extreme quantiles wrong")
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-}
-
-func TestMAERMSE(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{2, 2, 5}
-	mae, err := MAE(a, b)
-	if err != nil || math.Abs(mae-1) > 1e-12 {
-		t.Errorf("MAE = %v, %v", mae, err)
-	}
-	rmse, err := RMSE(a, b)
-	if err != nil || math.Abs(rmse-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Errorf("RMSE = %v, %v", rmse, err)
-	}
-	if _, err := MAE(a, b[:2]); err == nil {
-		t.Error("mismatch should error")
-	}
-	if _, err := RMSE(nil, nil); err == nil {
-		t.Error("empty should error")
-	}
-}
 
 func TestClassification(t *testing.T) {
 	c := Classify([]int{1, 2, 3, 3}, []int{2, 3, 4})
@@ -96,72 +30,5 @@ func TestClassification(t *testing.T) {
 	}
 	if miss.F1() != 0 {
 		t.Error("F1 with zero recall should be 0")
-	}
-}
-
-func TestKLDivergence(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.5, 0.5}
-	if d, err := KLDivergence(p, q); err != nil || d != 0 {
-		t.Errorf("KL(p,p) = %v, %v", d, err)
-	}
-	d, err := KLDivergence([]float64{1, 0}, []float64{0.5, 0.5})
-	if err != nil || math.Abs(d-math.Log(2)) > 1e-12 {
-		t.Errorf("KL = %v, want ln2", d)
-	}
-	if _, err := KLDivergence([]float64{0.5, 0.5}, []float64{1, 0}); err == nil {
-		t.Error("KL with q=0,p>0 should error")
-	}
-	if _, err := KLDivergence(p, q[:1]); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := KLDivergence([]float64{-1, 2}, q); err == nil {
-		t.Error("negative mass should error")
-	}
-	// Unnormalised inputs are renormalised.
-	if d, err := KLDivergence([]float64{2, 2}, []float64{7, 7}); err != nil || math.Abs(d) > 1e-12 {
-		t.Errorf("unnormalised KL = %v, %v", d, err)
-	}
-}
-
-func TestKLNonNegativityProperty(t *testing.T) {
-	clamp := func(x float64) float64 {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0
-		}
-		return math.Mod(math.Abs(x), 1e6) + 0.01
-	}
-	f := func(a, b, c, d float64) bool {
-		p := []float64{clamp(a), clamp(b)}
-		q := []float64{clamp(c), clamp(d)}
-		kl, err := KLDivergence(p, q)
-		return err == nil && kl >= -1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTotalVariation(t *testing.T) {
-	tv, err := TotalVariation([]float64{1, 0}, []float64{0, 1})
-	if err != nil || tv != 1 {
-		t.Errorf("disjoint TV = %v, %v", tv, err)
-	}
-	tv2, _ := TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5})
-	if tv2 != 0 {
-		t.Errorf("identical TV = %v", tv2)
-	}
-	if _, err := TotalVariation(nil, nil); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := TotalVariation([]float64{0, 0}, []float64{1, 0}); err == nil {
-		t.Error("zero-mass should error")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]int{0, 1, 1, 5, -1, 99}, 3)
-	if h[0] != 1 || h[1] != 2 || h[2] != 0 {
-		t.Errorf("histogram = %v", h)
 	}
 }

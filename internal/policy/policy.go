@@ -14,14 +14,9 @@ import (
 
 // ForMonitoring returns Ga: indistinguishability inside each coarse area,
 // areas mutually distinguishable (paper Fig. 4, "such a monitor only
-// requires the people moving between different cities").
+// requires the people moving between different cities"). At a finer
+// block size it is Gb, the epidemic-analysis policy.
 func ForMonitoring(grid *geo.Grid, blockRows, blockCols int) *policygraph.Graph {
-	return policygraph.PartitionCliques(grid, blockRows, blockCols)
-}
-
-// ForAnalysis returns Gb: like Ga but finer-grained, suitable for
-// estimating transmission-model parameters.
-func ForAnalysis(grid *geo.Grid, blockRows, blockCols int) *policygraph.Graph {
 	return policygraph.PartitionCliques(grid, blockRows, blockCols)
 }
 
@@ -41,8 +36,8 @@ func Baseline(grid *geo.Grid) *policygraph.Graph {
 
 // UserPolicy is a user's current policy assignment.
 type UserPolicy struct {
-	// Graph may be shared between users (every user on the default
-	// policy holds the same graph), so treat it as read-only.
+	// Graph is shared between users (every user holds the manager's
+	// current graph), so treat it as read-only.
 	Graph *policygraph.Graph
 	// GraphJSON is the compact output of json.Marshal(Graph), computed
 	// once per graph and shared like it; read-only as well. Only the
@@ -51,8 +46,7 @@ type UserPolicy struct {
 	// exactly what json.Marshal produced.
 	GraphJSON json.RawMessage
 	Epsilon   float64
-	Version   int  // bumped on every change; triggers client re-sends
-	Consented bool // the user has the right to reject a policy (§2.1)
+	Version   int // bumped on every change; triggers client re-sends
 }
 
 // encodedGraph is a policy graph together with its JSON encoding.
@@ -80,20 +74,26 @@ func checkEpsilon(eps float64) error {
 	return nil
 }
 
-// Manager holds per-user policies. It is safe for concurrent use — the
+// Manager hands out users' policies. It is safe for concurrent use — the
 // server mutates policies (infection updates) while clients read them.
 //
-// Almost every user holds the default policy, so the manager keeps one
-// immutable snapshot of it per infection epoch: the default graph with
-// the infected cells isolated, and its encoding. An infection update
-// builds the next snapshot once and points every user at it.
+// Every user holds the same policy: the default graph with the infected
+// cells isolated, and its encoding, kept as one immutable snapshot per
+// infection epoch. An infection update builds the next snapshot once.
+// The only per-user state is a version, which counts the effective marks
+// since the user was first seen, plus one.
+//
+// A user who rejects a policy releases nothing (§2.1: "The user has the
+// right to reject a privacy policy so that no location will be
+// released"). That decision is the phone's, so the manager keeps no
+// consent state.
 type Manager struct {
 	mu           sync.RWMutex
 	grid         *geo.Grid
 	defaultGraph *policygraph.Graph
-	defaultEps   float64
+	eps          float64
 	current      encodedGraph // defaultGraph with the infected cells isolated
-	users        map[int]*UserPolicy
+	users        map[int]int  // user -> policy version
 	infected     map[int]bool // accumulated disclosable cells
 }
 
@@ -112,31 +112,23 @@ func NewManager(grid *geo.Grid, defaultGraph *policygraph.Graph, eps float64) (*
 	return &Manager{
 		grid:         grid,
 		defaultGraph: defaultGraph,
-		defaultEps:   eps,
+		eps:          eps,
 		current:      encodeGraph(defaultGraph),
-		users:        make(map[int]*UserPolicy),
+		users:        make(map[int]int),
 		infected:     make(map[int]bool),
 	}, nil
 }
 
-// Get returns the user's policy, lazily assigning the default (consented;
-// users opt out explicitly via Consent).
+// Get returns the user's policy, starting an unknown user at version 1.
 func (m *Manager) Get(user int) UserPolicy {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return *m.getLocked(user)
-}
-
-func (m *Manager) getLocked(user int) *UserPolicy {
-	up, ok := m.users[user]
+	v, ok := m.users[user]
 	if !ok {
-		up = &UserPolicy{
-			Graph: m.current.graph, GraphJSON: m.current.json,
-			Epsilon: m.defaultEps, Version: 1, Consented: true,
-		}
-		m.users[user] = up
+		v = 1
+		m.users[user] = v
 	}
-	return up
+	return UserPolicy{Graph: m.current.graph, GraphJSON: m.current.json, Epsilon: m.eps, Version: v}
 }
 
 func (m *Manager) infectedListLocked() []int {
@@ -148,37 +140,9 @@ func (m *Manager) infectedListLocked() []int {
 	return out
 }
 
-// Set replaces a user's policy explicitly and bumps its version.
-func (m *Manager) Set(user int, g *policygraph.Graph, eps float64) error {
-	if g == nil || g.NumNodes() != m.grid.NumCells() {
-		return fmt.Errorf("policy: invalid graph for user %d", user)
-	}
-	if err := checkEpsilon(eps); err != nil {
-		return err
-	}
-	enc := encodeGraph(g)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	up := m.getLocked(user)
-	up.Graph, up.GraphJSON = enc.graph, enc.json
-	up.Epsilon = eps
-	up.Version++
-	return nil
-}
-
-// Consent records whether the user accepts their current policy. A user
-// who rejects releases nothing (§2.1: "The user has the right to reject a
-// privacy policy so that no location will be released").
-func (m *Manager) Consent(user int, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.getLocked(user).Consented = ok
-}
-
 // MarkInfected records newly infected (disclosable) cells, builds the
-// contact-tracing variant of the default policy once, and moves every
-// known user to it, bumping versions. It returns the users whose
-// policies changed.
+// contact-tracing variant of the default policy once, and bumps every
+// known user's version. It returns the users whose policies changed.
 func (m *Manager) MarkInfected(cells []int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -194,9 +158,8 @@ func (m *Manager) MarkInfected(cells []int) []int {
 	}
 	m.current = encodeGraph(policygraph.IsolateNodes(m.defaultGraph, m.infectedListLocked()))
 	users := make([]int, 0, len(m.users))
-	for id, up := range m.users {
-		up.Graph, up.GraphJSON = m.current.graph, m.current.json
-		up.Version++
+	for id := range m.users {
+		m.users[id]++
 		users = append(users, id)
 	}
 	sort.Ints(users)
@@ -214,10 +177,7 @@ func (m *Manager) InfectedCells() []int {
 func (m *Manager) Version(user int) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if up, ok := m.users[user]; ok {
-		return up.Version
-	}
-	return 0
+	return m.users[user]
 }
 
 // Users returns the IDs of all users with assigned policies.

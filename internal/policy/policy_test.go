@@ -14,7 +14,7 @@ import (
 func TestRecommenders(t *testing.T) {
 	grid := geo.MustGrid(8, 8, 1)
 	ga := ForMonitoring(grid, 4, 4)
-	gb := ForAnalysis(grid, 2, 2)
+	gb := ForMonitoring(grid, 2, 2)
 	if len(ga.Components()) != 4 {
 		t.Errorf("Ga components = %d, want 4", len(ga.Components()))
 	}
@@ -47,16 +47,9 @@ func TestManagerValidation(t *testing.T) {
 	if _, err := NewManager(grid, g, 0); err == nil {
 		t.Error("zero eps should error")
 	}
-	m, err := NewManager(grid, g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewManager(grid, g, eps); err == nil {
 			t.Errorf("NewManager accepted eps %v", eps)
-		}
-		if err := m.Set(1, g, eps); err == nil {
-			t.Errorf("Set accepted eps %v", eps)
 		}
 	}
 }
@@ -69,7 +62,7 @@ func TestManagerDefaultAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := m.Get(7)
-	if up.Epsilon != 0.8 || up.Version != 1 || !up.Consented {
+	if up.Epsilon != 0.8 || up.Version != 1 {
 		t.Errorf("default policy = %+v", up)
 	}
 	if !up.Graph.Equal(g) {
@@ -83,29 +76,6 @@ func TestManagerDefaultAssignment(t *testing.T) {
 	}
 	if users := m.Users(); len(users) != 1 || users[0] != 7 {
 		t.Errorf("Users = %v", users)
-	}
-}
-
-func TestManagerSetAndConsent(t *testing.T) {
-	grid := geo.MustGrid(3, 3, 1)
-	m, _ := NewManager(grid, Baseline(grid), 1)
-	g2 := policygraph.Complete(9, nil)
-	if err := m.Set(1, g2, 2); err != nil {
-		t.Fatal(err)
-	}
-	up := m.Get(1)
-	if up.Epsilon != 2 || up.Version != 2 || !up.Graph.Equal(g2) {
-		t.Errorf("after Set: %+v", up)
-	}
-	if err := m.Set(1, policygraph.New(2), 1); err == nil {
-		t.Error("bad graph should error")
-	}
-	if err := m.Set(1, g2, -1); err == nil {
-		t.Error("bad eps should error")
-	}
-	m.Consent(1, false)
-	if m.Get(1).Consented {
-		t.Error("consent withdrawal not recorded")
 	}
 }
 
@@ -156,14 +126,11 @@ func TestManagerMarkInfected(t *testing.T) {
 func TestManagerVersionRules(t *testing.T) {
 	grid := geo.MustGrid(3, 3, 1)
 	base := Baseline(grid)
-	override := policygraph.Complete(9, nil)
 	isolated := func(cells ...int) *policygraph.Graph { return policygraph.IsolateNodes(base, cells) }
 	type want struct {
-		user      int
-		version   int
-		graph     *policygraph.Graph
-		eps       float64
-		consented bool
+		user    int
+		version int
+		graph   *policygraph.Graph
 	}
 	tests := []struct {
 		name string
@@ -171,9 +138,9 @@ func TestManagerVersionRules(t *testing.T) {
 		want []want
 	}{
 		{
-			name: "first Get assigns the consented default at v1",
+			name: "first Get assigns the default at v1",
 			run:  func(t *testing.T, m *Manager) {},
-			want: []want{{1, 1, base, 1, true}},
+			want: []want{{1, 1, base}},
 		},
 		{
 			name: "user first seen after k marks starts at v1 with every mark isolated",
@@ -184,31 +151,19 @@ func TestManagerVersionRules(t *testing.T) {
 					}
 				}
 			},
-			want: []want{{5, 1, isolated(0, 4, 8), 1, true}},
+			want: []want{{5, 1, isolated(0, 4, 8)}},
 		},
 		{
-			name: "Set bumps by one and installs its graph and epsilon",
-			run: func(t *testing.T, m *Manager) {
-				m.Get(1)
-				if err := m.Set(1, override, 2); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: []want{{1, 2, override, 2, true}},
-		},
-		{
-			name: "MarkInfected bumps every known user and replaces a Set override's graph",
+			name: "MarkInfected bumps every known user and moves them to the marked graph",
 			run: func(t *testing.T, m *Manager) {
 				m.Get(1)
 				m.Get(2)
-				if err := m.Set(2, override, 2); err != nil {
-					t.Fatal(err)
-				}
+				m.MarkInfected([]int{0})
 				if got := m.MarkInfected([]int{4}); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 					t.Errorf("MarkInfected changed %v, want [1 2]", got)
 				}
 			},
-			want: []want{{1, 2, isolated(4), 1, true}, {2, 3, isolated(4), 2, true}},
+			want: []want{{1, 3, isolated(0, 4)}, {2, 3, isolated(0, 4)}},
 		},
 		{
 			name: "re-marking a cell changes nothing",
@@ -219,7 +174,7 @@ func TestManagerVersionRules(t *testing.T) {
 					t.Errorf("re-mark changed %v, want nil", got)
 				}
 			},
-			want: []want{{1, 2, isolated(4), 1, true}},
+			want: []want{{1, 2, isolated(4)}},
 		},
 		{
 			name: "marking only out-of-range cells changes nothing",
@@ -229,21 +184,12 @@ func TestManagerVersionRules(t *testing.T) {
 					t.Errorf("out-of-range mark changed %v, want nil", got)
 				}
 			},
-			want: []want{{1, 1, base, 1, true}},
-		},
-		{
-			name: "Consent does not bump",
-			run: func(t *testing.T, m *Manager) {
-				m.Get(1)
-				m.Consent(1, false)
-				m.Consent(2, false)
-			},
-			want: []want{{1, 1, base, 1, false}, {2, 1, base, 1, false}},
+			want: []want{{1, 1, base}},
 		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := NewManager(grid, base, 1)
+			m, err := NewManager(grid, base, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,9 +202,8 @@ func TestManagerVersionRules(t *testing.T) {
 				if !up.Graph.Equal(w.graph) {
 					t.Errorf("user %d: graph %v, want %v", w.user, up.Graph, w.graph)
 				}
-				if up.Epsilon != w.eps || up.Consented != w.consented {
-					t.Errorf("user %d: ε=%v consented=%v, want ε=%v consented=%v",
-						w.user, up.Epsilon, up.Consented, w.eps, w.consented)
+				if up.Epsilon != 2 {
+					t.Errorf("user %d: ε=%v, want the manager's 2", w.user, up.Epsilon)
 				}
 				if err := checkEncoding(up); err != nil {
 					t.Errorf("user %d: %v", w.user, err)
@@ -344,29 +289,45 @@ func BenchmarkMarkInfected(b *testing.B) {
 	}
 }
 
-// TestManagerConcurrentAccess reads policies, graphs and encodings while
-// MarkInfected and Set rewrite them; run it under -race.
+// TestManagerConcurrentAccess: while MarkInfected marks cells, Get on
+// known and new users keeps answering with policies in which a (user,
+// version) pair always names the same graph, and the encoding is always
+// that graph's. Run it under -race.
 func TestManagerConcurrentAccess(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	m, _ := NewManager(grid, Baseline(grid), 1)
-	override := policygraph.Complete(16, nil)
-	var wg sync.WaitGroup
+	type key struct{ user, version int }
+	var (
+		mu   sync.Mutex
+		seen = make(map[key]*policygraph.Graph)
+		wg   sync.WaitGroup
+	)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if err := checkEncoding(m.Get((id + j) % 8)); err != nil {
-					t.Error(err)
-					return
-				}
-				m.MarkInfected([]int{j % 16})
-				if id%2 == 0 && j%10 == 0 {
-					if err := m.Set(id, override, 2); err != nil {
+				// Users 0..7 are known after their first Get; users from
+				// 100 on are new on every call.
+				for _, user := range []int{(id + j) % 8, 100 + id*50 + j} {
+					up := m.Get(user)
+					k := key{user, up.Version}
+					mu.Lock()
+					g, ok := seen[k]
+					if !ok {
+						seen[k] = up.Graph
+					}
+					mu.Unlock()
+					if ok && g != up.Graph {
+						t.Errorf("user %d version %d names two graphs", user, up.Version)
+						return
+					}
+					if err := checkEncoding(up); err != nil {
 						t.Error(err)
 						return
 					}
 				}
+				m.MarkInfected([]int{j % 16})
 				m.Version(id)
 				m.InfectedCells()
 			}

@@ -65,34 +65,6 @@ func (g *Graph) Distance(u, v int) int {
 	return Unreachable
 }
 
-// KNeighbors returns N^k(s): the sorted set of nodes within k hops of s,
-// including s itself (paper Def. 2.3). k < 0 is treated as ∞.
-func (g *Graph) KNeighbors(s, k int) []int {
-	g.check(s)
-	if k < 0 {
-		return g.ComponentOf(s)
-	}
-	dist := map[int]int{s: 0}
-	queue := []int{s}
-	out := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] == k {
-			continue
-		}
-		for v := range g.adj[u] {
-			if _, seen := dist[v]; !seen {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ComponentOf returns N^∞(s): the sorted connected component containing s.
 func (g *Graph) ComponentOf(s int) []int {
 	g.check(s)
@@ -165,42 +137,4 @@ func (g *Graph) IsConnected() bool {
 		return false
 	}
 	return len(g.ComponentOf(0)) == g.n
-}
-
-// Diameter returns the largest finite shortest-path distance in the graph
-// (the maximum over components of each component's diameter). Returns 0
-// for edgeless graphs.
-func (g *Graph) Diameter() int {
-	best := 0
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) == 0 {
-			continue
-		}
-		for _, d := range g.DistancesFrom(u) {
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
-// AllDistances computes the full n×n hop-distance matrix (row-major),
-// with Unreachable for disconnected pairs. Intended for the mechanism
-// layer, which caches it per policy graph.
-func (g *Graph) AllDistances() [][]int {
-	out := make([][]int, g.n)
-	for u := 0; u < g.n; u++ {
-		out[u] = g.DistancesFrom(u)
-	}
-	return out
-}
-
-// DegreeHistogram returns a map from degree to node count.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[len(g.adj[u])]++
-	}
-	return h
 }

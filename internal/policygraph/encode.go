@@ -1,10 +1,8 @@
 package policygraph
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // graphJSON is the wire representation of a policy graph. Publishing the
@@ -41,27 +39,4 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		g.AddEdge(e[0], e[1])
 	}
 	return nil
-}
-
-// WriteDOT renders the graph in Graphviz DOT format for debugging and
-// documentation.
-func (g *Graph) WriteDOT(w io.Writer, name string) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "graph %q {\n", name); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "  %d -- %d;\n", e[0], e[1]); err != nil {
-			return err
-		}
-	}
-	for _, u := range g.IsolatedNodes() {
-		if _, err := fmt.Fprintf(bw, "  %d;\n", u); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(bw, "}"); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

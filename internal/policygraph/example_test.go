@@ -31,16 +31,3 @@ func ExampleIsolateNodes() {
 	// disclosable: [4]
 	// still protected edges: 12
 }
-
-// ExampleGraph_KNeighbors demonstrates Def. 2.3: the k-hop neighborhoods
-// whose indistinguishability decays as ε·k (Lemma 2.1).
-func ExampleGraph_KNeighbors() {
-	path := policygraph.Path(6) // 0-1-2-3-4-5
-	fmt.Println("N^1(2):", path.KNeighbors(2, 1))
-	fmt.Println("N^2(2):", path.KNeighbors(2, 2))
-	fmt.Println("N^∞(2):", path.KNeighbors(2, -1))
-	// Output:
-	// N^1(2): [1 2 3]
-	// N^2(2): [0 1 2 3 4]
-	// N^∞(2): [0 1 2 3 4 5]
-}

@@ -67,22 +67,6 @@ func PartitionCliques(grid *geo.Grid, blockRows, blockCols int) *Graph {
 	return g
 }
 
-// PartitionGrid8 is a sparser variant of PartitionCliques that keeps only
-// 8-neighbor edges inside each area (ablation: same components, longer
-// graph distances).
-func PartitionGrid8(grid *geo.Grid, blockRows, blockCols int) *Graph {
-	g := New(grid.NumCells())
-	for id := 0; id < grid.NumCells(); id++ {
-		r := grid.RegionOf(id, blockRows, blockCols)
-		for _, v := range grid.Neighbors8(id) {
-			if grid.RegionOf(v, blockRows, blockCols) == r {
-				g.AddEdge(id, v)
-			}
-		}
-	}
-	return g
-}
-
 // IsolateNodes builds policy graph Gc of paper Fig. 4 from a base policy:
 // every edge incident to a node in disclose is removed, so those locations
 // may be released exactly ("allowing disclosure of the true location if the
@@ -137,50 +121,12 @@ func RandomSubsetER(n, size int, density float64, rng *rand.Rand) *Graph {
 	return g
 }
 
-// RandomGeometric connects cells whose centers lie within Euclidean radius
-// of each other, each such pair kept with probability p. Radius is in plane
-// units of the grid. This produces spatially-coherent random policies.
-func RandomGeometric(grid *geo.Grid, radius float64, p float64, rng *rand.Rand) *Graph {
-	n := grid.NumCells()
-	g := New(n)
-	r2 := radius * radius
-	for u := 0; u < n; u++ {
-		cu := grid.Center(u)
-		for v := u + 1; v < n; v++ {
-			if geo.Dist2(cu, grid.Center(v)) <= r2 && rng.Float64() < p {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
-
 // Path builds a path graph 0-1-2-…-(n-1); used by tests and by degenerate
 // (collinear) PIM scenarios.
 func Path(n int) *Graph {
 	g := New(n)
 	for u := 0; u+1 < n; u++ {
 		g.AddEdge(u, u+1)
-	}
-	return g
-}
-
-// Cycle builds a cycle over n nodes.
-func Cycle(n int) *Graph {
-	g := Path(n)
-	if n > 2 {
-		g.AddEdge(n-1, 0)
-	}
-	return g
-}
-
-// Star builds a star with the given center over n nodes.
-func Star(n, center int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		if u != center {
-			g.AddEdge(center, u)
-		}
 	}
 	return g
 }

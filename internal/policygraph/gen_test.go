@@ -83,24 +83,6 @@ func TestPartitionCliques(t *testing.T) {
 	}
 }
 
-func TestPartitionGrid8(t *testing.T) {
-	grid := geo.MustGrid(6, 6, 1)
-	g := PartitionGrid8(grid, 3, 3)
-	comps := g.Components()
-	if len(comps) != 4 {
-		t.Fatalf("components = %d, want 4", len(comps))
-	}
-	// Sparser than the clique version but same components.
-	if g.NumEdges() >= PartitionCliques(grid, 3, 3).NumEdges() {
-		t.Error("grid8 partition should have fewer edges than cliques")
-	}
-	for _, comp := range comps {
-		if len(comp) != 9 {
-			t.Errorf("component size = %d, want 9", len(comp))
-		}
-	}
-}
-
 func TestIsolateNodes(t *testing.T) {
 	grid := geo.MustGrid(3, 3, 1)
 	base := GridEightNeighbor(grid)
@@ -157,25 +139,8 @@ func TestRandomSubsetER(t *testing.T) {
 	}
 }
 
-func TestRandomGeometric(t *testing.T) {
-	grid := geo.MustGrid(5, 5, 1)
-	rng := rand.New(rand.NewPCG(2, 4))
-	g := RandomGeometric(grid, 1.5, 1.0, rng)
-	// With p=1 and radius 1.5 every 8-neighbor pair is connected.
-	want := GridEightNeighbor(grid)
-	if !g.Equal(want) {
-		t.Errorf("geometric(1.5, p=1) edges = %d, want %d (grid-8)", g.NumEdges(), want.NumEdges())
-	}
-}
-
 func TestPathCycleStar(t *testing.T) {
 	if Path(1).NumEdges() != 0 || Path(4).NumEdges() != 3 {
 		t.Error("Path edge counts wrong")
-	}
-	if Cycle(4).NumEdges() != 4 || Cycle(2).NumEdges() != 1 {
-		t.Error("Cycle edge counts wrong")
-	}
-	if Star(5, 2).Degree(2) != 4 {
-		t.Error("Star center degree wrong")
 	}
 }

@@ -102,15 +102,6 @@ func (g *Graph) Neighbors(u int) []int {
 	return out
 }
 
-// VisitNeighbors calls fn for each neighbor of u in unspecified order.
-// It avoids the allocation of Neighbors for hot paths.
-func (g *Graph) VisitNeighbors(u int, fn func(v int)) {
-	g.check(u)
-	for v := range g.adj[u] {
-		fn(v)
-	}
-}
-
 // Edges returns all edges as (u, v) pairs with u < v, sorted
 // lexicographically.
 func (g *Graph) Edges() [][2]int {
@@ -197,31 +188,6 @@ func (g *Graph) InducedSubgraph(keep []int) *Graph {
 		}
 	}
 	return c
-}
-
-// Union returns a new graph with the edges of both g and h (same universe
-// required).
-func (g *Graph) Union(h *Graph) (*Graph, error) {
-	if g.n != h.n {
-		return nil, fmt.Errorf("policygraph: union of mismatched universes %d vs %d", g.n, h.n)
-	}
-	c := g.Clone()
-	for u := 0; u < h.n; u++ {
-		for v := range h.adj[u] {
-			if u < v {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c, nil
-}
-
-// Density returns 2m / (n(n-1)), the fraction of possible edges present.
-func (g *Graph) Density() float64 {
-	if g.n < 2 {
-		return 0
-	}
-	return 2 * float64(g.m) / (float64(g.n) * float64(g.n-1))
 }
 
 // String implements fmt.Stringer with a compact summary.

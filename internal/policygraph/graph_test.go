@@ -2,7 +2,7 @@ package policygraph
 
 import (
 	"encoding/json"
-	"strings"
+
 	"testing"
 )
 
@@ -58,11 +58,6 @@ func TestDegreeAndNeighbors(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Neighbors(0) = %v, want %v (sorted)", got, want)
 		}
-	}
-	count := 0
-	g.VisitNeighbors(0, func(int) { count++ })
-	if count != 3 {
-		t.Errorf("VisitNeighbors visited %d, want 3", count)
 	}
 }
 
@@ -136,37 +131,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := New(4)
-	a.AddEdge(0, 1)
-	b := New(4)
-	b.AddEdge(2, 3)
-	b.AddEdge(0, 1)
-	u, err := a.Union(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumEdges() != 2 || !u.HasEdge(0, 1) || !u.HasEdge(2, 3) {
-		t.Errorf("union wrong: %v", u.Edges())
-	}
-	if _, err := a.Union(New(3)); err == nil {
-		t.Error("mismatched universes should error")
-	}
-}
-
-func TestDensity(t *testing.T) {
-	g := Complete(5, nil)
-	if g.Density() != 1 {
-		t.Errorf("complete density = %v, want 1", g.Density())
-	}
-	if New(5).Density() != 0 {
-		t.Error("empty density should be 0")
-	}
-	if New(1).Density() != 0 {
-		t.Error("single-node density should be 0")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g := New(6)
 	g.AddEdge(0, 5)
@@ -195,18 +159,5 @@ func TestJSONRejectsBadInput(t *testing.T) {
 		if err := json.Unmarshal([]byte(bad), &g); err == nil {
 			t.Errorf("expected error for %s", bad)
 		}
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	var sb strings.Builder
-	if err := g.WriteDOT(&sb, "g"); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "0 -- 1;") || !strings.Contains(out, "2;") {
-		t.Errorf("DOT output missing parts:\n%s", out)
 	}
 }

@@ -1,10 +1,8 @@
 package roadnet
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policygraph"
@@ -34,25 +32,6 @@ func Manhattan(grid *geo.Grid, spacing int) (*RoadMap, error) {
 	return rm, nil
 }
 
-// FromCells builds a road map from an explicit street cell list.
-func FromCells(grid *geo.Grid, cells []int) (*RoadMap, error) {
-	rm := &RoadMap{Grid: grid, isRoad: make([]bool, grid.NumCells())}
-	for _, id := range cells {
-		if !grid.InRange(id) {
-			return nil, fmt.Errorf("roadnet: cell %d out of range", id)
-		}
-		if !rm.isRoad[id] {
-			rm.isRoad[id] = true
-			rm.roads = append(rm.roads, id)
-		}
-	}
-	if len(rm.roads) == 0 {
-		return nil, errors.New("roadnet: no road cells")
-	}
-	sort.Ints(rm.roads)
-	return rm, nil
-}
-
 // IsRoad reports whether a cell is a street.
 func (rm *RoadMap) IsRoad(id int) bool {
 	return rm.Grid.InRange(id) && rm.isRoad[id]
@@ -60,9 +39,6 @@ func (rm *RoadMap) IsRoad(id int) bool {
 
 // Roads returns the sorted street cell IDs (shared slice; do not modify).
 func (rm *RoadMap) Roads() []int { return rm.roads }
-
-// NumRoads returns the number of street cells.
-func (rm *RoadMap) NumRoads() int { return len(rm.roads) }
 
 // RandomRoad returns a uniformly random street cell.
 func (rm *RoadMap) RandomRoad(rng *rand.Rand) int {

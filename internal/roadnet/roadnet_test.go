@@ -24,28 +24,11 @@ func TestManhattanLayout(t *testing.T) {
 	if rm.IsRoad(grid.ID(geo.Cell{Row: 1, Col: 1})) {
 		t.Error("(1,1) should be a building")
 	}
-	if rm.NumRoads() == 0 || rm.NumRoads() >= grid.NumCells() {
-		t.Errorf("NumRoads = %d", rm.NumRoads())
+	if len(rm.Roads()) == 0 || len(rm.Roads()) >= grid.NumCells() {
+		t.Errorf("roads = %d", len(rm.Roads()))
 	}
 	if _, err := Manhattan(grid, 1); err == nil {
 		t.Error("spacing 1 should error")
-	}
-}
-
-func TestFromCells(t *testing.T) {
-	grid := geo.MustGrid(3, 3, 1)
-	rm, err := FromCells(grid, []int{0, 1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.NumRoads() != 3 {
-		t.Errorf("NumRoads = %d (duplicates must collapse)", rm.NumRoads())
-	}
-	if _, err := FromCells(grid, []int{99}); err == nil {
-		t.Error("bad cell should error")
-	}
-	if _, err := FromCells(grid, nil); err == nil {
-		t.Error("empty roads should error")
 	}
 }
 
@@ -91,8 +74,8 @@ func TestPolicyGraphIsRoadAdjacency(t *testing.T) {
 	}
 	// The street network is connected on a Manhattan layout.
 	comp := g.ComponentOf(rm.Roads()[0])
-	if len(comp) != rm.NumRoads() {
-		t.Errorf("street component %d of %d roads", len(comp), rm.NumRoads())
+	if len(comp) != len(rm.Roads()) {
+		t.Errorf("street component %d of %d roads", len(comp), len(rm.Roads()))
 	}
 }
 

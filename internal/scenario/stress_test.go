@@ -92,7 +92,7 @@ func TestScenarioConcurrentWithAnalytics(t *testing.T) {
 	// tokens must have invalidated.)
 	infected := plan.InfectedCells()
 	cached := db.Analytics()
-	fresh := analytics.New(db.Grid(), db.Store())
+	fresh := analytics.New(plan.Grid, db.Store())
 	for ti := 0; ti < steps; ti++ {
 		if got, want := cached.DensityAt(ti, 4, 4), fresh.DensityAt(ti, 4, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("density at t=%d: cached %v, recomputed %v", ti, got, want)

@@ -168,28 +168,6 @@ func (e *Engine) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error
 	}
 }
 
-// TopRegions returns the k busiest regions at timestep t, as (region,
-// count) pairs in descending count (ties by region index).
-func (e *Engine) TopRegions(t, blockRows, blockCols, k int) [][2]int {
-	counts := e.DensityAt(t, blockRows, blockCols)
-	pairs := make([][2]int, 0, len(counts))
-	for r, c := range counts {
-		if c > 0 {
-			pairs = append(pairs, [2]int{r, c})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][1] != pairs[j][1] {
-			return pairs[i][1] > pairs[j][1]
-		}
-		return pairs[i][0] < pairs[j][0]
-	})
-	if k > 0 && len(pairs) > k {
-		pairs = pairs[:k]
-	}
-	return pairs
-}
-
 // MovementMatrix returns flows[from][to]: how many users moved from
 // region `from` at t1 to region `to` at t2 — the monitor's flows
 // between coarse areas. A user counts only with a record at both

@@ -219,20 +219,6 @@ func TestSeriesSpanLimit(t *testing.T) {
 	}
 }
 
-func TestTopRegions(t *testing.T) {
-	e, _ := testEngine(t)
-	top := e.TopRegions(0, 2, 2, 1)
-	if len(top) != 1 || top[0] != [2]int{0, 2} {
-		t.Errorf("top = %v", top)
-	}
-	if all := e.TopRegions(0, 2, 2, 0); len(all) != 2 {
-		t.Errorf("all regions = %v", all)
-	}
-	if got := e.TopRegions(9, 2, 2, 3); len(got) != 0 {
-		t.Errorf("empty timestep top = %v", got)
-	}
-}
-
 func TestHealthCodeAndCensus(t *testing.T) {
 	e, cs := testEngine(t)
 	if code := e.HealthCodeFor(2, []int{5}, 0, -1); code != CodeRed {

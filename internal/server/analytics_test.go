@@ -59,22 +59,6 @@ func TestInfectedExposureSeries(t *testing.T) {
 	}
 }
 
-func TestTopRegions(t *testing.T) {
-	db, _ := analyticsDB(t)
-	top := db.Analytics().TopRegions(0, 2, 2, 1)
-	if len(top) != 1 || top[0][0] != 0 || top[0][1] != 2 {
-		t.Errorf("top regions = %v", top)
-	}
-	all := db.Analytics().TopRegions(0, 2, 2, 0)
-	if len(all) != 2 {
-		t.Errorf("all regions = %v", all)
-	}
-	// Empty timestep.
-	if got := db.Analytics().TopRegions(9, 2, 2, 3); len(got) != 0 {
-		t.Errorf("empty timestep top = %v", got)
-	}
-}
-
 func TestCodeCensus(t *testing.T) {
 	db, _ := analyticsDB(t)
 	census := db.Analytics().CodeCensus([]int{5}, 0, -1)

@@ -311,21 +311,14 @@ func TestAsyncFallbackOnSyncServer(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectedBeforeQueue: consent and policy-staleness checks run
-// before the enqueue, so async mode never acknowledges a report the
-// sync path would refuse.
+// TestAsyncRejectedBeforeQueue: the policy-staleness check runs before
+// the enqueue, so async mode never acknowledges a report the sync path
+// would refuse.
 func TestAsyncRejectedBeforeQueue(t *testing.T) {
-	srv, client, grid, done := newAsyncTestServer(t, 0)
+	_, client, grid, done := newAsyncTestServer(t, 0)
 	defer done()
 	base := client.baseURL()
 	p := grid.Center(1)
-
-	srv.mgr.Get(7)
-	srv.mgr.Consent(7, false)
-	body := fmt.Sprintf(`{"user":7,"policy_version":1,"releases":[{"t":0,"x":%v,"y":%v}]}`, p.X, p.Y)
-	if status, e := postV2(t, base, "/v2/reports?mode=async", body); status != http.StatusForbidden || e.Code != wire.CodeConsent {
-		t.Fatalf("non-consenting async report: status=%d code=%q, want 403 consent_required", status, e.Code)
-	}
 
 	stale := fmt.Sprintf(`{"user":1,"policy_version":99,"releases":[{"t":0,"x":%v,"y":%v}]}`, p.X, p.Y)
 	if status, e := postV2(t, base, "/v2/reports?mode=async", stale); status != http.StatusConflict || e.Code != wire.CodeStalePolicy {

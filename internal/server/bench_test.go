@@ -121,10 +121,10 @@ func newAnalyticsBenchDB(b *testing.B) *DB {
 // before the timestep index and the analytics engine existed: a scan of
 // every stored record, filtering by t.
 func seedDensityAt(db *DB, t, blockRows, blockCols int) []int {
-	counts := make([]int, db.Grid().NumRegions(blockRows, blockCols))
+	counts := make([]int, db.grid.NumRegions(blockRows, blockCols))
 	db.Store().Scan(func(rec Record) bool {
 		if rec.T == t {
-			counts[db.Grid().RegionOf(rec.Cell, blockRows, blockCols)]++
+			counts[db.grid.RegionOf(rec.Cell, blockRows, blockCols)]++
 		}
 		return true
 	})

@@ -136,19 +136,17 @@ func TestBinaryContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestBinaryStaleAndConsent drives the report gate through both
-// encodings, sync and ?mode=async, on a server with an ingest queue: one
-// gate means the same batch gets the same answer whatever it was framed
-// in. Version 0 is refused, a non-consenting user 403s, a stale version
-// renegotiates with the policy inline, a record off the grid's time axis
-// is refused — and none of them is stored or queued — while a good batch
-// is applied (200) or queued (202).
-func TestBinaryStaleAndConsent(t *testing.T) {
+// TestBinaryReportGate drives the report gate through both encodings,
+// sync and ?mode=async, on a server with an ingest queue: one gate means
+// the same batch gets the same answer whatever it was framed in.
+// Version 0 is refused, a stale version renegotiates with the policy
+// inline, a record off the grid's time axis is refused — and none of
+// them is stored or queued — while a good batch is applied (200) or
+// queued (202).
+func TestBinaryReportGate(t *testing.T) {
 	srv, client, grid, done := newAsyncTestServer(t, 0)
 	defer done()
 	base := client.baseURL()
-	srv.mgr.Get(7)
-	srv.mgr.Consent(7, false)
 
 	p := grid.Center(2)
 	at := func(step int) []wire.Release { return []wire.Release{{T: step, X: p.X, Y: p.Y}} }
@@ -175,7 +173,6 @@ func TestBinaryStaleAndConsent(t *testing.T) {
 		code          string
 	}{
 		{"version 0", 3, 0, at(0), http.StatusBadRequest, wire.CodeBadRequest},
-		{"no consent", 7, 1, at(0), http.StatusForbidden, wire.CodeConsent},
 		{"stale version", 3, 99, at(0), http.StatusConflict, wire.CodeStalePolicy},
 		{"negative t", 3, 1, at(-1), http.StatusBadRequest, wire.CodeBadRequest},
 		{"good batch", 4, 1, at(0), http.StatusOK, ""},

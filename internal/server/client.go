@@ -111,13 +111,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server client: %d %s: %s", e.Status, e.Code, e.Message)
 }
 
-// IsStalePolicy reports whether err is a stale-policy renegotiation
-// response.
-func IsStalePolicy(err error) bool {
-	ae, ok := err.(*APIError)
-	return ok && ae.Code == wire.CodeStalePolicy
-}
-
 // backoff returns the jittered sleep before retry number `retryN` (1-
 // based): exponential in BaseDelay, capped at MaxDelay, uniform in
 // [d/2, d]. Unset (non-positive) delay fields fall back to
@@ -432,8 +425,9 @@ func (c *Client) adoptStalePolicy(user int, err error) bool {
 // but the server stamps stored records with its current version.
 // Protocol flows that must re-perturb history under the renegotiated
 // graph (the paper's contact-tracing re-send) should regenerate the
-// batch instead: call CachedPolicy after a failed send (or check
-// IsStalePolicy), rebuild the mechanism, and send the new releases — or
+// batch instead: call CachedPolicy after a failed send (or match an
+// *APIError's Code against wire.CodeStalePolicy), rebuild the
+// mechanism, and send the new releases — or
 // use the in-process panda.User, which rebuilds its mechanism on every
 // policy change.
 func (c *Client) ReportBatchContext(ctx context.Context, user int, releases []wire.Release) (wire.BatchReportResponse, error) {
@@ -562,32 +556,6 @@ func (c *Client) ReportBatchBinaryAsyncContext(ctx context.Context, user int, re
 	return out.ack()
 }
 
-// HealthzContext probes GET /v2/healthz and returns the decoded body for
-// both outcomes — a healthy 200 and a failing 503 both carry the same
-// response shape, distinguished by its Status field ("ok"/"failing").
-// Unlike every other method this one never retries: a probe wants the
-// current truth, not an eventually-successful one. The error is non-nil
-// only when the probe itself failed (transport error, or a body that is
-// not a healthz response).
-func (c *Client) HealthzContext(ctx context.Context) (wire.HealthzResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v2/healthz", nil)
-	if err != nil {
-		return wire.HealthzResponse{}, fmt.Errorf("server client: healthz: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return wire.HealthzResponse{}, fmt.Errorf("server client: healthz: %w", err)
-	}
-	defer resp.Body.Close()
-	var out wire.HealthzResponse
-	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out)
-	drainBody(resp.Body)
-	if err != nil || out.Status == "" {
-		return wire.HealthzResponse{}, fmt.Errorf("server client: healthz: status %d with non-healthz body", resp.StatusCode)
-	}
-	return out, nil
-}
-
 // IngestStatsContext fetches the async ingestion queue's observability
 // counters (GET /v2/ingest/stats). Enabled is false on servers running
 // without async ingest.
@@ -608,12 +576,6 @@ func (c *Client) AnalyticsStatsContext(ctx context.Context) (wire.AnalyticsStats
 		return wire.AnalyticsStatsResponse{}, err
 	}
 	return out, nil
-}
-
-// ReportContext sends a single released location (a batch of one).
-func (c *Client) ReportContext(ctx context.Context, user, t int, p geo.Point) error {
-	_, err := c.ReportBatchContext(ctx, user, []wire.Release{{T: t, X: p.X, Y: p.Y}})
-	return err
 }
 
 // RecordsPageContext fetches one page of the user's stored releases. An

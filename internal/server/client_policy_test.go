@@ -44,23 +44,22 @@ func TestClientSharesPolicyGraph(t *testing.T) {
 	}
 	// User 1 still holds v1: the report draws a 409 whose inline policy
 	// carries the same graph body.
-	if err := client.ReportContext(t.Context(), 1, 0, grid.Center(1)); err != nil {
+	if _, err := client.ReportBatchContext(t.Context(), 1, oneRelease(0, grid.Center(1))); err != nil {
 		t.Fatal(err)
 	}
 	if cp, _ := client.CachedPolicy(1); cp.Version != 2 || cp.Graph != a.Graph {
 		t.Errorf("policy adopted from the 409: version %d, shared graph %v; want version 2 sharing the fetched graph",
 			cp.Version, cp.Graph == a.Graph)
 	}
-	override := policygraph.Complete(grid.NumCells(), nil)
-	if err := srv.mgr.Set(2, override, 2); err != nil {
+	if _, err := client.MarkInfectedContext(t.Context(), []int{6}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.PolicyContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Graph == a.Graph || !c.Graph.Equal(override) {
-		t.Error("the Set override should decode to its own graph, equal to the override")
+	if c.Graph == a.Graph || !c.Graph.Equal(srv.mgr.Get(2).Graph) {
+		t.Error("the second mark's body should decode to its own graph, equal to the marked graph")
 	}
 }
 
@@ -93,13 +92,12 @@ func TestClientKeepsItsOwnPolicyBody(t *testing.T) {
 
 // TestPolicyBodiesUnchanged: GET /v2/policy and the 409 stale_policy
 // envelope (JSON and binary reports) write exactly what encoding the
-// wire struct around json.Marshal(graph) writes, for a default user
-// before and after a mark, a user who joins after it, and a user with a
-// Set override.
+// wire struct around json.Marshal(graph) writes, for a user before and
+// after one and two marks, users who join after them, and a manager at
+// ε = 2.
 func TestPolicyBodiesUnchanged(t *testing.T) {
 	srv, client, grid, done := newTestServer(t)
 	defer done()
-	base := client.baseURL()
 	encode := func(v any) string {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -107,7 +105,7 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 		}
 		return string(b) + "\n"
 	}
-	send := func(method, path, contentType string, body []byte) (int, string) {
+	send := func(base, method, path, contentType string, body []byte) (int, string) {
 		req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +124,7 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 		}
 		return resp.StatusCode, string(got)
 	}
-	check := func(user int) {
+	check := func(srv *Server, base string, user int) {
 		t.Helper()
 		up := srv.mgr.Get(user)
 		graph, err := json.Marshal(up.Graph)
@@ -153,23 +151,34 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 			{"409 JSON report", http.MethodPost, "/v2/reports", "application/json", []byte(jsonReport), http.StatusConflict, stale},
 			{"409 binary report", http.MethodPost, "/v2/reports", wire.ContentTypeBinary, binReport, http.StatusConflict, stale},
 		} {
-			status, got := send(tc.method, tc.path, tc.contentType, tc.body)
+			status, got := send(base, tc.method, tc.path, tc.contentType, tc.body)
 			if status != tc.status || got != tc.want {
 				t.Errorf("user %d, %s: status %d, body differs from the reference encoding: %t\n got %.120s\nwant %.120s",
 					user, tc.name, status, got != tc.want, got, tc.want)
 			}
 		}
 	}
-	check(0)
-	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
+	base := client.baseURL()
+	check(srv, base, 0)
+	for i, cell := range []int{5, 6} {
+		if _, err := client.MarkInfectedContext(t.Context(), []int{cell}); err != nil {
+			t.Fatal(err)
+		}
+		for user := 0; user <= i+1; user++ {
+			check(srv, base, user)
+		}
+	}
+	mgr, err := policy.NewManager(grid, policy.Baseline(grid), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.mgr.Set(2, policygraph.Complete(grid.NumCells(), nil), 2); err != nil {
+	srv2, err := NewServer(newDB(t, grid, 4), mgr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, user := range []int{0, 1, 2} {
-		check(user)
-	}
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+	check(srv2, ts.URL, 0)
 }
 
 // TestPolicyHeadEncodingFailure: a policy whose head encoding/json
@@ -206,7 +215,7 @@ func TestClientPolicyConcurrent(t *testing.T) {
 			}
 			deadline := time.Now().Add(10 * time.Second)
 			for step := 0; ; step++ {
-				if err := client.ReportContext(t.Context(), u, step, grid.Center(u)); err != nil {
+				if _, err := client.ReportBatchContext(t.Context(), u, oneRelease(step, grid.Center(u))); err != nil {
 					t.Error(err)
 					return
 				}

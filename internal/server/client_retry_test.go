@@ -314,7 +314,7 @@ func TestV2DensitySeriesEndpoint(t *testing.T) {
 	defer done()
 	for u := 0; u < 4; u++ {
 		for ti := 0; ti < 3; ti++ {
-			if err := client.ReportContext(t.Context(), u, ti, grid.Center((u+ti)%grid.NumCells())); err != nil {
+			if _, err := client.ReportBatchContext(t.Context(), u, oneRelease(ti, grid.Center((u+ti)%grid.NumCells()))); err != nil {
 				t.Fatal(err)
 			}
 		}

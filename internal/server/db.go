@@ -45,9 +45,6 @@ func NewDBOn(grid *geo.Grid, store storage.Store) (*DB, error) {
 	return &DB{grid: grid, store: store, engine: analytics.New(grid, store)}, nil
 }
 
-// Grid returns the database's grid.
-func (db *DB) Grid() *geo.Grid { return db.grid }
-
 // Store returns the underlying record store: the read path of every
 // per-user and per-timestep query.
 func (db *DB) Store() storage.Store { return db.store }

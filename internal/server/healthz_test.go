@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,7 +12,24 @@ import (
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server/storage/wal"
+	"github.com/pglp/panda/internal/server/wire"
 )
+
+// healthz GETs /v2/healthz and decodes the body, which a healthy 200
+// and a failing 503 share.
+func healthz(t *testing.T, base string) (int, wire.HealthzResponse) {
+	t.Helper()
+	resp, err := http.Get(base + "/v2/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h wire.HealthzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, h
+}
 
 // TestV2Healthz: the liveness probe reports store size, anchor timestep
 // and epoch on a healthy memory-backed server — and is cheap enough
@@ -19,31 +37,17 @@ import (
 func TestV2Healthz(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
-	h, err := client.HealthzContext(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Records != 0 || h.StoreError != "" || h.CompactError != "" {
-		t.Fatalf("empty server healthz = %+v", h)
+	base := client.baseURL()
+	if status, h := healthz(t, base); status != http.StatusOK || h.Status != "ok" || h.Records != 0 || h.StoreError != "" || h.CompactError != "" {
+		t.Fatalf("empty server healthz = %d %+v", status, h)
 	}
 	for ti := 0; ti < 3; ti++ {
-		if err := client.ReportContext(t.Context(), 1, ti, grid.Center(ti)); err != nil {
+		if _, err := client.ReportBatchContext(t.Context(), 1, oneRelease(ti, grid.Center(ti))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if h, err = client.HealthzContext(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Records != 3 || h.MaxT != 2 || h.Epoch == 0 {
-		t.Fatalf("healthz after ingest = %+v, want 3 records, max_t 2, nonzero epoch", h)
-	}
-	resp, err := http.Get(client.baseURL() + "/v2/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
+	if status, h := healthz(t, base); status != http.StatusOK || h.Status != "ok" || h.Records != 3 || h.MaxT != 2 || h.Epoch == 0 {
+		t.Fatalf("healthz after ingest = %d %+v, want 200 with 3 records, max_t 2, nonzero epoch", status, h)
 	}
 }
 
@@ -84,13 +88,10 @@ func TestV2HealthzSurfacesCompactError(t *testing.T) {
 	for {
 		// Re-reporting the same (user, t) generates pure garbage, which
 		// keeps kicking the (blocked) compactor.
-		if err := client.ReportContext(t.Context(), 0, 0, grid.Center(1)); err != nil {
+		if _, err := client.ReportBatchContext(t.Context(), 0, oneRelease(0, grid.Center(1))); err != nil {
 			t.Fatal(err)
 		}
-		h, err := client.HealthzContext(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, h := healthz(t, ts.URL)
 		if h.CompactError != "" {
 			if h.Status != "ok" || h.StoreError != "" {
 				t.Fatalf("healthz = %+v: a compaction failure must not flip the liveness status", h)
@@ -101,24 +102,5 @@ func TestV2HealthzSurfacesCompactError(t *testing.T) {
 			t.Fatal("compaction failure never surfaced in healthz")
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestClientHealthzDecodesFailing: the Healthz client method returns
-// the decoded body — not an APIError — on a 503, because a failing
-// status report is the answer, not a transport failure.
-func TestClientHealthzDecodesFailing(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte(`{"status":"failing","records":7,"max_t":3,"epoch":9,"store_error":"wal: append: disk full"}`))
-	}))
-	defer ts.Close()
-	h, err := NewClient(ts.URL, ts.Client()).HealthzContext(t.Context())
-	if err != nil {
-		t.Fatalf("Healthz on a failing server: %v (want the decoded body)", err)
-	}
-	if h.Status != "failing" || h.StoreError == "" || h.Records != 7 {
-		t.Fatalf("healthz = %+v", h)
 	}
 }

@@ -52,6 +52,11 @@ func getJSON(t *testing.T, base, path string, out any) int {
 
 func (c *Client) baseURL() string { return c.base }
 
+// oneRelease is a batch of one release of p at timestep t.
+func oneRelease(t int, p geo.Point) []wire.Release {
+	return []wire.Release{{T: t, X: p.X, Y: p.Y}}
+}
+
 // The TestV1* names below date from the retired /v1 surface; the wire
 // checks they hold now run against the /v2 routes that serve the same
 // operations.
@@ -72,22 +77,6 @@ func TestV1ReportAndRecords(t *testing.T) {
 	}
 	if len(page.Records) != 1 || page.Records[0].Cell != 5 || page.Records[0].PolicyVersion != 1 {
 		t.Errorf("records = %+v", page.Records)
-	}
-}
-
-func TestV1ConsentRejection(t *testing.T) {
-	srv, client, grid, done := newTestServer(t)
-	defer done()
-	srv.mgr.Get(7)
-	srv.mgr.Consent(7, false)
-	p := grid.Center(0)
-	status, e := postV2(t, client.baseURL(), "/v2/reports",
-		fmt.Sprintf(`{"user":7,"policy_version":1,"releases":[{"t":0,"x":%v,"y":%v}]}`, p.X, p.Y))
-	if status != http.StatusForbidden || e.Code != wire.CodeConsent {
-		t.Errorf("non-consenting report: status=%d code=%q, want 403 %q", status, e.Code, wire.CodeConsent)
-	}
-	if recs := srv.db.Store().UserRecords(7); len(recs) != 0 {
-		t.Errorf("non-consenting report stored %d records", len(recs))
 	}
 }
 

@@ -259,8 +259,8 @@ func decodeBinaryReport(w http.ResponseWriter, r *http.Request) (user, version i
 
 // checkReport is the one admission gate of POST /v2/reports, whatever
 // the encoding. recs is a decoded batch with cells unset. In order it
-// checks the policy version (≥ 1), consent, freshness against the
-// user's current policy, then every record against the grid (snapping
+// checks the policy version (≥ 1), freshness against the user's
+// current policy, then every record against the grid (snapping
 // cells in place); it writes the first failure's error and returns
 // false. It is the only place the report path reads the user's policy.
 func (s *Server) checkReport(w http.ResponseWriter, user, version int, recs []Record) bool {
@@ -270,11 +270,6 @@ func (s *Server) checkReport(w http.ResponseWriter, user, version int, recs []Re
 		return false
 	}
 	up := s.mgr.Get(user)
-	if !up.Consented {
-		v2Error(w, http.StatusForbidden, wire.CodeConsent,
-			"user %d has not consented to the current policy", user)
-		return false
-	}
 	if version != up.Version {
 		v2StalePolicy(w, user, version, up)
 		return false

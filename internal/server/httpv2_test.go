@@ -42,13 +42,9 @@ func getV2(t *testing.T, base, path string) (int, wire.Error) {
 // TestV2ErrorEnvelopes drives every error path of the /v2 surface and
 // checks the uniform {error, code} envelope.
 func TestV2ErrorEnvelopes(t *testing.T) {
-	srv, client, grid, done := newTestServer(t)
+	_, client, grid, done := newTestServer(t)
 	defer done()
 	base := client.baseURL()
-
-	// A non-consenting user for the 403 path.
-	srv.mgr.Get(7)
-	srv.mgr.Consent(7, false)
 
 	p := grid.Center(1)
 	report := func(user, ver int, t0 int) string {
@@ -66,7 +62,6 @@ func TestV2ErrorEnvelopes(t *testing.T) {
 		{"missing version", "/v2/reports", `{"user":0,"releases":[{"t":0,"x":0,"y":0}]}`, http.StatusBadRequest, wire.CodeBadRequest},
 		{"negative version", "/v2/reports", report(0, -2, 0), http.StatusBadRequest, wire.CodeBadRequest},
 		{"stale version", "/v2/reports", report(0, 99, 0), http.StatusConflict, wire.CodeStalePolicy},
-		{"no consent", "/v2/reports", report(7, 1, 0), http.StatusForbidden, wire.CodeConsent},
 		{"negative timestep", "/v2/reports", report(0, 1, -4), http.StatusBadRequest, wire.CodeBadRequest},
 		{"bad infected json", "/v2/infected", "[", http.StatusBadRequest, wire.CodeBadRequest},
 	}
@@ -294,7 +289,7 @@ func TestV2BatchAtomicValidation(t *testing.T) {
 func TestClientAutoPolicyRefresh(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
-	if err := client.ReportContext(t.Context(), 0, 0, grid.Center(1)); err != nil {
+	if _, err := client.ReportBatchContext(t.Context(), 0, oneRelease(0, grid.Center(1))); err != nil {
 		t.Fatal(err)
 	}
 	if cp, ok := client.CachedPolicy(0); !ok || cp.Version != 1 {
@@ -304,7 +299,7 @@ func TestClientAutoPolicyRefresh(t *testing.T) {
 	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.ReportContext(t.Context(), 0, 1, grid.Center(2)); err != nil {
+	if _, err := client.ReportBatchContext(t.Context(), 0, oneRelease(1, grid.Center(2))); err != nil {
 		t.Fatalf("report after policy bump should auto-refresh, got %v", err)
 	}
 	cp, ok := client.CachedPolicy(0)
@@ -326,7 +321,7 @@ func TestClientRoundTrip(t *testing.T) {
 	defer done()
 
 	for _, r := range []struct{ user, t, cell int }{{0, 0, 0}, {0, 1, 5}, {1, 0, 5}} {
-		if err := client.ReportContext(t.Context(), r.user, r.t, grid.Center(r.cell)); err != nil {
+		if _, err := client.ReportBatchContext(t.Context(), r.user, oneRelease(r.t, grid.Center(r.cell))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,12 +11,11 @@ import (
 
 // Machine-readable error codes carried in the uniform error envelope.
 const (
-	CodeBadRequest  = "bad_request"      // malformed body or out-of-range parameter
-	CodeConsent     = "consent_required" // user has rejected the current policy (403)
-	CodeStalePolicy = "stale_policy"     // client's policy version is outdated (409)
-	CodeInternal    = "internal"         // server-side failure (500)
-	CodeQueueFull   = "queue_full"       // async ingest queue at capacity, retry later (429)
-	CodeUnavailable = "unavailable"      // server is shutting down (503)
+	CodeBadRequest  = "bad_request"  // malformed body or out-of-range parameter
+	CodeStalePolicy = "stale_policy" // client's policy version is outdated (409)
+	CodeInternal    = "internal"     // server-side failure (500)
+	CodeQueueFull   = "queue_full"   // async ingest queue at capacity, retry later (429)
+	CodeUnavailable = "unavailable"  // server is shutting down (503)
 	// CodeNodeDown is returned by the cluster router when the node owning
 	// the requested user — or any node of a scatter-gather query — is
 	// unreachable or failing its health probe. The envelope's Node field

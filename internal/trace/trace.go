@@ -60,15 +60,6 @@ func (d *Dataset) ByUser(user int) *Trajectory {
 	return nil
 }
 
-// CellsAt returns every user's cell at timestep t, indexed like Trajs.
-func (d *Dataset) CellsAt(t int) []int {
-	out := make([]int, len(d.Trajs))
-	for i, tr := range d.Trajs {
-		out[i] = tr.Cells[t]
-	}
-	return out
-}
-
 // Sequences exposes the raw cell sequences (shared backing arrays), the
 // shape markov.EstimateChain consumes.
 func (d *Dataset) Sequences() [][]int {

@@ -47,10 +47,6 @@ func TestDatasetAccessors(t *testing.T) {
 	if ds.ByUser(42) != nil {
 		t.Error("missing user should be nil")
 	}
-	at := ds.CellsAt(1)
-	if at[0] != 1 || at[1] != 3 {
-		t.Errorf("CellsAt = %v", at)
-	}
 	if len(ds.Sequences()) != 2 {
 		t.Error("Sequences wrong")
 	}

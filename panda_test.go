@@ -300,6 +300,62 @@ func TestWindowBudgetEnforced(t *testing.T) {
 	}
 }
 
+// TestWindowBudgetOutOfOrder: a release at an earlier step counts
+// against the windows that later releases already hold, so reporting
+// late cannot get around the sliding-window budget.
+func TestWindowBudgetOutOfOrder(t *testing.T) {
+	o := testOptions()
+	o.WindowSteps = 10
+	o.WindowEpsilon = 1 // ε=1 per release → one release per window
+	sys, err := NewSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.NewUser(1, GEM, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.Report(14, 3); err != nil {
+		t.Fatal(err)
+	}
+	// Steps (4, 14] would hold both releases.
+	if _, err := u.Report(5, 3); err == nil {
+		t.Error("a release at t=5 after one at t=14 fit a 10-step window of 1ε")
+	}
+	if _, err := u.Report(4, 3); err != nil {
+		t.Errorf("t=4 shares no 10-step window with t=14: %v", err)
+	}
+	if got := sys.Records(1); len(got) != 2 {
+		t.Errorf("stored %d records, want 2", len(got))
+	}
+}
+
+// TestRefusedBatchSpendsNoBudget: a batch that would overdraw a window
+// is refused whole, before any of its steps is charged, so the budget
+// is still there for the next release.
+func TestRefusedBatchSpendsNoBudget(t *testing.T) {
+	o := testOptions()
+	o.WindowSteps = 10
+	o.WindowEpsilon = 2 // ε=1 per release → two releases per window
+	sys, err := NewSystem(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.NewUser(1, GEM, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.ReportBatch(0, []int{1, 2, 3}); err == nil {
+		t.Fatal("three releases fit a window of 2ε")
+	}
+	if got := sys.Records(1); len(got) != 0 {
+		t.Fatalf("refused batch stored %v", got)
+	}
+	if _, err := u.ReportBatch(5, []int{1, 2}); err != nil {
+		t.Errorf("the refused batch kept some of its charges: %v", err)
+	}
+}
+
 // TestBatchPastMaxIntSpendsNoBudget: a batch whose timesteps would pass
 // math.MaxInt is refused before the window budget is charged, so it
 // neither stores a record nor blocks a later release at math.MaxInt.
