@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/pglp/panda/internal/adversary"
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/experiments"
 	"github.com/pglp/panda/internal/geo"
@@ -244,15 +243,11 @@ func BenchmarkServerIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkReleaserPipeline measures the full client-side release path
-// (policy check, mechanism, snap).
+// BenchmarkReleaserPipeline measures the client-side release path of
+// one step: release through the mechanism, then snap to a cell.
 func BenchmarkReleaserPipeline(b *testing.B) {
 	grid := geo.MustGrid(16, 16, 1)
-	pol, err := core.NewPolicy(1, policygraph.GridEightNeighbor(grid))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := core.NewReleaser(grid, pol, mechanism.KindGEM)
+	m, err := mechanism.New(mechanism.KindGEM, grid, policygraph.GridEightNeighbor(grid), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,8 +255,12 @@ func BenchmarkReleaserPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rel.ReleaseCell(rng, i%256); err != nil {
+		p, err := m.Release(rng, i%256)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if !grid.InRange(grid.Snap(p)) {
+			b.Fatal("release snapped off the grid")
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
@@ -107,34 +106,15 @@ func (r *Result) F1() float64        { return r.Classification.F1() }
 //     (cell, time) pairs, and flags users reaching MinCoLocations with any
 //     patient.
 func Trace(ds *trace.Dataset, base *policygraph.Graph, patients []int, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := newProtocol(ds, patients, cfg)
+	if err != nil {
 		return nil, err
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	if len(patients) == 0 {
-		return nil, errors.New("contact: no diagnosed patients")
-	}
-	isPatient := make(map[int]bool, len(patients))
-	patientTrajs := make(map[int][]int, len(patients))
-	for _, p := range patients {
-		tr := ds.ByUser(p)
-		if tr == nil {
-			return nil, fmt.Errorf("contact: unknown patient %d", p)
-		}
-		isPatient[p] = true
-		patientTrajs[p] = tr.Cells
-	}
-	lo := 0
-	if cfg.Window > 0 && cfg.Window < ds.Steps {
-		lo = ds.Steps - cfg.Window
 	}
 
 	// Step 1-2: infected cells and the updated policy graph Gc.
 	infectedSet := make(map[int]bool)
-	for _, cells := range patientTrajs {
-		for _, c := range cells[lo:] {
+	for _, cells := range p.trajs {
+		for _, c := range cells[p.lo:] {
 			infectedSet[c] = true
 		}
 	}
@@ -143,69 +123,19 @@ func Trace(ds *trace.Dataset, base *policygraph.Graph, patients []int, cfg Confi
 		infected = append(infected, c)
 	}
 	sort.Ints(infected)
-	gc := policygraph.IsolateNodes(base, infected)
-	pol, err := core.NewPolicy(cfg.Epsilon, gc)
-	if err != nil {
-		return nil, err
-	}
-	releaser, err := core.NewReleaser(ds.Grid, pol, cfg.Kind)
+	m, err := mechanism.New(cfg.Kind, ds.Grid, policygraph.IsolateNodes(base, infected), cfg.Epsilon)
 	if err != nil {
 		return nil, err
 	}
 
 	// Step 3-4: re-send and match.
-	res := &Result{InfectedCells: infected}
-	for ui, tr := range ds.Trajs {
-		if isPatient[tr.User] {
-			continue
-		}
-		rng := dp.Derive(cfg.Seed, uint64(ui)+1)
-		pts, _, err := releaser.ReleaseTrajectory(rng, tr.Cells[lo:])
-		if err != nil {
-			return nil, err
-		}
-		res.Releases += len(pts)
-		best := 0
-		for _, pcells := range patientTrajs {
-			hits := 0
-			for i, z := range pts {
-				t := lo + i
-				pc := pcells[t]
-				if !infectedSet[pc] {
-					continue
-				}
-				if geo.AlmostEqual(z, ds.Grid.Center(pc), 1e-9) {
-					hits++
-				}
-			}
-			if hits > best {
-				best = hits
-			}
-		}
-		if best >= cfg.MinCoLocations {
-			res.Flagged = append(res.Flagged, tr.User)
-		}
+	res, err := p.flag(m, func(pc int, z geo.Point) bool {
+		return infectedSet[pc] && geo.AlmostEqual(z, ds.Grid.Center(pc), 1e-9)
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(res.Flagged)
-
-	// Ground truth under the same rule.
-	truthSet := make(map[int]bool)
-	for _, p := range patients {
-		truth, err := ContactsOf(ds, p, cfg.MinCoLocations, cfg.Window)
-		if err != nil {
-			return nil, err
-		}
-		for _, u := range truth {
-			if !isPatient[u] {
-				truthSet[u] = true
-			}
-		}
-	}
-	for u := range truthSet {
-		res.Truth = append(res.Truth, u)
-	}
-	sort.Ints(res.Truth)
-	res.Classification = metrics.Classify(res.Flagged, res.Truth)
+	res.InfectedCells = infected
 	return res, nil
 }
 
@@ -216,6 +146,29 @@ func Trace(ds *trace.Dataset, base *policygraph.Graph, patients []int, cfg Confi
 // snapped releases. This is the paper's foil: without policy updates the
 // rule fires on noise.
 func StaticBaseline(ds *trace.Dataset, base *policygraph.Graph, patients []int, cfg Config) (*Result, error) {
+	p, err := newProtocol(ds, patients, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m, err := mechanism.New(cfg.Kind, ds.Grid, base, cfg.Epsilon)
+	if err != nil {
+		return nil, err
+	}
+	return p.flag(m, func(pc int, z geo.Point) bool { return pc == ds.Grid.Snap(z) })
+}
+
+// protocol is what Trace and StaticBaseline share: the diagnosed
+// patients' true trajectories and the first step of the window.
+type protocol struct {
+	ds        *trace.Dataset
+	cfg       Config
+	patients  []int
+	isPatient map[int]bool
+	trajs     map[int][]int // patient → true cells
+	lo        int
+}
+
+func newProtocol(ds *trace.Dataset, patients []int, cfg Config) (*protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,64 +178,70 @@ func StaticBaseline(ds *trace.Dataset, base *policygraph.Graph, patients []int, 
 	if len(patients) == 0 {
 		return nil, errors.New("contact: no diagnosed patients")
 	}
-	isPatient := make(map[int]bool, len(patients))
-	patientTrajs := make(map[int][]int, len(patients))
-	for _, p := range patients {
-		tr := ds.ByUser(p)
+	p := &protocol{
+		ds: ds, cfg: cfg, patients: patients,
+		isPatient: make(map[int]bool, len(patients)),
+		trajs:     make(map[int][]int, len(patients)),
+	}
+	for _, id := range patients {
+		tr := ds.ByUser(id)
 		if tr == nil {
-			return nil, fmt.Errorf("contact: unknown patient %d", p)
+			return nil, fmt.Errorf("contact: unknown patient %d", id)
 		}
-		isPatient[p] = true
-		patientTrajs[p] = tr.Cells
+		p.isPatient[id] = true
+		p.trajs[id] = tr.Cells
 	}
-	lo := 0
 	if cfg.Window > 0 && cfg.Window < ds.Steps {
-		lo = ds.Steps - cfg.Window
+		p.lo = ds.Steps - cfg.Window
 	}
-	pol, err := core.NewPolicy(cfg.Epsilon, base)
-	if err != nil {
-		return nil, err
-	}
-	releaser, err := core.NewReleaser(ds.Grid, pol, cfg.Kind)
-	if err != nil {
-		return nil, err
-	}
+	return p, nil
+}
+
+// flag releases the window of every user but the patients through m,
+// user i drawing from dp.Derive(Seed, i+1), and flags those with at
+// least MinCoLocations steps on which match(patient's cell, release)
+// holds for one patient. It classifies the flags against the ground
+// truth under the same rule and window.
+func (p *protocol) flag(m mechanism.Mechanism, match func(pc int, z geo.Point) bool) (*Result, error) {
 	res := &Result{}
-	for ui, tr := range ds.Trajs {
-		if isPatient[tr.User] {
+	for ui, tr := range p.ds.Trajs {
+		if p.isPatient[tr.User] {
 			continue
 		}
-		rng := dp.Derive(cfg.Seed, uint64(ui)+1)
-		_, snapped, err := releaser.ReleaseTrajectory(rng, tr.Cells[lo:])
-		if err != nil {
-			return nil, err
+		rng := dp.Derive(p.cfg.Seed, uint64(ui)+1)
+		pts := make([]geo.Point, len(tr.Cells)-p.lo)
+		for i, c := range tr.Cells[p.lo:] {
+			z, err := m.Release(rng, c)
+			if err != nil {
+				return nil, fmt.Errorf("contact: user %d step %d: %w", tr.User, p.lo+i, err)
+			}
+			pts[i] = z
 		}
-		res.Releases += len(snapped)
+		res.Releases += len(pts)
 		best := 0
-		for _, pcells := range patientTrajs {
+		for _, pcells := range p.trajs {
 			hits := 0
-			for i, c := range snapped {
-				if pcells[lo+i] == c {
+			for i, z := range pts {
+				if match(pcells[p.lo+i], z) {
 					hits++
 				}
 			}
-			if hits > best {
-				best = hits
-			}
+			best = max(best, hits)
 		}
-		if best >= cfg.MinCoLocations {
+		if best >= p.cfg.MinCoLocations {
 			res.Flagged = append(res.Flagged, tr.User)
 		}
 	}
 	sort.Ints(res.Flagged)
+
 	truthSet := make(map[int]bool)
-	for _, p := range patients {
-		truth, err := ContactsOf(ds, p, cfg.MinCoLocations, cfg.Window)
+	for _, id := range p.patients {
+		truth, err := ContactsOf(p.ds, id, p.cfg.MinCoLocations, p.cfg.Window)
 		if err != nil {
 			return nil, err
 		}
 		for _, u := range truth {
-			if !isPatient[u] {
+			if !p.isPatient[u] {
 				truthSet[u] = true
 			}
 		}

@@ -117,11 +117,11 @@ func SimulateOutbreak(ds *trace.Dataset, cfg OutbreakConfig) (*Outbreak, error) 
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TransmissionProb < 0 || cfg.TransmissionProb > 1 {
-		return nil, fmt.Errorf("epidemic: transmission probability %v outside [0,1]", cfg.TransmissionProb)
+	if err := checkRates(cfg.TransmissionProb, cfg.InfectiousSteps); err != nil {
+		return nil, err
 	}
-	if cfg.ExposedSteps < 0 || cfg.InfectiousSteps < 1 {
-		return nil, errors.New("epidemic: need ExposedSteps ≥ 0 and InfectiousSteps ≥ 1")
+	if cfg.ExposedSteps < 0 {
+		return nil, fmt.Errorf("epidemic: need ExposedSteps ≥ 0, got %d", cfg.ExposedSteps)
 	}
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("epidemic: no seed cases")
@@ -230,9 +230,26 @@ func ContactRate(ds *trace.Dataset) (float64, error) {
 	return contacts / float64(nu*ds.Steps), nil
 }
 
+// checkRates refuses a transmission probability outside [0, 1], NaN
+// included, and an infectious period shorter than one step: the rules
+// SimulateOutbreak and EstimateR0Contacts share.
+func checkRates(transmissionProb float64, infectiousSteps int) error {
+	if !(transmissionProb >= 0 && transmissionProb <= 1) {
+		return fmt.Errorf("epidemic: transmission probability %v outside [0,1]", transmissionProb)
+	}
+	if infectiousSteps < 1 {
+		return fmt.Errorf("epidemic: need InfectiousSteps ≥ 1, got %d", infectiousSteps)
+	}
+	return nil
+}
+
 // EstimateR0Contacts estimates R0 = c·p·D from a (possibly perturbed)
 // dataset: contact rate × transmission probability × infectious duration.
+// It refuses the rates SimulateOutbreak refuses.
 func EstimateR0Contacts(ds *trace.Dataset, transmissionProb float64, infectiousSteps int) (float64, error) {
+	if err := checkRates(transmissionProb, infectiousSteps); err != nil {
+		return 0, err
+	}
 	c, err := ContactRate(ds)
 	if err != nil {
 		return 0, err

@@ -87,6 +87,8 @@ func TestSimulateOutbreakValidation(t *testing.T) {
 	cases := []OutbreakConfig{
 		{Seeds: nil, TransmissionProb: 0.5, InfectiousSteps: 1},
 		{Seeds: []int{0}, TransmissionProb: 1.5, InfectiousSteps: 1},
+		{Seeds: []int{0}, TransmissionProb: -0.5, InfectiousSteps: 1},
+		{Seeds: []int{0}, TransmissionProb: math.NaN(), InfectiousSteps: 1},
 		{Seeds: []int{0}, TransmissionProb: 0.5, InfectiousSteps: 0},
 		{Seeds: []int{0}, TransmissionProb: 0.5, ExposedSteps: -1, InfectiousSteps: 1},
 		{Seeds: []int{9}, TransmissionProb: 0.5, InfectiousSteps: 1},
@@ -94,6 +96,15 @@ func TestSimulateOutbreakValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := SimulateOutbreak(ds, cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
+		}
+	}
+	// EstimateR0Contacts follows the same rules for its two arguments.
+	for _, c := range []struct {
+		p     float64
+		steps int
+	}{{-1, 8}, {1.5, 8}, {math.NaN(), 8}, {0.4, -8}, {0.4, 0}} {
+		if r0, err := EstimateR0Contacts(ds, c.p, c.steps); err == nil {
+			t.Errorf("EstimateR0Contacts(%v, %d) = %v, want an error", c.p, c.steps, r0)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/pglp/panda/internal/core"
-	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
 	"github.com/pglp/panda/internal/policygraph"
@@ -140,19 +138,14 @@ func (c Config) infectedCells(ds *trace.Dataset) []int {
 	return out
 }
 
-// perturbDataset releases every (user, t) through the releaser and snaps,
-// producing the dataset the server observes.
-func perturbDataset(ds *trace.Dataset, rel *core.Releaser, seed uint64) (*trace.Dataset, error) {
-	out := ds.Clone()
-	for i := range out.Trajs {
-		rng := dp.Derive(seed, uint64(i)+1)
-		_, snapped, err := rel.ReleaseTrajectory(rng, ds.Trajs[i].Cells)
-		if err != nil {
-			return nil, err
-		}
-		out.Trajs[i].Cells = snapped
+// utilityProbe is the sample count of the prior-free utility probe of
+// E4 and E5, where E1's full workload sweep would be redundant: half of
+// UtilitySamples, or 100 when that rounds down to zero.
+func (c Config) utilityProbe() int {
+	if n := c.UtilitySamples / 2; n > 0 {
+		return n
 	}
-	return out, nil
+	return 100
 }
 
 // utilityMechanisms is the mechanism sweep of the demo UI.

@@ -4,9 +4,9 @@ import (
 	"sort"
 
 	"github.com/pglp/panda/internal/adversary"
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
+	"github.com/pglp/panda/internal/mechanism"
 )
 
 // RunE1 measures location-monitoring utility (§3.2 evaluation 1): the mean
@@ -49,11 +49,7 @@ func RunE1(cfg Config) (*Table, error) {
 	for _, pol := range cfg.policies(grid, infected) {
 		for _, kind := range utilityMechanisms() {
 			for _, eps := range cfg.Epsilons {
-				p, err := core.NewPolicy(eps, pol.g)
-				if err != nil {
-					return nil, err
-				}
-				rel, err := core.NewReleaser(grid, p, kind)
+				m, err := mechanism.New(kind, grid, pol.g, eps)
 				if err != nil {
 					return nil, err
 				}
@@ -62,13 +58,13 @@ func RunE1(cfg Config) (*Table, error) {
 				remapErrs := make([]float64, 0, len(samples))
 				for _, s := range samples {
 					truth := ds.Trajs[s.u].Cells[s.t]
-					z, err := rel.Release(rng, truth)
+					z, err := m.Release(rng, truth)
 					if err != nil {
 						return nil, err
 					}
 					tc := grid.Center(truth)
 					errs = append(errs, geo.Dist(z, tc))
-					r, err := adversary.Remap(grid, prior, rel.Mechanism(), z)
+					r, err := adversary.Remap(grid, prior, m, z)
 					if err != nil {
 						return nil, err
 					}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/pglp/panda/internal/adversary"
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
@@ -63,11 +62,7 @@ func RunE10(cfg Config) (*Table, error) {
 		entropy := distEntropy(prior)
 		for _, pol := range cfg.policies(grid, infected)[:3] { // G1, Ga, Gb
 			for _, eps := range cfg.Epsilons {
-				p, err := core.NewPolicy(eps, pol.g)
-				if err != nil {
-					return nil, err
-				}
-				rel, err := core.NewReleaser(grid, p, mechanism.KindGEM)
+				m, err := mechanism.New(mechanism.KindGEM, grid, pol.g, eps)
 				if err != nil {
 					return nil, err
 				}
@@ -79,14 +74,14 @@ func RunE10(cfg Config) (*Table, error) {
 					u := rng.IntN(w.ds.NumUsers())
 					t := rng.IntN(w.ds.Steps)
 					truth := w.ds.Trajs[u].Cells[t]
-					z, err := rel.Release(rng, truth)
+					z, err := m.Release(rng, truth)
 					if err != nil {
 						return nil, err
 					}
 					sum += geo.Dist(z, grid.Center(truth))
 					n++
 				}
-				rep, err := adv.ExpectedError(rel.Mechanism(), adversary.EstimatorMedoid,
+				rep, err := adv.ExpectedError(m, adversary.EstimatorMedoid,
 					cfg.AdversaryRounds/2, rng)
 				if err != nil {
 					return nil, err

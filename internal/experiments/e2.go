@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/epidemic"
 	"github.com/pglp/panda/internal/mechanism"
 )
@@ -61,15 +60,11 @@ func RunE2(cfg Config) (*Table, error) {
 	for _, pol := range cfg.policies(grid, infected) {
 		for _, kind := range []mechanism.Kind{mechanism.KindGEM, mechanism.KindGLM} {
 			for _, eps := range cfg.Epsilons {
-				p, err := core.NewPolicy(eps, pol.g)
+				m, err := mechanism.New(kind, grid, pol.g, eps)
 				if err != nil {
 					return nil, err
 				}
-				rel, err := core.NewReleaser(grid, p, kind)
-				if err != nil {
-					return nil, err
-				}
-				perturbed, err := perturbDataset(ds, rel, cfg.Seed^uint64(eps*997))
+				perturbed, err := ds.Perturb(m.Release, cfg.Seed^uint64(eps*997))
 				if err != nil {
 					return nil, err
 				}

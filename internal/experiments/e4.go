@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"github.com/pglp/panda/internal/adversary"
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
-	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
 )
 
@@ -46,21 +44,17 @@ func RunE4(cfg Config) (*Table, error) {
 	for _, pol := range cfg.policies(grid, infected) {
 		for _, kind := range []mechanism.Kind{mechanism.KindGEM, mechanism.KindGLM, mechanism.KindPIM} {
 			for _, eps := range cfg.Epsilons {
-				p, err := core.NewPolicy(eps, pol.g)
-				if err != nil {
-					return nil, err
-				}
-				rel, err := core.NewReleaser(grid, p, kind)
+				m, err := mechanism.New(kind, grid, pol.g, eps)
 				if err != nil {
 					return nil, err
 				}
 				rng := dp.NewRand(cfg.Seed ^ 0xe4 ^ uint64(eps*1000) ^ hashString(pol.name+string(kind)))
-				rep, err := adv.ExpectedError(rel.Mechanism(), adversary.EstimatorMedoid, cfg.AdversaryRounds, rng)
+				rep, err := adv.ExpectedError(m, adversary.EstimatorMedoid, cfg.AdversaryRounds, rng)
 				if err != nil {
 					return nil, err
 				}
 				// Matching utility on the same mechanism.
-				util, err := sampleUtility(grid, rel, cfg.UtilitySamples/2, cfg.Seed^0x4e)
+				util, err := mechanism.MeanError(m, grid, cfg.utilityProbe(), cfg.Seed^0x4e)
 				if err != nil {
 					return nil, err
 				}
@@ -69,24 +63,4 @@ func RunE4(cfg Config) (*Table, error) {
 		}
 	}
 	return table, nil
-}
-
-// sampleUtility measures release error from uniformly random true cells —
-// a prior-free utility probe used where the full workload sweep of E1
-// would be redundant.
-func sampleUtility(grid *geo.Grid, rel *core.Releaser, samples int, seed uint64) (float64, error) {
-	rng := dp.NewRand(seed)
-	if samples <= 0 {
-		samples = 100
-	}
-	var sum float64
-	for i := 0; i < samples; i++ {
-		s := rng.IntN(grid.NumCells())
-		z, err := rel.Release(rng, s)
-		if err != nil {
-			return 0, err
-		}
-		sum += geo.Dist(z, grid.Center(s))
-	}
-	return sum / float64(samples), nil
 }

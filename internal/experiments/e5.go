@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/pglp/panda/internal/adversary"
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/mechanism"
 	"github.com/pglp/panda/internal/policygraph"
@@ -44,19 +43,15 @@ func RunE5(cfg Config) (*Table, error) {
 		for _, density := range densities {
 			rng := dp.NewRand(cfg.Seed ^ 0xe5 ^ uint64(size*1000) ^ uint64(density*1e6))
 			g := policygraph.RandomSubsetER(n, size, density, rng)
-			p, err := core.NewPolicy(eps, g)
+			m, err := mechanism.New(mechanism.KindGEM, grid, g, eps)
 			if err != nil {
 				return nil, err
 			}
-			rel, err := core.NewReleaser(grid, p, mechanism.KindGEM)
+			util, err := mechanism.MeanError(m, grid, cfg.utilityProbe(), cfg.Seed^0x5e)
 			if err != nil {
 				return nil, err
 			}
-			util, err := sampleUtility(grid, rel, cfg.UtilitySamples/2, cfg.Seed^0x5e)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := adv.ExpectedError(rel.Mechanism(), adversary.EstimatorMedoid, cfg.AdversaryRounds/2, rng)
+			rep, err := adv.ExpectedError(m, adversary.EstimatorMedoid, cfg.AdversaryRounds/2, rng)
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/mechanism"
 	"github.com/pglp/panda/internal/policy"
@@ -50,11 +49,7 @@ func RunE7(cfg Config) (*Table, error) {
 	client := server.NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	pol, err := core.NewPolicy(eps, base)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := core.NewReleaser(grid, pol, mechanism.KindGEM)
+	m, err := mechanism.New(mechanism.KindGEM, grid, base, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +68,7 @@ func RunE7(cfg Config) (*Table, error) {
 		rng := dp.Derive(cfg.Seed^0xe7, uint64(ui)+1)
 		var batch []wire.Release
 		for t := 0; t < ds.Steps; t += 4 { // thin the stream to keep E7 fast
-			z, err := rel.Release(rng, tr.Cells[t])
+			z, err := m.Release(rng, tr.Cells[t])
 			if err != nil {
 				return nil, err
 			}

@@ -121,18 +121,22 @@ func (g *Grid) Neighbors8(id int) []int {
 // RegionOf returns the index of the coarse region containing cell id, when
 // the grid is partitioned into blocks of blockRows x blockCols cells.
 // Regions are numbered row-major over blocks. Partial blocks at the right
-// and bottom edges are allowed.
+// and bottom edges are allowed. Block sides must be at least 1.
 func (g *Grid) RegionOf(id, blockRows, blockCols int) int {
 	c := g.CellOf(id)
-	perRow := (g.Cols + blockCols - 1) / blockCols
-	return (c.Row/blockRows)*perRow + c.Col/blockCols
+	return (c.Row/blockRows)*blocksAcross(g.Cols, blockCols) + c.Col/blockCols
 }
 
-// NumRegions returns the number of blockRows x blockCols regions.
+// NumRegions returns the number of blockRows x blockCols regions. Block
+// sides must be at least 1.
 func (g *Grid) NumRegions(blockRows, blockCols int) int {
-	rr := (g.Rows + blockRows - 1) / blockRows
-	cc := (g.Cols + blockCols - 1) / blockCols
-	return rr * cc
+	return blocksAcross(g.Rows, blockRows) * blocksAcross(g.Cols, blockCols)
+}
+
+// blocksAcross returns ⌈n/block⌉ for n, block ≥ 1 without computing
+// n+block-1, which overflows for a block near math.MaxInt.
+func blocksAcross(n, block int) int {
+	return (n-1)/block + 1
 }
 
 // Partition groups cell IDs by region for a blockRows x blockCols blocking.

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/pglp/panda/internal/geo"
@@ -26,9 +27,17 @@ func Kinds() []Kind {
 	return []Kind{KindGEM, KindGEME, KindGLM, KindPIM, KindKNorm, KindGeoInd, KindNull}
 }
 
-// New constructs a mechanism of the given kind. The policy graph is ignored
-// by the geoind and null baselines (they are not policy-aware).
+// New constructs a mechanism of the given kind for the policy {eps, g}.
+// The policy is checked before the kind, so every kind refuses a nil
+// graph and an ε that is not positive and finite, even the geoind and
+// null baselines, which then ignore the graph (and, for null, ε).
 func New(kind Kind, grid *geo.Grid, g *policygraph.Graph, eps float64) (Mechanism, error) {
+	if g == nil {
+		return nil, errors.New("mechanism: nil policy graph")
+	}
+	if err := checkEpsilon(eps); err != nil {
+		return nil, err
+	}
 	switch kind {
 	case KindGEM:
 		return NewGraphExponential(grid, g, eps)

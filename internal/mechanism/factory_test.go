@@ -9,6 +9,11 @@ import (
 	"github.com/pglp/panda/internal/policygraph"
 )
 
+// TestFactoryBuildsAllKinds: every kind builds and releases under a
+// valid policy, and refuses a nil graph and an ε that is not positive
+// and finite, including the baselines that ignore the graph or ε once
+// built; the policy-aware kinds also refuse a graph whose size is not
+// the grid's.
 func TestFactoryBuildsAllKinds(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	g := policygraph.GridEightNeighbor(grid)
@@ -22,6 +27,19 @@ func TestFactoryBuildsAllKinds(t *testing.T) {
 		}
 		if _, err := m.Release(dp.NewRand(1), 0); err != nil {
 			t.Errorf("Release(%s): %v", kind, err)
+		}
+		if _, err := New(kind, grid, nil, 1); err == nil {
+			t.Errorf("New(%s) with a nil graph should error", kind)
+		}
+		for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := New(kind, grid, g, eps); err == nil {
+				t.Errorf("New(%s, ε=%v) should error", kind, eps)
+			}
+		}
+	}
+	for _, kind := range []Kind{KindGEM, KindGEME, KindGLM, KindPIM, KindKNorm} {
+		if _, err := New(kind, grid, policygraph.Path(3), 1); err == nil {
+			t.Errorf("New(%s) with a 3-node graph on 16 cells should error", kind)
 		}
 	}
 	if _, err := New(Kind("bogus"), grid, g, 1); err == nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policygraph"
 )
@@ -26,6 +27,27 @@ type Mechanism interface {
 	// exact-match observation. Ratios across candidate cells at a fixed z
 	// are exact, which is all the adversary and the verifier need.
 	Likelihood(s int, z geo.Point) float64
+}
+
+// MeanError returns the mean Euclidean distance between a release and
+// its true cell's center over n true cells drawn uniformly at random:
+// the utility readout of the demo and of experiments E4 and E5. The
+// cells and the releases draw in turn from one stream, dp.NewRand(seed).
+func MeanError(m Mechanism, grid *geo.Grid, n int, seed uint64) (float64, error) {
+	if n <= 0 {
+		return 0, fmt.Errorf("mechanism: sample count must be positive, got %d", n)
+	}
+	rng := dp.NewRand(seed)
+	var sum float64
+	for i := 0; i < n; i++ {
+		s := rng.IntN(grid.NumCells())
+		z, err := m.Release(rng, s)
+		if err != nil {
+			return 0, err
+		}
+		sum += geo.Dist(z, grid.Center(s))
+	}
+	return sum / float64(n), nil
 }
 
 // exactTol is the matching tolerance when deciding whether an observed
@@ -49,10 +71,19 @@ func newBase(grid *geo.Grid, g *policygraph.Graph, eps float64) (base, error) {
 		return base{}, fmt.Errorf("mechanism: policy graph over %d nodes, grid has %d cells",
 			g.NumNodes(), grid.NumCells())
 	}
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return base{}, fmt.Errorf("mechanism: epsilon must be positive and finite, got %v", eps)
+	if err := checkEpsilon(eps); err != nil {
+		return base{}, err
 	}
 	return base{grid: grid, eps: eps}, nil
+}
+
+// checkEpsilon refuses an ε that is not a positive finite number; NaN
+// and +Inf pass an eps <= 0 test alone.
+func checkEpsilon(eps float64) error {
+	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return fmt.Errorf("mechanism: epsilon must be positive and finite, got %v", eps)
+	}
+	return nil
 }
 
 func (b *base) Epsilon() float64 { return b.eps }

@@ -225,24 +225,26 @@ func (r *runner) phase(name string) {
 	}
 }
 
-// forUsers runs fn(u) for every user over the worker pool, stopping at
-// the first error.
-func (r *runner) forUsers(ctx context.Context, fn func(u int) error) error {
+// forEach runs fn(i) for every i in [0, n) on `workers` goroutines,
+// which take indices in order from a shared counter. It stops handing
+// out indices at the first error or when ctx ends, and returns that
+// error, else ctx's.
+func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	var next atomic.Int64
 	next.Store(-1)
 	var failed atomic.Bool
-	errCh := make(chan error, r.cfg.Workers)
+	errCh := make(chan error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				u := int(next.Add(1))
-				if u >= r.plan.Users || failed.Load() || ctx.Err() != nil {
+				i := int(next.Add(1))
+				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				if err := fn(u); err != nil {
+				if err := fn(i); err != nil {
 					failed.Store(true)
 					errCh <- err
 					return
@@ -296,7 +298,7 @@ func (r *runner) mechFor(version int) (mechanism.Mechanism, bool) {
 func (r *runner) warmup(ctx context.Context) error {
 	r.phase("warmup")
 	start := time.Now()
-	err := r.forUsers(ctx, func(u int) error {
+	err := forEach(ctx, r.cfg.Workers, r.plan.Users, func(u int) error {
 		cp, err := r.client.PolicyContext(ctx, u)
 		if err != nil {
 			return err
@@ -319,7 +321,7 @@ func (r *runner) runWave(ctx context.Context, wi int, w Wave) error {
 		if _, err := r.client.MarkInfectedContext(ctx, w.Infect); err != nil {
 			return fmt.Errorf("scenario wave %d: marking infected: %w", wi, err)
 		}
-		err := r.forUsers(ctx, func(u int) error {
+		err := forEach(ctx, r.cfg.Workers, r.plan.Users, func(u int) error {
 			start := time.Now()
 			cp, err := r.client.PolicyContext(ctx, u)
 			if err != nil {
@@ -335,7 +337,7 @@ func (r *runner) runWave(ctx context.Context, wi int, w Wave) error {
 	}
 
 	r.phase("ingest")
-	err := r.forUsers(ctx, func(u int) error {
+	err := forEach(ctx, r.cfg.Workers, r.plan.Users, func(u int) error {
 		traj := r.plan.Trajectory(u)
 		mech, ok := r.mechFor(r.version[u])
 		if !ok {
@@ -517,38 +519,16 @@ func (r *runner) analyticsPhase(ctx context.Context) (CacheScore, error) {
 		r.queryLat.add(time.Since(start))
 	}
 	// Repeat concurrently: warm-cache traffic under the query mix.
-	conc := r.cfg.Workers
-	if conc > 16 {
-		conc = 16
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var failed atomic.Bool
-	errCh := make(chan error, conc)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= r.cfg.Queries || failed.Load() || ctx.Err() != nil {
-					return
-				}
-				sh := shapes[i%len(shapes)]
-				start := time.Now()
-				if err := sh.run(ctx); err != nil {
-					failed.Store(true)
-					errCh <- fmt.Errorf("scenario analytics %s: %w", sh.name, err)
-					return
-				}
-				r.queryLat.add(time.Since(start))
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+	err = forEach(ctx, min(r.cfg.Workers, 16), r.cfg.Queries, func(i int) error {
+		sh := shapes[i%len(shapes)]
+		start := time.Now()
+		if err := sh.run(ctx); err != nil {
+			return fmt.Errorf("scenario analytics %s: %w", sh.name, err)
+		}
+		r.queryLat.add(time.Since(start))
+		return nil
+	})
+	if err != nil {
 		return CacheScore{}, err
 	}
 	stats1, err := r.client.AnalyticsStatsContext(ctx)

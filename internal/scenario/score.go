@@ -250,7 +250,7 @@ func (r *runner) densityUtility(ctx context.Context) (UtilityScore, error) {
 		trueCounts[t] = make([]int, regions)
 	}
 	var mu sync.Mutex
-	err := r.forUsers(ctx, func(u int) error {
+	err := forEach(ctx, r.cfg.Workers, r.plan.Users, func(u int) error {
 		traj := plan.Trajectory(u)
 		mu.Lock()
 		for _, t := range ts {

@@ -109,10 +109,23 @@ func New(grid *geo.Grid, store storage.Store) *Engine {
 	}
 }
 
+// checkBlocks refuses a region block of less than one cell a side,
+// which would divide by zero or index a negative region.
+func checkBlocks(blockRows, blockCols int) error {
+	if blockRows < 1 || blockCols < 1 {
+		return fmt.Errorf("analytics: block size %d×%d, want at least 1×1", blockRows, blockCols)
+	}
+	return nil
+}
+
 // DensityAt returns the number of released locations per
 // blockRows×blockCols region at timestep t — the location-monitoring
-// aggregate. The returned slice is the caller's to keep.
+// aggregate — or nil for a block of less than one cell a side. The
+// returned slice is the caller's to keep.
 func (e *Engine) DensityAt(t, blockRows, blockCols int) []int {
+	if checkBlocks(blockRows, blockCols) != nil {
+		return nil
+	}
 	key := densityKey{t: t, blockRows: blockRows, blockCols: blockCols}
 	gen := e.store.Gen(t) // before the scan: see the coherence note above
 	e.mu.RLock()
@@ -152,11 +165,15 @@ func checkSeriesRange(t0, t1 int) error {
 }
 
 // DensitySeries returns DensityAt for each timestep in [t0, t1], at
-// most MaxSeriesSpan of them. Each timestep is cached individually, so
+// most MaxSeriesSpan of them; a wider range and a block of less than
+// one cell a side are errors. Each timestep is cached individually, so
 // a repeated dashboard window is served entirely from cache and a write
 // to one step evicts only that step's entry.
 func (e *Engine) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
 	if err := checkSeriesRange(t0, t1); err != nil {
+		return nil, err
+	}
+	if err := checkBlocks(blockRows, blockCols); err != nil {
 		return nil, err
 	}
 	out := make([][]int, 0, t1-t0+1)
@@ -170,10 +187,13 @@ func (e *Engine) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error
 
 // MovementMatrix returns flows[from][to]: how many users moved from
 // region `from` at t1 to region `to` at t2 — the monitor's flows
-// between coarse areas. A user counts only with a record at both
-// timesteps. It reads the store's timestep index on every call and is
-// not cached.
+// between coarse areas — or nil for a block of less than one cell a
+// side. A user counts only with a record at both timesteps. It reads
+// the store's timestep index on every call and is not cached.
 func (e *Engine) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
+	if checkBlocks(blockRows, blockCols) != nil {
+		return nil
+	}
 	nr := e.grid.NumRegions(blockRows, blockCols)
 	flows := make([][]int, nr)
 	for i := range flows {

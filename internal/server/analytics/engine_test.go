@@ -139,6 +139,31 @@ func TestDensitySeries(t *testing.T) {
 	}
 }
 
+// TestBlockSizes: a block side below one cell divides by zero or
+// indexes a negative region, so every region query refuses it; a block
+// side near math.MaxInt is one region across.
+func TestBlockSizes(t *testing.T) {
+	e, _ := testEngine(t)
+	for _, b := range [][2]int{{0, 4}, {4, 0}, {0, 0}, {-1, -1}, {-2, 3}, {math.MinInt, 1}} {
+		if got := e.DensityAt(0, b[0], b[1]); got != nil {
+			t.Errorf("DensityAt(0, %d, %d) = %v, want nil", b[0], b[1], got)
+		}
+		if got := e.MovementMatrix(0, 1, b[0], b[1]); got != nil {
+			t.Errorf("MovementMatrix(0, 1, %d, %d) = %v, want nil", b[0], b[1], got)
+		}
+		if _, err := e.DensitySeries(0, 2, b[0], b[1]); err == nil {
+			t.Errorf("DensitySeries(0, 2, %d, %d) should error", b[0], b[1])
+		}
+	}
+	// t=0 holds three records; one block covers the whole 4x4 grid.
+	if got := e.DensityAt(0, math.MaxInt, math.MaxInt); !reflect.DeepEqual(got, []int{3}) {
+		t.Errorf("DensityAt(0, MaxInt, MaxInt) = %v, want [3]", got)
+	}
+	if got := e.MovementMatrix(0, 1, 4, math.MaxInt); !reflect.DeepEqual(got, [][]int{{3}}) {
+		t.Errorf("MovementMatrix(0, 1, 4, MaxInt) = %v, want [[3]]", got)
+	}
+}
+
 func TestExposureSeriesCachedPerInfectedSet(t *testing.T) {
 	e, cs := testEngine(t)
 	series, err := e.InfectedExposureSeries(0, 2, []int{5})

@@ -428,8 +428,8 @@ func (c *Client) adoptStalePolicy(user int, err error) bool {
 // batch instead: call CachedPolicy after a failed send (or match an
 // *APIError's Code against wire.CodeStalePolicy), rebuild the
 // mechanism, and send the new releases — or
-// use the in-process panda.User, which rebuilds its mechanism on every
-// policy change.
+// use the in-process panda.User, which releases through the new
+// policy's mechanism from its first report after a policy change.
 func (c *Client) ReportBatchContext(ctx context.Context, user int, releases []wire.Release) (wire.BatchReportResponse, error) {
 	var out wire.BatchReportResponse
 	if err := c.sendReport(ctx, "/v2/reports", "application/json", user, releases, &out); err != nil {

@@ -3,7 +3,9 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 )
 
@@ -99,4 +101,24 @@ func (d *Dataset) Clone() *Dataset {
 		out.Trajs[i] = Trajectory{User: tr.User, Cells: cells}
 	}
 	return out
+}
+
+// Perturb returns a copy of the dataset in which every cell is replaced
+// by the cell its release snaps to: the dataset a server observes when
+// every user reports through release (a mechanism's Release method).
+// Trajectory i draws from dp.Derive(seed, i+1), one release per step in
+// time order.
+func (d *Dataset) Perturb(release func(rng *rand.Rand, cell int) (geo.Point, error), seed uint64) (*Dataset, error) {
+	out := d.Clone()
+	for i, tr := range out.Trajs {
+		rng := dp.Derive(seed, uint64(i)+1)
+		for t, c := range tr.Cells {
+			z, err := release(rng, c)
+			if err != nil {
+				return nil, fmt.Errorf("trace: user %d step %d: %w", tr.User, t, err)
+			}
+			tr.Cells[t] = d.Grid.Snap(z)
+		}
+	}
+	return out, nil
 }

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 )
 
@@ -70,6 +73,48 @@ func TestDatasetClone(t *testing.T) {
 	c.Trajs[0].Cells[0] = 3
 	if ds.Trajs[0].Cells[0] != 1 {
 		t.Error("clone shares cell storage")
+	}
+}
+
+// TestDatasetPerturb: each cell becomes the snap of its release, made
+// in time order from trajectory i's stream dp.Derive(seed, i+1); the
+// input is untouched, and a failed release aborts naming user and step.
+func TestDatasetPerturb(t *testing.T) {
+	grid := geo.MustGrid(3, 3, 1)
+	ds := &Dataset{Grid: grid, Steps: 3, Trajs: []Trajectory{
+		{User: 4, Cells: []int{0, 1, 2}}, {User: 7, Cells: []int{8, 8, 5}},
+	}}
+	// A release that jitters the cell center by a draw from rng, so the
+	// result depends on the stream and its order.
+	jitter := func(rng *rand.Rand, cell int) (geo.Point, error) {
+		if cell == 5 {
+			return geo.Point{}, errors.New("cell 5 refused")
+		}
+		return grid.Center(cell).Add(geo.Pt(rng.Float64()*2-1, 0)), nil
+	}
+	out, err := ds.Perturb(jitter, 11)
+	if err == nil || !strings.Contains(err.Error(), "user 7 step 2") {
+		t.Fatalf("Perturb error = %v, want one naming user 7 step 2", err)
+	}
+	if out != nil {
+		t.Error("Perturb returned a dataset with its error")
+	}
+	ds.Trajs[1].Cells[2] = 8
+	out, err = ds.Perturb(jitter, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range ds.Trajs {
+		rng := dp.Derive(11, uint64(i)+1)
+		for step, c := range tr.Cells {
+			z, _ := jitter(rng, c)
+			if got := out.Trajs[i].Cells[step]; got != grid.Snap(z) {
+				t.Errorf("user %d step %d: cell %d, want %d", tr.User, step, got, grid.Snap(z))
+			}
+		}
+	}
+	if ds.Trajs[0].Cells[1] != 1 || ds.Trajs[1].Cells[0] != 8 {
+		t.Error("Perturb changed its input")
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
+	"sync"
 
 	"github.com/pglp/panda/internal/adversary"
 	"github.com/pglp/panda/internal/core"
@@ -135,7 +136,8 @@ type Options struct {
 }
 
 // System is the server side of PANDA: the policy configuration module, the
-// released-location database, and the surveillance apps.
+// released-location database, and the surveillance apps. It also keeps
+// the release mechanisms its users share (see policyFor).
 type System struct {
 	grid      *geo.Grid
 	mgr       *policy.Manager
@@ -144,6 +146,38 @@ type System struct {
 	store     *wal.Store // nil unless Options.DataDir was set
 	winSteps  int
 	winBudget float64
+
+	mechMu sync.Mutex
+	mechs  map[MechanismKind]sharedMechanism // guarded by mechMu
+}
+
+// sharedMechanism is the mechanism of one kind built for the policy
+// {eps, graph}; every user holding that policy releases through it.
+type sharedMechanism struct {
+	graph *policygraph.Graph
+	eps   float64
+	mech  mechanism.Mechanism
+}
+
+// policyFor returns a user's current policy and the mechanism of kind
+// for it. The system keeps one mechanism per kind, built for the graph
+// the manager hands out, and builds a new one only when a user arrives
+// with another graph or ε: after a mark, the first report of each kind
+// builds the mechanism of the new graph and later reports reuse it. The
+// policy is read under the lock, so the stored graph only moves forward.
+func (s *System) policyFor(user int, kind MechanismKind) (policy.UserPolicy, mechanism.Mechanism, error) {
+	s.mechMu.Lock()
+	defer s.mechMu.Unlock()
+	up := s.mgr.Get(user)
+	if sm, ok := s.mechs[kind]; ok && sm.graph == up.Graph && sm.eps == up.Epsilon {
+		return up, sm.mech, nil
+	}
+	m, err := mechanism.New(mechanism.Kind(kind), s.grid, up.Graph, up.Epsilon)
+	if err != nil {
+		return policy.UserPolicy{}, nil, err
+	}
+	s.mechs[kind] = sharedMechanism{graph: up.Graph, eps: up.Epsilon, mech: m}
+	return up, m, nil
 }
 
 // NewSystem creates a surveillance system.
@@ -201,6 +235,7 @@ func NewSystem(o Options) (*System, error) {
 	return &System{
 		grid: grid, mgr: mgr, db: db, srv: srv, store: store,
 		winSteps: o.WindowSteps, winBudget: o.WindowEpsilon,
+		mechs: make(map[MechanismKind]sharedMechanism),
 	}, nil
 }
 
@@ -282,14 +317,15 @@ func (s *System) MarkInfected(cells []int) []int { return s.mgr.MarkInfected(cel
 func (s *System) InfectedCells() []int { return s.mgr.InfectedCells() }
 
 // DensityAt returns released-location counts per coarse region at
-// timestep t — the location-monitoring aggregate.
+// timestep t — the location-monitoring aggregate — or nil when a block
+// side is below one cell.
 func (s *System) DensityAt(t, blockRows, blockCols int) []int {
 	return s.db.Analytics().DensityAt(t, blockRows, blockCols)
 }
 
 // MovementMatrix returns region-to-region flows between two timesteps:
 // flows[from][to] counts the users in region `from` at t1 and region
-// `to` at t2.
+// `to` at t2. It returns nil when a block side is below one cell.
 func (s *System) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
 	return s.db.Analytics().MovementMatrix(t1, t2, blockRows, blockCols)
 }
@@ -309,7 +345,7 @@ func (s *System) PolicyVersion(user int) int { return s.mgr.Version(user) }
 
 // DensitySeries returns per-region counts for each timestep in [t0, t1].
 // A range of more than 10,000 timesteps (analytics.MaxSeriesSpan) is an
-// error, like an inverted one.
+// error, like an inverted one and a block side below one cell.
 func (s *System) DensitySeries(t0, t1, blockRows, blockCols int) ([][]int, error) {
 	return s.db.Analytics().DensitySeries(t0, t1, blockRows, blockCols)
 }
@@ -342,13 +378,15 @@ type Release struct {
 	T     int
 }
 
-// User is the client side: it holds the user's mechanism bound to their
-// current policy and releases perturbed locations into the system.
+// User is the client side: it releases perturbed locations into the
+// system through the mechanism of its current policy, which it shares
+// with every user of the same mechanism kind on that policy.
 type User struct {
 	sys     *System
 	id      int
 	kind    MechanismKind
-	rel     *core.Releaser
+	mech    mechanism.Mechanism // shared, see System.policyFor
+	eps     float64             // the policy's ε, charged to the window budget
 	ver     int
 	rand    *rand.Rand
 	rngSeed uint64
@@ -374,24 +412,19 @@ func (s *System) NewUser(id int, kind MechanismKind, seed uint64) (*User, error)
 }
 
 func (u *User) refreshPolicy() error {
-	up := u.sys.mgr.Get(u.id)
-	pol, err := core.NewPolicy(up.Epsilon, up.Graph)
+	up, m, err := u.sys.policyFor(u.id, u.kind)
 	if err != nil {
 		return err
 	}
-	rel, err := core.NewReleaser(u.sys.grid, pol, mechanism.Kind(u.kind))
-	if err != nil {
-		return err
-	}
-	u.rel = rel
-	u.ver = up.Version
+	u.mech, u.eps, u.ver = m, up.Epsilon, up.Version
 	return nil
 }
 
 // Report releases the user's true cell at timestep t under their current
 // policy and stores the result in the system's database. If the policy
-// changed since the last report (e.g. an infection update), the user's
-// mechanism is rebuilt first. It is a batch of one.
+// changed since the last report (e.g. an infection update), the user
+// first moves to the new policy's mechanism, which the system builds
+// once for all users of the kind. It is a batch of one.
 func (u *User) Report(t, trueCell int) (Release, error) {
 	rels, err := u.ReportBatch(t, []int{trueCell})
 	if err != nil {
@@ -425,17 +458,17 @@ func (u *User) releaseBatch(fromT int, cells []int) ([]Release, error) {
 		}
 	}
 	if u.window != nil {
-		if err := u.window.Spend(fromT, len(cells), u.rel.Policy().Epsilon); err != nil {
+		if err := u.window.Spend(fromT, len(cells), u.eps); err != nil {
 			return nil, fmt.Errorf("panda: user %d: %w", u.id, err)
 		}
 	}
 	out := make([]Release, 0, len(cells))
 	for i, c := range cells {
-		p, cell, err := u.rel.ReleaseCell(u.rand, c)
+		p, err := u.mech.Release(u.rand, c)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Release{Point: p, Cell: cell, T: fromT + i})
+		out = append(out, Release{Point: p, Cell: u.sys.grid.Snap(p), T: fromT + i})
 	}
 	return out, nil
 }
@@ -494,7 +527,7 @@ func (u *User) AuditPrivacy(rounds int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rep, err := adv.ExpectedError(u.rel.Mechanism(), adversary.EstimatorMedoid, rounds, dp.NewRand(u.rngSeed^0xa0d17))
+	rep, err := adv.ExpectedError(u.mech, adversary.EstimatorMedoid, rounds, dp.NewRand(u.rngSeed^0xa0d17))
 	if err != nil {
 		return 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -99,8 +100,8 @@ func TestInfectionUpdateTriggersPolicyRefresh(t *testing.T) {
 	if !found {
 		t.Error("bob's policy should have changed")
 	}
-	// Next report rebuilds the mechanism under Gc; a visit to an infected
-	// cell is disclosed exactly.
+	// The next report moves bob to the mechanism of Gc; a visit to an
+	// infected cell is disclosed exactly.
 	r, err := bob.Report(0, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +121,102 @@ func TestInfectionUpdateTriggersPolicyRefresh(t *testing.T) {
 	}
 	if got := sys.InfectedCells(); len(got) != 2 {
 		t.Errorf("InfectedCells = %v", got)
+	}
+}
+
+// TestUsersShareMechanism: users holding one policy release through
+// one mechanism per kind, and after a mark each user's next report
+// moves it to the one mechanism of the new graph. Users are created
+// and report from several goroutines while a mark lands.
+func TestUsersShareMechanism(t *testing.T) {
+	sys, err := NewSystem(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newUser := func(id int, kind MechanismKind) *User {
+		t.Helper()
+		u, err := sys.NewUser(id, kind, uint64(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	a, b, c := newUser(1, GEM), newUser(2, GEM), newUser(3, GLM)
+	if a.mech != b.mech {
+		t.Error("two GEM users on one policy hold different mechanisms")
+	}
+	if c.mech == a.mech {
+		t.Error("a GLM user holds the GEM mechanism")
+	}
+	oldGEM, oldGLM := a.mech, c.mech
+
+	sys.MarkInfected([]int{5})
+	for i, u := range []*User{a, c} {
+		if _, err := u.Report(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.mech == oldGEM || c.mech == oldGLM {
+		t.Fatal("a report after the mark kept the mechanism of the old graph")
+	}
+	if b.mech != oldGEM {
+		t.Error("a user moved to the new mechanism before its next report")
+	}
+	if _, err := b.Report(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if b.mech != a.mech {
+		t.Error("GEM users on the new graph hold different mechanisms")
+	}
+
+	// After this mark the first goroutine of each kind builds the new
+	// graph's mechanism while the others look it up; a second mark lands
+	// while they report.
+	sys.MarkInfected([]int{40})
+	kinds := []MechanismKind{GEM, GLM}
+	users := make([]*User, 16)
+	var wg sync.WaitGroup
+	for i := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			u, err := sys.NewUser(100+i, kinds[i%2], uint64(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for step := 0; step < 4; step++ {
+				if _, err := u.Report(step, (i+step)%64); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			users[i] = u
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sys.MarkInfected([]int{41})
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// One more report each puts every user on the latest graph.
+	want := map[MechanismKind]*User{GEM: a, GLM: c}
+	for _, u := range append(users, a, c) {
+		if _, err := u.Report(10, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, u := range users {
+		if u.mech != want[u.kind].mech {
+			t.Errorf("user %d (%s) does not share its kind's mechanism", 100+i, u.kind)
+		}
+	}
+	if a.mech == c.mech {
+		t.Error("GEM and GLM users share a mechanism")
 	}
 }
 
@@ -204,6 +301,37 @@ func TestMovementMatrixFacade(t *testing.T) {
 	}
 	if total != 1 {
 		t.Errorf("total flows = %d, want 1", total)
+	}
+}
+
+// TestBlockSizeFacade: region queries with a block side below one cell
+// return nil or an error instead of panicking, and a block side near
+// math.MaxInt is one region across.
+func TestBlockSizeFacade(t *testing.T) {
+	sys, err := NewSystem(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.NewUser(1, GEM, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.ReportBatch(0, []int{0, 63}); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][2]int{{0, 4}, {0, 0}, {-1, -1}, {-2, 3}, {0, 2}} {
+		if got := sys.DensityAt(0, b[0], b[1]); got != nil {
+			t.Errorf("DensityAt(0, %d, %d) = %v, want nil", b[0], b[1], got)
+		}
+		if got := sys.MovementMatrix(0, 1, b[0], b[1]); got != nil {
+			t.Errorf("MovementMatrix(0, 1, %d, %d) = %v, want nil", b[0], b[1], got)
+		}
+		if _, err := sys.DensitySeries(0, 1, b[0], b[1]); err == nil {
+			t.Errorf("DensitySeries(0, 1, %d, %d) should error", b[0], b[1])
+		}
+	}
+	if got := sys.DensityAt(0, math.MaxInt, 1); len(got) != 8 {
+		t.Errorf("DensityAt(0, MaxInt, 1) = %v, want one row of 8 regions", got)
 	}
 }
 

@@ -9,8 +9,9 @@
 #     subpackages), the lint packages, the wire and ingest packages
 #     (the report path's contracts), the node's public surface (the
 #     root panda facade, internal/server and internal/server/analytics),
-#     and the policy surface (internal/policy and internal/policygraph)
-#     has a doc comment — exported funcs, types, and methods on
+#     the policy surface (internal/policy and internal/policygraph) and
+#     the privacy engine (internal/core and internal/mechanism) has a
+#     doc comment — exported funcs, types, and methods on
 #     exported receivers must state their contract, because callers
 #     reason from godoc, not from the source.
 #
@@ -57,7 +58,9 @@ echo "doc check: every internal package has a package comment"
 # facade that builds and stops a node, the DB, handlers and client of
 # internal/server, and the analytics engine), and the policy packages
 # (the server writes the manager's stored graph encoding into responses
-# without checking it, so its contract must be written down). A decl
+# without checking it, so its contract must be written down), and the
+# privacy engine (the mechanisms every release goes through and the
+# verifier that checks them against a policy). A decl
 # line counts as documented when the line above it is a // comment.
 # Checked: top-level `func Name`, `type Name`, and `func (r *Recv) Name`
 # where the receiver type is exported; methods on unexported types are
@@ -67,7 +70,8 @@ storage_pkgs="internal/server/storage internal/server/storage/wal internal/serve
 report_pkgs="internal/server/wire internal/server/ingest"
 node_pkgs=". internal/server internal/server/analytics"
 policy_pkgs="internal/policy internal/policygraph"
-for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs; do
+privacy_pkgs="internal/core internal/mechanism"
+for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs $privacy_pkgs; do
     for f in "$dir"/*.go; do
         [ -e "$f" ] || continue
         case "$f" in *_test.go) continue ;; esac
@@ -95,7 +99,7 @@ for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs; do
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "doc check failed: exported storage/lint/wire/ingest/node/policy symbols need doc comments stating their contract" >&2
+    echo "doc check failed: exported storage/lint/wire/ingest/node/policy/privacy symbols need doc comments stating their contract" >&2
     exit 1
 fi
-echo "doc check: every exported storage, lint, wire, ingest, node and policy symbol has a doc comment"
+echo "doc check: every exported storage, lint, wire, ingest, node, policy and privacy symbol has a doc comment"

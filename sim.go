@@ -5,7 +5,6 @@ import (
 
 	"github.com/pglp/panda/internal/adversary"
 	"github.com/pglp/panda/internal/contact"
-	"github.com/pglp/panda/internal/core"
 	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/epidemic"
 	"github.com/pglp/panda/internal/geo"
@@ -87,22 +86,13 @@ func (d *TraceDataset) Cells(user int) []int {
 // Perturb releases every location of the dataset through a PGLP mechanism
 // and returns the snapped result — the dataset the server would observe.
 func (d *TraceDataset) Perturb(pg *PolicyGraph, eps float64, kind MechanismKind, seed uint64) (*TraceDataset, error) {
-	pol, err := core.NewPolicy(eps, pg.g)
+	m, err := mechanism.New(mechanism.Kind(kind), d.ds.Grid, pg.g, eps)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := core.NewReleaser(d.ds.Grid, pol, mechanism.Kind(kind))
+	out, err := d.ds.Perturb(m.Release, seed)
 	if err != nil {
 		return nil, err
-	}
-	out := d.ds.Clone()
-	for i := range out.Trajs {
-		rng := dp.Derive(seed, uint64(i)+1)
-		_, snapped, err := rel.ReleaseTrajectory(rng, d.ds.Trajs[i].Cells)
-		if err != nil {
-			return nil, err
-		}
-		out.Trajs[i].Cells = snapped
 	}
 	return &TraceDataset{ds: out}, nil
 }
@@ -186,7 +176,7 @@ func RandomPolicy(o Options, size int, density float64, seed uint64) (*PolicyGra
 	if err != nil {
 		return nil, err
 	}
-	if size < 0 || density < 0 || density > 1 {
+	if size < 0 || !(density >= 0 && density <= 1) { // NaN fails both
 		return nil, fmt.Errorf("panda: invalid random policy size %d density %v", size, density)
 	}
 	g := policygraph.RandomSubsetER(grid.NumCells(), size, density, dp.NewRand(seed))
@@ -201,28 +191,11 @@ func MeasureUtility(o Options, pg *PolicyGraph, eps float64, kind MechanismKind,
 	if err != nil {
 		return 0, err
 	}
-	pol, err := core.NewPolicy(eps, pg.g)
+	m, err := mechanism.New(mechanism.Kind(kind), grid, pg.g, eps)
 	if err != nil {
 		return 0, err
 	}
-	rel, err := core.NewReleaser(grid, pol, mechanism.Kind(kind))
-	if err != nil {
-		return 0, err
-	}
-	if samples <= 0 {
-		return 0, fmt.Errorf("panda: samples must be positive")
-	}
-	rng := dp.NewRand(seed)
-	var sum float64
-	for i := 0; i < samples; i++ {
-		s := rng.IntN(grid.NumCells())
-		z, err := rel.Release(rng, s)
-		if err != nil {
-			return 0, err
-		}
-		sum += geo.Dist(z, grid.Center(s))
-	}
-	return sum / float64(samples), nil
+	return mechanism.MeanError(m, grid, samples, seed)
 }
 
 // MeasurePrivacyWithPrior is MeasurePrivacy with an explicit adversary
@@ -234,11 +207,7 @@ func MeasurePrivacyWithPrior(o Options, pg *PolicyGraph, eps float64, kind Mecha
 	if err != nil {
 		return 0, err
 	}
-	pol, err := core.NewPolicy(eps, pg.g)
-	if err != nil {
-		return 0, err
-	}
-	rel, err := core.NewReleaser(grid, pol, mechanism.Kind(kind))
+	m, err := mechanism.New(mechanism.Kind(kind), grid, pg.g, eps)
 	if err != nil {
 		return 0, err
 	}
@@ -246,7 +215,7 @@ func MeasurePrivacyWithPrior(o Options, pg *PolicyGraph, eps float64, kind Mecha
 	if err != nil {
 		return 0, err
 	}
-	rep, err := adv.ExpectedError(rel.Mechanism(), adversary.EstimatorMedoid, rounds, dp.NewRand(seed))
+	rep, err := adv.ExpectedError(m, adversary.EstimatorMedoid, rounds, dp.NewRand(seed))
 	if err != nil {
 		return 0, err
 	}
@@ -257,25 +226,5 @@ func MeasurePrivacyWithPrior(o Options, pg *PolicyGraph, eps float64, kind Mecha
 // against the policy/mechanism with a uniform prior — the demo's empirical
 // privacy readout (higher = more private).
 func MeasurePrivacy(o Options, pg *PolicyGraph, eps float64, kind MechanismKind, rounds int, seed uint64) (float64, error) {
-	grid, err := geo.NewGrid(o.Rows, o.Cols, o.CellSize)
-	if err != nil {
-		return 0, err
-	}
-	pol, err := core.NewPolicy(eps, pg.g)
-	if err != nil {
-		return 0, err
-	}
-	rel, err := core.NewReleaser(grid, pol, mechanism.Kind(kind))
-	if err != nil {
-		return 0, err
-	}
-	adv, err := adversary.NewBayesian(grid, nil)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := adv.ExpectedError(rel.Mechanism(), adversary.EstimatorMedoid, rounds, dp.NewRand(seed))
-	if err != nil {
-		return 0, err
-	}
-	return rep.MeanError, nil
+	return MeasurePrivacyWithPrior(o, pg, eps, kind, nil, rounds, seed)
 }

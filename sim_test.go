@@ -1,6 +1,7 @@
 package panda
 
 import (
+	"math"
 	"testing"
 )
 
@@ -89,6 +90,18 @@ func TestOutbreakAndR0Facade(t *testing.T) {
 	if _, err := d.SimulateOutbreak(nil, 0.5, 1, 6, 1); err == nil {
 		t.Error("no seeds should error")
 	}
+	// NaN passes a p < 0 || p > 1 test; it and negative rates must not.
+	if _, err := d.SimulateOutbreak([]int{0, 1}, math.NaN(), 1, 6, 11); err == nil {
+		t.Error("NaN transmission probability should error")
+	}
+	for _, c := range []struct {
+		p     float64
+		steps int
+	}{{-1, 8}, {0.4, -8}, {math.NaN(), 8}} {
+		if r0, err := d.EstimateR0(c.p, c.steps); err == nil {
+			t.Errorf("EstimateR0(%v, %d) = %v, want an error", c.p, c.steps, r0)
+		}
+	}
 }
 
 func TestTraceContactsFacade(t *testing.T) {
@@ -124,6 +137,9 @@ func TestRandomPolicyFacade(t *testing.T) {
 	}
 	if _, err := RandomPolicy(o, 10, 1.5, 3); err == nil {
 		t.Error("bad density should error")
+	}
+	if _, err := RandomPolicy(o, 10, math.NaN(), 3); err == nil {
+		t.Error("NaN density should error")
 	}
 }
 
