@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
@@ -20,9 +21,11 @@ type Config struct {
 	// Epsilons is the ε sweep (demo knob "Choose ε").
 	Epsilons []float64
 	// UtilitySamples bounds the number of (user, t) releases measured per
-	// configuration.
+	// configuration; at least 2, because E4, E5, E10 and E11 measure
+	// half as many.
 	UtilitySamples int
-	// AdversaryRounds is the Monte-Carlo budget of the inference attack.
+	// AdversaryRounds is the Monte-Carlo budget of the inference attack;
+	// at least 2, because E5, E10 and E11 run half as many rounds.
 	AdversaryRounds int
 	// MonitorBlock/AnalysisBlock are the Ga and Gb coarse-area sizes
 	// (cells per block side).
@@ -75,12 +78,13 @@ func (c Config) Validate() error {
 		return errors.New("experiments: no epsilons")
 	}
 	for _, e := range c.Epsilons {
-		if e <= 0 {
-			return fmt.Errorf("experiments: non-positive epsilon %v", e)
+		if e <= 0 || math.IsNaN(e) || math.IsInf(e, 0) {
+			return fmt.Errorf("experiments: epsilon must be positive and finite, got %v", e)
 		}
 	}
-	if c.UtilitySamples <= 0 || c.AdversaryRounds <= 0 {
-		return errors.New("experiments: non-positive sampling budgets")
+	if c.UtilitySamples < 2 || c.AdversaryRounds < 2 {
+		return fmt.Errorf("experiments: sampling budgets must be at least 2, got %d utility samples and %d adversary rounds",
+			c.UtilitySamples, c.AdversaryRounds)
 	}
 	if c.MonitorBlock <= 0 || c.AnalysisBlock <= 0 {
 		return errors.New("experiments: non-positive block sizes")
@@ -138,15 +142,10 @@ func (c Config) infectedCells(ds *trace.Dataset) []int {
 	return out
 }
 
-// utilityProbe is the sample count of the prior-free utility probe of
-// E4 and E5, where E1's full workload sweep would be redundant: half of
-// UtilitySamples, or 100 when that rounds down to zero.
-func (c Config) utilityProbe() int {
-	if n := c.UtilitySamples / 2; n > 0 {
-		return n
-	}
-	return 100
-}
+// utilityProbe is the sample count of the utility probes of E4, E5,
+// E10 and E11, where E1's full workload sweep would be redundant: half
+// of UtilitySamples, which Validate keeps at one or more.
+func (c Config) utilityProbe() int { return c.UtilitySamples / 2 }
 
 // utilityMechanisms is the mechanism sweep of the demo UI.
 func utilityMechanisms() []mechanism.Kind {

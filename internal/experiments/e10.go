@@ -70,7 +70,7 @@ func RunE10(cfg Config) (*Table, error) {
 				rng := dp.NewRand(cfg.Seed ^ 0x10e ^ uint64(eps*1000) ^ hashString(w.name+pol.name))
 				var sum float64
 				n := 0
-				for i := 0; i < cfg.UtilitySamples/2; i++ {
+				for i := 0; i < cfg.utilityProbe(); i++ {
 					u := rng.IntN(w.ds.NumUsers())
 					t := rng.IntN(w.ds.Steps)
 					truth := w.ds.Trajs[u].Cells[t]

@@ -73,7 +73,7 @@ func RunE11(cfg Config) (*Table, error) {
 			rng := dp.NewRand(cfg.Seed ^ 0xe11 ^ uint64(eps*1000) ^ hashString(entry.name))
 			var roadErr, euclidErr float64
 			offroad := 0
-			n := cfg.UtilitySamples / 2
+			n := cfg.utilityProbe()
 			for i := 0; i < n; i++ {
 				s := rm.RandomRoad(rng)
 				z, err := entry.m.Release(rng, s)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,27 +37,57 @@ func TestTableBasics(t *testing.T) {
 	}
 }
 
+// TestConfigValidate checks that Validate refuses what the experiments
+// cannot run: E10 and E11 divide by half of UtilitySamples and E5, E10
+// and E11 run half of AdversaryRounds, so each budget must be at least
+// 2, and the mechanisms take only a positive, finite ε.
 func TestConfigValidate(t *testing.T) {
-	if err := Default().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(c *Config) { *c = Default() }, true},
+		{"quick", func(*Config) {}, true},
+		{"smallest budgets", func(c *Config) { c.UtilitySamples, c.AdversaryRounds = 2, 2 }, true},
+		{"no epsilons", func(c *Config) { c.Epsilons = nil }, false},
+		{"zero epsilon", func(c *Config) { c.Epsilons = []float64{0} }, false},
+		{"NaN epsilon", func(c *Config) { c.Epsilons = []float64{0.5, math.NaN()} }, false},
+		{"+Inf epsilon", func(c *Config) { c.Epsilons = []float64{math.Inf(1)} }, false},
+		{"-Inf epsilon", func(c *Config) { c.Epsilons = []float64{math.Inf(-1)} }, false},
+		{"one utility sample", func(c *Config) { c.UtilitySamples = 1 }, false},
+		{"one adversary round", func(c *Config) { c.AdversaryRounds = 1 }, false},
+		{"zero grid", func(c *Config) { c.GridRows = 0 }, false},
+	} {
+		cfg := Quick()
+		c.edit(&cfg)
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
-	if err := Quick().Validate(); err != nil {
-		t.Errorf("quick config invalid: %v", err)
-	}
-	bad := Quick()
-	bad.Epsilons = nil
-	if err := bad.Validate(); err == nil {
-		t.Error("no epsilons should error")
-	}
-	bad2 := Quick()
-	bad2.Epsilons = []float64{0}
-	if err := bad2.Validate(); err == nil {
-		t.Error("zero epsilon should error")
-	}
-	bad3 := Quick()
-	bad3.GridRows = 0
-	if err := bad3.Validate(); err == nil {
-		t.Error("zero grid should error")
+}
+
+// TestSmallestBudgets runs the experiments that halve a budget at the
+// smallest budgets Validate accepts: each must finish with finite
+// numbers in every cell.
+func TestSmallestBudgets(t *testing.T) {
+	cfg := Quick()
+	cfg.UtilitySamples, cfg.AdversaryRounds = 2, 2
+	for name, run := range map[string]func(Config) (*Table, error){
+		"E4": RunE4, "E5": RunE5, "E10": RunE10, "E11": RunE11,
+	} {
+		tb, err := run(cfg)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		for ri := range tb.Rows {
+			for _, col := range tb.Columns {
+				if f, err := tb.CellFloat(ri, col); err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+					t.Errorf("%s row %d column %s = %v", name, ri, col, f)
+				}
+			}
+		}
 	}
 }
 

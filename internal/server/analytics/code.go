@@ -32,20 +32,28 @@ func codeOf(visits int) Code {
 // own latest record, so a user who stopped reporting ages out of the
 // window instead of keeping an eternally-fresh certificate. Because it
 // runs on released data only, the certificate is privacy-preserving by
-// post-processing. It reads the user's whole history; CodeCensus
-// computes the same codes for everyone from one scan of the window.
+// post-processing. With a window it reads the user's records from the
+// window's start on, not their whole history; CodeCensus computes the
+// same codes for everyone from the window's timesteps.
 func (e *Engine) HealthCodeFor(user int, infected []int, window, now int) Code {
 	if now < 0 {
 		now = e.store.MaxT()
 	}
+	var recs []storage.Record
+	if window > 0 {
+		// now ≥ -1 here, so now-window cannot overflow.
+		recs = e.store.UserRecordsAfter(user, now-window, 0)
+	} else {
+		recs = e.store.UserRecords(user)
+	}
 	inf := cellSet(infected)
 	visits := 0
-	for _, r := range e.store.UserRecords(user) {
+	for _, r := range recs {
 		// The window is (now-window, now]: records after the anchor are
 		// just as out-of-window as records before it, so a historical
 		// `now` never counts visits that hadn't happened yet.
-		if window > 0 && (r.T <= now-window || r.T > now) {
-			continue
+		if window > 0 && r.T > now {
+			break
 		}
 		if inf[r.Cell] {
 			visits++
@@ -54,27 +62,21 @@ func (e *Engine) HealthCodeFor(user int, infected []int, window, now int) Code {
 	return codeOf(visits)
 }
 
-// censusSlices caps the ScanRange calls of one census miss. A call
-// read-locks every shard of a sharded store for its whole walk, so the
-// census walks its window in up to this many consecutive slices and a
-// writer waits for one slice, not the whole window: a day of hourly
-// steps is walked a step at a time. The cap keeps the number of calls
-// independent of the window's width.
-const censusSlices = 32
-
 // CodeCensus certifies every known user and tallies the health codes —
 // the population-level view of the health-code service. The window is
 // anchored at `now` (negative = the store's latest timestep) so every
 // user is certified against the same clock, by HealthCodeFor's rule.
-// A miss walks the timestep index once over the window (all history
-// when window ≤ 0), in at most censusSlices ScanRange calls, counting
-// each user's visits to infected cells, then counts every user without
-// one as green. It costs O(records in window + users) plus
-// O(min(window width, stored timesteps)) index lookups, so a sparse
-// history whose T reaches math.MaxInt costs no more than a dense one.
-// The tally is cached against the store's global Epoch, not the
-// window's Gen(t)s, because any write can add a user and so move the
-// green count.
+// The tally is cached against the store's global Epoch, because any
+// write can add a user and so move the green count. A miss reads the
+// window's stored timesteps (all history when window ≤ 0) with their
+// Gens, takes each step's infected visitors from the exposure cache
+// entry ExposureAt shares, and rescans only the steps written since
+// their entry was made; a cold miss scans its window in at most
+// censusSlices ScanRange calls. It then counts each user's visits to
+// infected cells, and every user without one as green. It costs O(records in the rescanned steps +
+// visits in the window + users) plus O(min(window width, stored
+// timesteps)) index and cache lookups, so a sparse history whose T
+// reaches math.MaxInt costs no more than a dense one.
 func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 	if now < 0 {
 		now = e.store.MaxT()
@@ -95,24 +97,13 @@ func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 	if window > 0 {
 		t0, t1 = max(now-window+1, 0), min(now, t1)
 	}
-	inf := cellSet(infected)
 	visits := make(map[int]int)
-	count := func(rec storage.Record) bool {
-		if inf[rec.Cell] {
-			visits[rec.User]++
-		}
-		return true
-	}
-	// A write between slices can only over-invalidate: the epoch was
-	// read before the first. The walk stops at t1 without stepping past
-	// it, since t1 may be math.MaxInt.
 	if t0 <= t1 {
-		width := (t1-t0)/censusSlices + 1
-		for lo := t0; ; lo += width {
-			hi := lo + min(width-1, t1-lo)
-			e.store.ScanRange(lo, hi, count)
-			if hi == t1 {
-				break
+		// Every step's Gen is read before the scan it pins.
+		steps := e.store.StepGens(t0, t1)
+		for _, users := range e.exposed(steps, key.infected, infected) {
+			for _, u := range users {
+				visits[u]++
 			}
 		}
 	}

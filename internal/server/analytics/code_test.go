@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,9 +15,10 @@ import (
 
 // TestCodeCensusMatchesHealthCodeTally checks the census scan against
 // its per-user reference: for random stores, windows and anchors,
-// CodeCensus must equal a tally of HealthCodeFor over Users(). Writes
-// (new users and replacements) land between queries, so cache hits and
-// epoch invalidations are compared too.
+// CodeCensus must equal a tally of HealthCodeFor over Users(), and each
+// HealthCodeFor must equal a brute-force count over the user's history.
+// Writes (new users and replacements) land between queries, so cache
+// hits and epoch invalidations are compared too.
 func TestCodeCensusMatchesHealthCodeTally(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	for seed := uint64(0); seed < 300; seed++ {
@@ -62,7 +64,12 @@ func TestCodeCensusMatchesHealthCodeTally(t *testing.T) {
 			}
 			want := map[Code]int{CodeGreen: 0, CodeYellow: 0, CodeRed: 0}
 			for _, u := range store.Users() {
-				want[e.HealthCodeFor(u, infected, window, now)]++
+				code := e.HealthCodeFor(u, infected, window, now)
+				if ref := healthCodeRef(store, u, infected, window, now); code != ref {
+					t.Fatalf("seed %d query %d (infected %v, window %d, now %d): user %d HealthCodeFor %s, brute-force count %s",
+						seed, q, infected, window, now, u, code, ref)
+				}
+				want[code]++
 			}
 			if got := e.CodeCensus(infected, window, now); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d query %d (%T, infected %v, window %d, now %d): census %v, HealthCodeFor tally %v",
@@ -70,6 +77,21 @@ func TestCodeCensusMatchesHealthCodeTally(t *testing.T) {
 			}
 		}
 	}
+}
+
+// healthCodeRef is HealthCodeFor's reference: it counts the visits to
+// infected cells in (now-window, now] over the user's whole history.
+func healthCodeRef(store storage.Store, user int, infected []int, window, now int) Code {
+	if now < 0 {
+		now = store.MaxT()
+	}
+	visits := 0
+	for _, r := range store.UserRecords(user) {
+		if (window <= 0 || r.T > now-window && r.T <= now) && slices.Contains(infected, r.Cell) {
+			visits++
+		}
+	}
+	return codeOf(visits)
 }
 
 // TestCodeCensusSparseTimesteps checks the census over a history whose

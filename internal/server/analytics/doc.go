@@ -12,11 +12,13 @@
 // current. Density and exposure are per-timestep and pin Gen(t), so a
 // write to timestep t invalidates exactly t's cached aggregates:
 // batch-ingesting historical data evicts only the touched steps, and
-// the hot dashboard window stays cached. The census scans only its
-// window, at a cost set by the records and stored timesteps in it, not
-// by its width. It counts users with no visit in the window as green,
-// though, and a write anywhere can add a user, so it pins the global
-// Epoch.
+// the hot dashboard window stays cached. The census counts users with
+// no visit in its window as green, and a write anywhere can add a user,
+// so its tally pins the global Epoch. Its work is per-timestep, though:
+// an exposure entry keeps the users it counted, and a census miss
+// reuses the entries of its window's steps and rescans only the steps
+// written since, at a cost set by the records and stored timesteps in
+// them, not by the window's width.
 //
 // Cache coherence relies on one ordering rule: the generation is read
 // *before* the records are scanned. A write racing with the scan may or

@@ -22,6 +22,15 @@ const (
 	maxCensusEntries   = 1 << 12
 )
 
+// censusSlices caps the ScanRange calls of one census miss or exposure
+// series. A call read-locks every shard of a sharded store for its
+// whole walk, so a miss scans no run of steps wider than its window
+// over censusSlices, and a writer waits for one run, not the whole
+// window: a day of hourly steps is walked a step at a time. The cap
+// keeps the number of calls of a cold census independent of the
+// window's width.
+const censusSlices = 32
+
 // MaxSeriesSpan bounds one series query's timestep count: a series
 // costs O(t1-t0) in time and memory, so an unbounded span would let one
 // call allocate without limit. It is deliberately far below the cache
@@ -35,14 +44,14 @@ type densityEntry struct {
 	counts []int
 }
 
-type exposureKey struct {
-	t        int
-	infected string // canonical form of the infected cell set
-}
-
+// exposureEntry holds the IDs of the users with a record in an infected
+// cell at one timestep; its exposure count is their number, since
+// ingest keeps at most one record per (user, t). ExposureAt and
+// CodeCensus share the entries, and the slice is shared with every
+// caller that reads it, so nothing writes to it once it is cached.
 type exposureEntry struct {
 	gen   uint64
-	count int
+	users []int
 }
 
 type censusKey struct {
@@ -68,10 +77,11 @@ type Engine struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 
-	mu       sync.RWMutex
-	density  map[densityKey]densityEntry
-	exposure map[exposureKey]exposureEntry
-	census   map[censusKey]censusEntry
+	mu        sync.RWMutex
+	density   map[densityKey]densityEntry
+	exposure  map[string]map[int]exposureEntry // infected-set key → t → entry
+	exposures int                              // entries across the inner maps
+	census    map[censusKey]censusEntry
 }
 
 // Stats is a point-in-time snapshot of the engine's cache behavior:
@@ -93,7 +103,7 @@ func (e *Engine) Stats() Stats {
 		Hits:            e.hits.Load(),
 		Misses:          e.misses.Load(),
 		DensityEntries:  len(e.density),
-		ExposureEntries: len(e.exposure),
+		ExposureEntries: e.exposures,
 		CensusEntries:   len(e.census),
 	}
 }
@@ -104,7 +114,7 @@ func New(grid *geo.Grid, store storage.Store) *Engine {
 		grid:     grid,
 		store:    store,
 		density:  make(map[densityKey]densityEntry),
-		exposure: make(map[exposureKey]exposureEntry),
+		exposure: make(map[string]map[int]exposureEntry),
 		census:   make(map[censusKey]censusEntry),
 	}
 }
@@ -214,31 +224,7 @@ func (e *Engine) MovementMatrix(t1, t2, blockRows, blockCols int) [][]int {
 // ExposureAt returns how many users reported a location in an infected
 // cell at timestep t.
 func (e *Engine) ExposureAt(t int, infected []int) int {
-	key := exposureKey{t: t, infected: infectedKey(infected)}
-	gen := e.store.Gen(t)
-	e.mu.RLock()
-	ent, ok := e.exposure[key]
-	e.mu.RUnlock()
-	if ok && ent.gen == gen {
-		e.hits.Add(1)
-		return ent.count
-	}
-	e.misses.Add(1)
-	inf := cellSet(infected)
-	n := 0
-	e.store.ScanRange(t, t, func(rec storage.Record) bool {
-		if inf[rec.Cell] {
-			n++
-		}
-		return true
-	})
-	e.mu.Lock()
-	if len(e.exposure) >= maxExposureEntries {
-		e.exposure = make(map[exposureKey]exposureEntry)
-	}
-	e.exposure[key] = exposureEntry{gen: gen, count: n}
-	e.mu.Unlock()
-	return n
+	return e.exposureSeries(t, t, infected)[0]
 }
 
 // InfectedExposureSeries returns ExposureAt for each timestep in
@@ -248,13 +234,97 @@ func (e *Engine) InfectedExposureSeries(t0, t1 int, infected []int) ([]int, erro
 	if err := checkSeriesRange(t0, t1); err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, t1-t0+1)
+	return e.exposureSeries(t0, t1, infected), nil
+}
+
+// exposureSeries is InfectedExposureSeries over a checked range. Every
+// timestep of it, stored or not, gets an exposure entry.
+func (e *Engine) exposureSeries(t0, t1 int, infected []int) []int {
+	steps := make([]storage.StepGen, 0, t1-t0+1)
 	for t := t0; ; t++ { // as in DensitySeries, t1 may be math.MaxInt
-		out = append(out, e.ExposureAt(t, infected))
+		steps = append(steps, storage.StepGen{T: t, Gen: e.store.Gen(t)})
 		if t == t1 {
-			return out, nil
+			break
 		}
 	}
+	users := e.exposed(steps, infectedKey(infected), infected)
+	out := make([]int, len(users))
+	for i, u := range users {
+		out[i] = len(u)
+	}
+	return out
+}
+
+// exposed returns, for each of steps (ascending T, each with the Gen
+// read before this call), the IDs of the users with a record in an
+// infected cell at that step; key is infectedKey(infected). Steps whose
+// cached entry still carries their Gen are served from the exposure
+// cache, each lookup counting a hit or a miss. The others are scanned
+// in runs of consecutive stale steps, one ScanRange per run. No run
+// spans more than 1/censusSlices of the steps' span, so a writer waits
+// for one run at most, and a cold fill makes at most censusSlices
+// scans. The new entries are cached under one write lock. The returned
+// slices are shared with the cache and must not be written to.
+func (e *Engine) exposed(steps []storage.StepGen, key string, infected []int) [][]int {
+	users := make([][]int, len(steps))
+	var stale []int // indexes into steps
+	e.mu.RLock()
+	cached := e.exposure[key]
+	for i, sg := range steps {
+		if ent, ok := cached[sg.T]; ok && ent.gen == sg.Gen {
+			users[i] = ent.users
+		} else {
+			stale = append(stale, i)
+		}
+	}
+	e.mu.RUnlock()
+	e.hits.Add(uint64(len(steps) - len(stale)))
+	e.misses.Add(uint64(len(stale)))
+	if len(stale) == 0 {
+		return users
+	}
+	inf := cellSet(infected)
+	maxRun := (steps[len(steps)-1].T-steps[0].T)/censusSlices + 1
+	for lo := 0; lo < len(stale); {
+		// Extend the run while the next stale step directly follows in
+		// steps and lies within maxRun of the run's first timestep; a
+		// difference of timesteps, unlike a sum, cannot overflow.
+		hi := lo
+		for hi+1 < len(stale) && stale[hi+1] == stale[hi]+1 &&
+			steps[stale[hi+1]].T-steps[stale[lo]].T < maxRun {
+			hi++
+		}
+		j := stale[lo]
+		e.store.ScanRange(steps[j].T, steps[stale[hi]].T, func(rec storage.Record) bool {
+			for steps[j].T < rec.T {
+				j++
+			}
+			// A step first written after the caller listed the stored
+			// ones is not in steps: its records are skipped, and its
+			// write moved the caller's own pin too.
+			if steps[j].T == rec.T && inf[rec.Cell] {
+				users[j] = append(users[j], rec.User)
+			}
+			return true
+		})
+		lo = hi + 1
+	}
+	e.mu.Lock()
+	m := e.exposure[key]
+	for _, i := range stale {
+		if e.exposures >= maxExposureEntries {
+			e.exposure, e.exposures, m = make(map[string]map[int]exposureEntry), 0, nil
+		}
+		if m == nil {
+			m = make(map[int]exposureEntry)
+			e.exposure[key] = m
+		}
+		n := len(m)
+		m[steps[i].T] = exposureEntry{gen: steps[i].Gen, users: users[i]}
+		e.exposures += len(m) - n
+	}
+	e.mu.Unlock()
+	return users
 }
 
 // cellSet builds a membership set from a cell list.

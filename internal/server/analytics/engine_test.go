@@ -3,6 +3,7 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -282,55 +283,209 @@ func TestHealthCodeAndCensus(t *testing.T) {
 	if third := e.CodeCensus([]int{5}, 0, -1); third[CodeGreen] != 2 {
 		t.Errorf("caller mutation leaked into census cache: %v", third)
 	}
-	// Any write invalidates the census (global epoch).
+	// Any write invalidates the census (global epoch), but the miss
+	// rescans only the step written.
 	cs.Insert(storage.Record{User: 3, T: 0, Cell: 5})
 	after := e.CodeCensus([]int{5}, 0, -1)
 	if after[CodeYellow] != 1 {
 		t.Errorf("census after new yellow user = %v", after)
 	}
-	if s, u := reads(); s != 3 || u != 0 {
-		t.Errorf("census miss after a write made %d scans and %d user reads, want 3 and 0", s, u)
+	if s, u := reads(); s != 1 || u != 0 {
+		t.Errorf("census miss after a write made %d scans and %d user reads, want 1 and 0", s, u)
 	}
 }
 
-// TestCodeCensusScanSlices checks how a census miss cuts its window
-// into ScanRange calls: one per step while the window is narrower than
-// censusSlices, and never more than censusSlices, however wide the
-// window or large T.
+// TestCodeCensusScanSlices checks the ScanRange calls of a census miss.
+// A cold census makes at most censusSlices, one per step while the
+// window is narrower than that, however wide the window or large T.
+// Once its steps are cached, a write to one step of the window costs
+// one scan, and a write outside the window none, though the new user
+// it adds still turns green.
 func TestCodeCensusScanSlices(t *testing.T) {
-	cs := &countingStore{Store: storage.NewShardedStore(4)}
-	e := New(geo.MustGrid(4, 4, 1), cs)
-	for ti := 0; ti < 100; ti++ {
-		cs.Insert(storage.Record{User: ti % 7, T: ti, Cell: ti % 16})
+	grid := geo.MustGrid(4, 4, 1)
+	newEngine := func(steps []int) (*Engine, *countingStore) {
+		cs := &countingStore{Store: storage.NewShardedStore(4)}
+		for i, ti := range steps {
+			cs.Insert(storage.Record{User: i % 7, T: ti, Cell: ti % 16})
+		}
+		return New(grid, cs), cs
 	}
-	scans := func(window, now int) int64 {
+	census := func(e *Engine, cs *countingStore, window, now int) (map[Code]int, int64) {
 		before := cs.scanRanges.Load()
-		e.CodeCensus([]int{3}, window, now)
-		return cs.scanRanges.Load() - before
+		c := e.CodeCensus([]int{3}, window, now)
+		return c, cs.scanRanges.Load() - before
+	}
+	dense := make([]int, 100)
+	for ti := range dense {
+		dense[ti] = ti
+	}
+	// One step every 1<<58: a census over all of int cuts its window
+	// into slices of exactly that width, so each step is its own scan.
+	var spread []int
+	for k := 0; k < censusSlices; k++ {
+		spread = append(spread, k<<58)
 	}
 	for _, c := range []struct {
+		steps       []int
 		window, now int
 		want        int64
 	}{
-		{24, -1, 24},
-		{5, 50, 5},
-		{24, 10, 11}, // clamped at step 0
-		{24, 200, 0}, // past the history
-		{0, -1, 25},  // 100 steps in slices of 4
+		{dense, 24, -1, 24},
+		{dense, 5, 50, 5},
+		{dense, 24, 10, 11}, // clamped at step 0
+		{dense, 24, 200, 0}, // past the history
+		{dense, 0, -1, 25},  // 100 steps in slices of 4
+		{append(dense, 1<<40), 24, -1, 1},
+		{append(dense, 1<<40), 0, -1, 2},
+		{append(dense, math.MaxInt), math.MaxInt, -1, 2},
+		{append(dense, spread...), 0, -1, censusSlices},
+		{append(spread, math.MaxInt), 0, -1, censusSlices},
+		{append(spread, math.MaxInt), math.MaxInt, -1, censusSlices},
 	} {
-		if got := scans(c.window, c.now); got != c.want {
-			t.Errorf("census window=%d now=%d made %d scans, want %d", c.window, c.now, got, c.want)
+		e, cs := newEngine(c.steps)
+		if _, got := census(e, cs, c.window, c.now); got != c.want {
+			t.Errorf("%d steps up to %d: cold census window=%d now=%d made %d scans, want %d",
+				len(c.steps), c.steps[len(c.steps)-1], c.window, c.now, got, c.want)
 		}
 	}
-	for _, far := range []int{1 << 40, math.MaxInt} {
-		cs.Insert(storage.Record{User: 8, T: far, Cell: 3})
-		for _, c := range []struct {
-			window int
-			want   int64
-		}{{24, 24}, {0, censusSlices}, {math.MaxInt, censusSlices}} {
-			if got := scans(c.window, -1); got != c.want {
-				t.Errorf("MaxT %d: census window=%d made %d scans, want %d", far, c.window, got, c.want)
-			}
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 200; i++ {
+		steps := make([]int, 1+rng.IntN(300))
+		for j := range steps {
+			steps[j] = rng.IntN(1 << (1 + rng.IntN(62)))
 		}
+		e, cs := newEngine(steps)
+		window := []int{0, 1 + rng.IntN(100), rng.Int()}[rng.IntN(3)]
+		if _, got := census(e, cs, window, -1); got > censusSlices {
+			t.Fatalf("%d random steps: cold census window=%d made %d scans, more than %d",
+				len(steps), window, got, censusSlices)
+		}
+	}
+
+	e, cs := newEngine(dense)
+	before, _ := census(e, cs, 24, -1)
+	cs.Insert(storage.Record{User: 9, T: 90, Cell: 3}) // in [76, 99]
+	mid, scans := census(e, cs, 24, -1)
+	if scans != 1 || mid[CodeYellow] != before[CodeYellow]+1 {
+		t.Errorf("write in the window: census %v (was %v) after %d scans, want one more yellow after 1 scan",
+			mid, before, scans)
+	}
+	cs.Insert(storage.Record{User: 10, T: 10, Cell: 3}) // before the window
+	after, scans := census(e, cs, 24, -1)
+	if scans != 0 || after[CodeGreen] != mid[CodeGreen]+1 {
+		t.Errorf("write outside the window: census %v (was %v) after %d scans, want one more green after none",
+			after, mid, scans)
+	}
+}
+
+// TestCensusAndExposureShareEntries checks that the census and the
+// exposure series cache the same per-step entries: a series over the
+// window a census just tallied makes no scan, a census over the window
+// a series just read makes none either, and both equal a fresh engine.
+func TestCensusAndExposureShareEntries(t *testing.T) {
+	grid := geo.MustGrid(4, 4, 1)
+	cs := &countingStore{Store: storage.NewShardedStore(4)}
+	for ti := 0; ti < 60; ti++ {
+		for u := 0; u < 5; u++ {
+			cs.Insert(storage.Record{User: u, T: ti, Cell: (u*3 + ti) % 16})
+		}
+	}
+	e, fresh := New(grid, cs), New(grid, cs.Store)
+	infected := []int{3, 7}
+
+	census := e.CodeCensus(infected, 24, -1) // [36, 59]
+	scans := cs.scanRanges.Load()
+	series, err := e.InfectedExposureSeries(36, 59, []int{7, 3, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.scanRanges.Load() - scans; got != 0 {
+		t.Errorf("series over the window a census tallied made %d scans, want none", got)
+	}
+	if want, _ := fresh.InfectedExposureSeries(36, 59, infected); !reflect.DeepEqual(series, want) {
+		t.Errorf("series after the census = %v, a fresh engine's %v", series, want)
+	}
+	if want := fresh.CodeCensus(infected, 24, -1); !reflect.DeepEqual(census, want) {
+		t.Errorf("census = %v, a fresh engine's %v", census, want)
+	}
+
+	if _, err := e.InfectedExposureSeries(0, 23, infected); err != nil {
+		t.Fatal(err)
+	}
+	scans = cs.scanRanges.Load()
+	census = e.CodeCensus(infected, 24, 23)
+	if got := cs.scanRanges.Load() - scans; got != 0 {
+		t.Errorf("census over the window a series read made %d scans, want none", got)
+	}
+	if want := fresh.CodeCensus(infected, 24, 23); !reflect.DeepEqual(census, want) {
+		t.Errorf("census after the series = %v, a fresh engine's %v", census, want)
+	}
+}
+
+// TestCodeCensusBeyondExposureCap checks a census over more stored
+// steps than the exposure cache holds. Storing its entries resets the
+// cache part-way, so each miss scans most steps again, but the tally
+// must still equal HealthCodeFor's, cold and after a write.
+func TestCodeCensusBeyondExposureCap(t *testing.T) {
+	grid := geo.MustGrid(4, 4, 1)
+	store := storage.NewShardedStore(4)
+	recs := make([]storage.Record, maxExposureEntries+1000)
+	for ti := range recs {
+		recs[ti] = storage.Record{User: ti % 50_000, T: ti, Cell: ti * 7 % 16}
+	}
+	store.InsertBatch(recs)
+	e := New(grid, store)
+	infected := []int{3, 5}
+	check := func(what string) {
+		t.Helper()
+		want := map[Code]int{CodeGreen: 0, CodeYellow: 0, CodeRed: 0}
+		for _, u := range store.Users() {
+			want[e.HealthCodeFor(u, infected, 0, -1)]++
+		}
+		if got := e.CodeCensus(infected, 0, -1); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: census %v, HealthCodeFor tally %v", what, got, want)
+		}
+		if n := e.Stats().ExposureEntries; n > maxExposureEntries {
+			t.Errorf("%s: %d exposure entries, more than the cap of %d", what, n, maxExposureEntries)
+		}
+	}
+	check("cold")
+	store.Insert(storage.Record{User: 7, T: 123, Cell: 3})      // a replacement
+	store.Insert(storage.Record{User: 60_000, T: 500, Cell: 5}) // a new user
+	check("after a write")
+}
+
+// writeOnScan inserts rec just before its first ScanRange, as a writer
+// racing a miss between the generations it read and its scan would.
+type writeOnScan struct {
+	storage.Store
+	rec  storage.Record
+	done bool
+}
+
+func (w *writeOnScan) ScanRange(t0, t1 int, fn func(storage.Record) bool) {
+	if !w.done {
+		w.done = true
+		w.Store.Insert(w.rec)
+	}
+	w.Store.ScanRange(t0, t1, fn)
+}
+
+// TestCensusScanRacesNewStep checks a census miss against a step first
+// written between its StepGens and its scan, inside a run of steps the
+// miss scans in one call. The new step's records must not be filed
+// under the next listed step, whose entry would then be served stale.
+func TestCensusScanRacesNewStep(t *testing.T) {
+	grid := geo.MustGrid(4, 4, 1)
+	store := storage.NewShardedStore(4)
+	for _, ti := range []int{0, 2, 64} { // 0 and 2 share a run: 64/censusSlices+1 = 3
+		store.Insert(storage.Record{User: ti, T: ti, Cell: 0})
+	}
+	e := New(grid, &writeOnScan{Store: store, rec: storage.Record{User: 9, T: 1, Cell: 3}})
+	e.CodeCensus([]int{3}, 0, -1)
+	got := e.CodeCensus([]int{3}, 0, -1)
+	want := New(grid, store).CodeCensus([]int{3}, 0, -1)
+	if !reflect.DeepEqual(got, want) || want[CodeYellow] != 1 {
+		t.Errorf("census after a step was written during the scan = %v, a fresh engine's %v (want one yellow)", got, want)
 	}
 }

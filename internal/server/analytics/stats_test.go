@@ -32,13 +32,15 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("after invalidating write: %+v, want 1 hit, 2 misses", s)
 	}
 
+	// The census miss finds step 0 in the exposure entry the first
+	// lookup made: one census miss, one per-step hit.
 	e.ExposureAt(0, []int{5})
 	e.ExposureAt(0, []int{5})
 	e.CodeCensus([]int{5}, 1, 0)
 	e.CodeCensus([]int{5}, 1, 0)
 	s := e.Stats()
-	if s.Hits != 3 || s.Misses != 4 {
-		t.Fatalf("after exposure+census pairs: %+v, want 3 hits, 4 misses", s)
+	if s.Hits != 4 || s.Misses != 4 {
+		t.Fatalf("after exposure+census pairs: %+v, want 4 hits, 4 misses", s)
 	}
 	if s.ExposureEntries != 1 || s.CensusEntries != 1 {
 		t.Fatalf("entry counts %+v, want one exposure and one census entry", s)

@@ -21,6 +21,7 @@ func TestEngineConcurrentWithShardedStore(t *testing.T) {
 	store := storage.NewShardedStore(8)
 	e := New(grid, store)
 	infected := []int{3, 17, 40}
+	windows := []int{1, 5, 24}
 
 	const (
 		writers  = 6
@@ -66,7 +67,8 @@ func TestEngineConcurrentWithShardedStore(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(seed), 7))
 			for i := 0; i < 200; i++ {
 				ti := int(rng.Int64N(steps))
-				switch i % 6 {
+				window := windows[rng.IntN(len(windows))]
+				switch i % 7 {
 				case 0:
 					e.DensityAt(ti, 2, 2)
 				case 1:
@@ -76,13 +78,19 @@ func TestEngineConcurrentWithShardedStore(t *testing.T) {
 				case 2:
 					e.ExposureAt(ti, infected)
 				case 3:
-					// Users() is read after the census's last slice, so
-					// every user it counted is listed: green stays >= 0
-					// while writers add users between slices.
-					if c := e.CodeCensus(infected, 5, steps-1); c[CodeGreen] < 0 {
-						t.Errorf("census during writes = %v, green below zero", c)
+					// The series and the census fill and read the same
+					// per-step exposure entries.
+					if _, err := e.InfectedExposureSeries(max(ti-window+1, 0), ti, infected); err != nil {
+						t.Error(err)
 					}
 				case 4:
+					// Users() is read after the census's last scan, so
+					// every user it counted is listed: green stays >= 0
+					// while writers add users between scans.
+					if c := e.CodeCensus(infected, window, steps-1); c[CodeGreen] < 0 {
+						t.Errorf("census during writes = %v, green below zero", c)
+					}
+				case 5:
 					store.At(ti)
 				default:
 					store.ScanRange(0, ti, func(storage.Record) bool { return true })
@@ -111,8 +119,15 @@ func TestEngineConcurrentWithShardedStore(t *testing.T) {
 			t.Fatalf("density at t=%d: cached %v, raw scan %v", ti, got, counts)
 		}
 	}
-	if got, want := e.CodeCensus(infected, 5, steps-1), fresh.CodeCensus(infected, 5, steps-1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("census: cached %v, recomputed %v", got, want)
+	for _, w := range windows {
+		got, _ := e.InfectedExposureSeries(steps-w, steps-1, infected)
+		want, _ := fresh.InfectedExposureSeries(steps-w, steps-1, infected)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("exposure series over the last %d steps: cached %v, recomputed %v", w, got, want)
+		}
+		if got, want := e.CodeCensus(infected, w, steps-1), fresh.CodeCensus(infected, w, steps-1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("census window %d: cached %v, recomputed %v", w, got, want)
+		}
 	}
 	if got, want := e.CodeCensus(infected, 0, -1), fresh.CodeCensus(infected, 0, -1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("all-history census: cached %v, recomputed %v", got, want)

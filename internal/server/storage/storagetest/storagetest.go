@@ -4,8 +4,8 @@
 // prose; this package is what actually enforces it, so a new backend
 // (or a refactor of an old one) gets the whole surface — replace
 // semantics, pagination, posting-list equivalence, Gen/Epoch cache
-// pinning, snapshot consistency, batch atomicity — for the cost of a
-// three-line test file:
+// pinning, the StepGens listing, snapshot consistency, batch
+// atomicity — for the cost of a three-line test file:
 //
 //	func TestConformance(t *testing.T) {
 //		storagetest.TestStore(t, func(t *testing.T) storage.Store { ... })
@@ -62,6 +62,7 @@ func TestStore(t *testing.T, newStore Factory) {
 	t.Run("ScanRangeSparseTimesteps", func(t *testing.T) { testScanRangeSparse(t, newStore(t)) })
 	t.Run("GenEpochMonotone", func(t *testing.T) { testGenEpochMonotone(t, newStore(t)) })
 	t.Run("GenPinsCache", func(t *testing.T) { testGenPinsCache(t, newStore(t)) })
+	t.Run("StepGens", func(t *testing.T) { testStepGens(t, newStore(t)) })
 	t.Run("BatchAtomicity", func(t *testing.T) { testBatchAtomicity(t, newStore(t)) })
 	t.Run("ConcurrentReadersWriters", func(t *testing.T) { testConcurrentReadersWriters(t, newStore(t)) })
 }
@@ -426,6 +427,57 @@ func testGenEpochMonotone(t *testing.T, s storage.Store) {
 	}
 	if got := s.Gen(6); got <= g6 {
 		t.Fatalf("Gen(6) = %d after batch, want > %d", got, g6)
+	}
+}
+
+// testStepGens checks StepGens on an empty store, a dense history and
+// sparse timesteps up to math.MaxInt: it lists, in ascending T, exactly
+// the timesteps of [t0, t1] that hold a record, each with its Gen, and
+// returns promptly however large T is.
+func testStepGens(t *testing.T, s storage.Store) {
+	var stored []int // every timestep written so far, ascending
+	check := func(t0, t1 int) {
+		t.Helper()
+		var want []storage.StepGen
+		for _, tt := range stored {
+			if t0 <= tt && tt <= t1 {
+				want = append(want, storage.StepGen{T: tt, Gen: s.Gen(tt)})
+			}
+		}
+		var got []storage.StepGen
+		within(t, fmt.Sprintf("StepGens(%d, %d)", t0, t1), func() { got = s.StepGens(t0, t1) })
+		if !slices.Equal(got, want) {
+			t.Errorf("StepGens(%d, %d) = %v, want %v", t0, t1, got, want)
+		}
+	}
+	ranges := [][2]int{
+		{0, math.MaxInt}, {math.MinInt, math.MaxInt}, {-5, 3}, {3, 2}, {2, 2},
+		{-10, -1}, {6, 8}, {6, 1<<40 - 1}, {1 << 40, 1 << 40}, {2, 1 << 41},
+		{math.MaxInt - 1, math.MaxInt}, {math.MaxInt, math.MaxInt}, {math.MaxInt, 0},
+	}
+	for _, r := range ranges {
+		check(r[0], r[1])
+	}
+
+	gridStore(s, 3, 6)
+	s.Insert(rec(1, 2, 7)) // replacements give step 2 a larger Gen
+	s.Insert(rec(2, 2, 8))
+	s.Insert(rec(1, 7, 1)) // 6 and 8 stay empty inside a dense range
+	s.Insert(rec(2, 9, 1))
+	stored = []int{0, 1, 2, 3, 4, 5, 7, 9}
+	for _, r := range ranges {
+		check(r[0], r[1])
+	}
+	if g2, g3 := s.Gen(2), s.Gen(3); g2 <= g3 {
+		t.Errorf("Gen(2) = %d after two replacements, want more than Gen(3) = %d", g2, g3)
+	}
+
+	for _, tt := range []int{1 << 40, math.MaxInt - 1, math.MaxInt} {
+		s.Insert(rec(4, tt, 1))
+	}
+	stored = append(stored, 1<<40, math.MaxInt-1, math.MaxInt)
+	for _, r := range ranges {
+		check(r[0], r[1])
 	}
 }
 

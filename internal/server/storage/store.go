@@ -66,6 +66,21 @@ type Store interface {
 	// or replacement anywhere. It orders whole-dataset aggregates
 	// (census) the same way Gen orders per-timestep ones.
 	Epoch() uint64
+	// StepGens lists, in ascending T, each timestep of [t0, t1] that
+	// holds a record, with its Gen, read in one consistent pass: a cache
+	// of per-timestep aggregates over a window learns which steps to
+	// look up and which generations to pin for the cost of one call,
+	// not one Gen call per step. Records are never deleted, so Gen(t) > 0
+	// exactly when t holds a record and is listed. Like ScanRange it
+	// costs O(min(t1-t0, stored timesteps)) and never steps past t1.
+	StepGens(t0, t1 int) []StepGen
+}
+
+// StepGen is one stored timestep and its write generation, as
+// Store.StepGens lists them.
+type StepGen struct {
+	T   int
+	Gen uint64
 }
 
 // insertSorted splices rec into rs (ascending T), replacing an existing
@@ -477,18 +492,27 @@ func (s *Sharded) At(t int) []Record {
 	return out
 }
 
+// rlockAll read-locks every shard in index order, the order
+// InsertGrouped locks them in, so a cross-shard read sees a batch
+// insert entirely or not at all.
+func (s *Sharded) rlockAll() {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+	}
+}
+
+func (s *Sharded) runlockAll() {
+	for _, sh := range s.shards {
+		sh.mu.RUnlock()
+	}
+}
+
 // Scan read-locks every shard (in index order) before visiting any
 // record, so the view is consistent across shards — a batch insert
 // spanning shards can never be half-visible in a snapshot.
 func (s *Sharded) Scan(fn func(Record) bool) {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.RUnlock()
-		}
-	}()
+	s.rlockAll()
+	defer s.runlockAll()
 	for _, sh := range s.shards {
 		for _, rs := range sh.recs {
 			for _, rec := range rs {
@@ -503,14 +527,8 @@ func (s *Sharded) Scan(fn func(Record) bool) {
 // ScanRange read-locks every shard like Scan, then walks timesteps in
 // ascending order across all shards' indexes.
 func (s *Sharded) ScanRange(t0, t1 int, fn func(Record) bool) {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.RUnlock()
-		}
-	}()
+	s.rlockAll()
+	defer s.runlockAll()
 	walkSteps(s.shards, t0, t1, func(t int) bool {
 		for _, sh := range s.shards {
 			for _, user := range sh.byT[t] {
@@ -521,4 +539,23 @@ func (s *Sharded) ScanRange(t0, t1 int, fn func(Record) bool) {
 		}
 		return true
 	})
+}
+
+// StepGens read-locks every shard like ScanRange and walks the same
+// timesteps, summing each one's per-shard generations.
+func (s *Sharded) StepGens(t0, t1 int) []StepGen {
+	s.rlockAll()
+	defer s.runlockAll()
+	var out []StepGen
+	walkSteps(s.shards, t0, t1, func(t int) bool {
+		var g uint64
+		for _, sh := range s.shards {
+			g += sh.gen[t]
+		}
+		if g > 0 {
+			out = append(out, StepGen{T: t, Gen: g})
+		}
+		return true
+	})
+	return out
 }

@@ -365,6 +365,11 @@ func (s *Store) Gen(t int) uint64 { return s.mem.Gen(t) }
 // the restart semantics.
 func (s *Store) Epoch() uint64 { return s.mem.Epoch() }
 
+// StepGens lists the stored timesteps of [t0, t1] with their write
+// generations, from memory in one pass; see Gen for the restart
+// semantics.
+func (s *Store) StepGens(t0, t1 int) []storage.StepGen { return s.mem.StepGens(t0, t1) }
+
 // Err returns the first append or sync failure of any stripe, if any.
 // Once non-nil that stripe's log has stopped growing and only memory
 // is being updated — durability is lost for its shard of users, and

@@ -360,10 +360,12 @@ func (s *System) ExposureSeries(t0, t1 int) ([]int, error) {
 
 // HealthCodeCensus tallies the code HealthCodeFor gives every known
 // user against the same clock `now` (negative = latest timestep). It
-// costs one scan of the window, O(records in window + users) plus one
-// index lookup per timestep of the window, capped at the number of
-// stored timesteps. It is cached until the next write, since any write
-// can add a user and so move the green count.
+// is cached until the next write, since any write can add a user and
+// so move the green count. A recompute rescans only the timesteps of
+// the window written since they were last counted, and a first one
+// scans the whole window: O(records in window + users) plus one index
+// lookup per timestep of the window, capped at the number of stored
+// timesteps.
 func (s *System) HealthCodeCensus(window, now int) map[HealthCode]int {
 	return s.db.Analytics().CodeCensus(s.mgr.InfectedCells(), window, now)
 }

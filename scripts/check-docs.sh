@@ -9,11 +9,12 @@
 #     subpackages), the lint packages, the wire and ingest packages
 #     (the report path's contracts), the node's public surface (the
 #     root panda facade, internal/server and internal/server/analytics),
-#     the policy surface (internal/policy and internal/policygraph) and
-#     the privacy engine (internal/core and internal/mechanism) has a
-#     doc comment — exported funcs, types, and methods on
-#     exported receivers must state their contract, because callers
-#     reason from godoc, not from the source.
+#     the policy surface (internal/policy and internal/policygraph),
+#     the privacy engine (internal/core and internal/mechanism) and the
+#     paper's experiments (internal/experiments) has a doc comment —
+#     exported funcs, types, and methods on exported receivers must
+#     state their contract, because callers reason from godoc, not from
+#     the source.
 #
 # Run from the repository root:  ./scripts/check-docs.sh
 set -eu
@@ -60,7 +61,9 @@ echo "doc check: every internal package has a package comment"
 # (the server writes the manager's stored graph encoding into responses
 # without checking it, so its contract must be written down), and the
 # privacy engine (the mechanisms every release goes through and the
-# verifier that checks them against a policy). A decl
+# verifier that checks them against a policy), and the experiments
+# package (its Config states which budgets and ε the experiments can
+# run, and Validate enforces them). A decl
 # line counts as documented when the line above it is a // comment.
 # Checked: top-level `func Name`, `type Name`, and `func (r *Recv) Name`
 # where the receiver type is exported; methods on unexported types are
@@ -71,7 +74,8 @@ report_pkgs="internal/server/wire internal/server/ingest"
 node_pkgs=". internal/server internal/server/analytics"
 policy_pkgs="internal/policy internal/policygraph"
 privacy_pkgs="internal/core internal/mechanism"
-for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs $privacy_pkgs; do
+experiment_pkgs="internal/experiments"
+for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs $privacy_pkgs $experiment_pkgs; do
     for f in "$dir"/*.go; do
         [ -e "$f" ] || continue
         case "$f" in *_test.go) continue ;; esac
@@ -99,7 +103,7 @@ for dir in $storage_pkgs $lint_pkgs $report_pkgs $node_pkgs $policy_pkgs $privac
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "doc check failed: exported storage/lint/wire/ingest/node/policy/privacy symbols need doc comments stating their contract" >&2
+    echo "doc check failed: exported storage/lint/wire/ingest/node/policy/privacy/experiments symbols need doc comments stating their contract" >&2
     exit 1
 fi
-echo "doc check: every exported storage, lint, wire, ingest, node, policy and privacy symbol has a doc comment"
+echo "doc check: every exported storage, lint, wire, ingest, node, policy, privacy and experiments symbol has a doc comment"
