@@ -16,6 +16,7 @@ import (
 	"github.com/pglp/panda/internal/cluster"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
+	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server"
 	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/wire"
@@ -443,6 +444,64 @@ func TestClusterInfectedWhileNodeDown(t *testing.T) {
 	for i := range f.nodeURLs {
 		if v := version(i); v != 2 {
 			t.Errorf("node%d user at version %d after the retried notice, want 2", i, v)
+		}
+	}
+}
+
+// TestClusterClientGraphsPerNode: two nodes that took different marks
+// hold different graphs under one version. One client, through the
+// router, still gives each user the graph of the user's own node,
+// whether it fetches the policy or adopts it from a 409: it keeps
+// graphs by content ID, which no version shared across nodes can alias.
+func TestClusterClientGraphsPerNode(t *testing.T) {
+	f := startFleet(t, 2, false)
+	via := server.NewClient(f.routerURL, nil)
+	userOn := map[int][]int{} // node index -> two users it owns
+	for u := 0; len(userOn[0]) < 2 || len(userOn[1]) < 2; u++ {
+		if i := f.ring.OwnerIndex(u); len(userOn[i]) < 2 {
+			userOn[i] = append(userOn[i], u)
+		}
+	}
+	for i := range f.nodeURLs {
+		for _, u := range userOn[i] {
+			if _, err := via.PolicyContext(t.Context(), u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Each node takes its own mark, bypassing the router's broadcast, so
+	// both nodes' users are at v2 under different graphs.
+	cells := []int{5, 6}
+	for i, cell := range cells {
+		if st, e := postBody(t, f.nodeURLs[i]+"/v2/infected", "application/json",
+			[]byte(fmt.Sprintf(`{"cells":[%d]}`, cell))); st != http.StatusOK {
+			t.Fatalf("mark on node%d: status=%d envelope=%+v", i, st, e)
+		}
+	}
+	for i, cell := range cells {
+		var own wire.Policy
+		if st := getJSON(t, fmt.Sprintf("%s/v2/policy?user=%d&graph=1", f.nodeURLs[i], userOn[i][0]), &own); st != http.StatusOK {
+			t.Fatalf("node%d policy: status %d", i, st)
+		}
+		var want policygraph.Graph
+		if err := json.Unmarshal(own.Graph, &want); err != nil {
+			t.Fatal(err)
+		}
+		fetched, err := via.PolicyContext(t.Context(), userOn[i][0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The second user still holds v1: the report draws a 409 whose
+		// head the client adopts before it re-sends.
+		if _, err := via.ReportBatchContext(t.Context(), userOn[i][1], []wire.Release{{T: 0, X: 1, Y: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		adopted, _ := via.CachedPolicy(userOn[i][1])
+		for how, cp := range map[string]server.ClientPolicy{"fetched": fetched, "adopted from a 409": adopted} {
+			if cp.Version != 2 || cp.GraphID != own.GraphID || !cp.Graph.Equal(&want) || cp.Graph.Degree(cell) != 0 {
+				t.Errorf("node%d user, policy %s: version %d, graph_id %q (node's %q), node's graph %v; want v2 on the node's graph with cell %d isolated",
+					i, how, cp.Version, cp.GraphID, own.GraphID, cp.Graph.Equal(&want), cell)
+			}
 		}
 	}
 }

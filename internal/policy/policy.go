@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,24 +47,39 @@ type UserPolicy struct {
 	// as is, without validating or compacting it, so it must stay
 	// exactly what json.Marshal produced.
 	GraphJSON json.RawMessage
-	Epsilon   float64
-	Version   int // bumped on every change; triggers client re-sends
+	// GraphID is GraphID(GraphJSON), the graph's content ID.
+	GraphID string
+	Epsilon float64
+	Version int // bumped on every change; triggers client re-sends
 }
 
-// encodedGraph is a policy graph together with its JSON encoding.
+// GraphID returns the content ID of a graph encoding: the hex of the
+// first 16 bytes of its SHA-256. Edges() is sorted, so equal graphs
+// encode to equal bytes and get equal IDs on every node, whatever
+// order their marks arrived in. The manager names its graphs with it,
+// and a client recomputes it over the bytes it downloads.
+func GraphID(graphJSON []byte) string {
+	sum := sha256.Sum256(graphJSON)
+	return hex.EncodeToString(sum[:16])
+}
+
+// encodedGraph is a policy graph together with its JSON encoding and
+// the encoding's content ID.
 type encodedGraph struct {
 	graph *policygraph.Graph
 	json  json.RawMessage
+	id    string
 }
 
-// encodeGraph pairs g with its encoding. A graph encodes to a node count
-// and a list of int pairs, which cannot fail, so an error is a bug.
+// encodeGraph pairs g with its encoding and ID. A graph encodes to a
+// node count and a list of int pairs, which cannot fail, so an error is
+// a bug.
 func encodeGraph(g *policygraph.Graph) encodedGraph {
 	b, err := json.Marshal(g)
 	if err != nil {
 		panic(fmt.Sprintf("policy: encoding graph: %v", err))
 	}
-	return encodedGraph{graph: g, json: b}
+	return encodedGraph{graph: g, json: b, id: GraphID(b)}
 }
 
 // checkEpsilon refuses an ε that is not a positive finite number, as
@@ -128,7 +145,7 @@ func (m *Manager) Get(user int) UserPolicy {
 		v = 1
 		m.users[user] = v
 	}
-	return UserPolicy{Graph: m.current.graph, GraphJSON: m.current.json, Epsilon: m.eps, Version: v}
+	return UserPolicy{Graph: m.current.graph, GraphJSON: m.current.json, GraphID: m.current.id, Epsilon: m.eps, Version: v}
 }
 
 func (m *Manager) infectedListLocked() []int {

@@ -107,9 +107,9 @@ func (e *Engine) CodeCensus(infected []int, window, now int) map[Code]int {
 			}
 		}
 	}
-	// Users are read after the scan and never removed, so every user
-	// counted above is in the list and green cannot go negative.
-	out := map[Code]int{CodeGreen: len(e.store.Users()), CodeYellow: 0, CodeRed: 0}
+	// Users are counted after the scan and never removed, so every user
+	// counted above is in the count and green cannot go negative.
+	out := map[Code]int{CodeGreen: e.store.NumUsers(), CodeYellow: 0, CodeRed: 0}
 	for _, n := range visits {
 		out[codeOf(n)]++
 		out[CodeGreen]--

@@ -64,19 +64,39 @@ func BenchmarkV2BatchReports(b *testing.B) {
 }
 
 // BenchmarkPolicyFetch fetches the 32x32 G1 policy once per iteration,
-// the client's half of a renegotiation wave. dials/op near 0 means the
-// connection is kept across fetches.
+// the client's half of a renegotiation wave. In held-graph the client
+// already holds the graph the policy head names, so a fetch moves only
+// the head. In new-graph each iteration starts a client that holds no
+// graph, on the same connections, so a fetch also downloads and decodes
+// the graph. dials/op near 0 means the connection is kept across
+// fetches.
 func BenchmarkPolicyFetch(b *testing.B) {
-	client, _, dials, done := newBenchServer(b, 1)
-	defer done()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.PolicyContext(b.Context(), i); err != nil {
-			b.Fatal(err)
+	for _, held := range []bool{true, false} {
+		name := "new-graph"
+		if held {
+			name = "held-graph"
 		}
+		b.Run(name, func(b *testing.B) {
+			client, _, dials, done := newBenchServer(b, 1)
+			defer done()
+			if _, err := client.PolicyContext(b.Context(), -1); err != nil {
+				b.Fatal(err)
+			}
+			dials.Store(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := client
+				if !held {
+					c = NewClient(client.base, client.hc)
+				}
+				if _, err := c.PolicyContext(b.Context(), i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
+		})
 	}
-	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
 }
 
 // BenchmarkOneShardStoreInsertParallel and the sharded variant measure

@@ -16,16 +16,25 @@ import (
 	"time"
 
 	"github.com/pglp/panda/internal/geo"
+	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
 // Client is a typed client of the /v2 service API; it plays the role of
-// the mobile app (the paper's prototype). It caches each user's policy
-// and renegotiates automatically: when the server answers 409
-// stale_policy it ships the current policy inline, the client adopts it
-// and retries the report once — the paper's dynamic-policy update
-// without a second round trip.
+// the mobile app (the paper's prototype), or a gateway for many users.
+// It caches each user's policy and renegotiates automatically: when the
+// server answers 409 stale_policy it ships the head of the current
+// policy inline, the client adopts it and retries the report once — the
+// paper's dynamic-policy update.
+//
+// Policy graphs are cached by content ID (wire.Policy.GraphID), shared
+// by every user whose policy names that ID, and kept only while some
+// cached policy holds them. A head whose ID the client holds costs no
+// graph transfer; the client downloads a graph only when it holds no
+// graph with that ID, once however many of its users miss on it at the
+// same time. An ID names the same graph on every node, so one client
+// can serve users on several nodes through the cluster router.
 //
 // Every request method takes a context.Context first; MarkInfected
 // alone also has a plain form (see its doc). Transport errors and 5xx
@@ -38,12 +47,16 @@ type Client struct {
 	retry RetryPolicy
 
 	mu       sync.Mutex
-	policies map[int]ClientPolicy // last policy seen per user
-	// lastBody and lastGraph are the most recently decoded policy graph
-	// body and its graph. Users on the same policy receive byte-equal
-	// bodies, so a matching body reuses lastGraph instead of decoding.
-	lastBody  []byte
-	lastGraph *policygraph.Graph
+	policies map[int]ClientPolicy          // last policy seen per user
+	graphs   map[string]*policygraph.Graph // decoded graphs by content ID
+	flights  map[string]*graphFlight       // graph downloads in progress, by the ID they were started for
+}
+
+// graphFlight is one graph download that concurrent misses on the same
+// ID wait for. err is set before done is closed.
+type graphFlight struct {
+	done chan struct{}
+	err  error
 }
 
 // RetryPolicy configures the client's handling of transport errors and
@@ -82,7 +95,12 @@ func NewClient(base string, httpClient *http.Client, opts ...Option) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{base: base, hc: httpClient, retry: DefaultRetryPolicy, policies: make(map[int]ClientPolicy)}
+	c := &Client{
+		base: base, hc: httpClient, retry: DefaultRetryPolicy,
+		policies: make(map[int]ClientPolicy),
+		graphs:   make(map[string]*policygraph.Graph),
+		flights:  make(map[string]*graphFlight),
+	}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -90,7 +108,8 @@ func NewClient(base string, httpClient *http.Client, opts ...Option) *Client {
 }
 
 // APIError is a decoded /v2 error envelope. On CodeStalePolicy, Policy
-// carries the server's current policy for the user; on CodeQueueFull
+// carries the head of the server's current policy for the user (no
+// graph: its GraphID names one); on CodeQueueFull
 // and CodeNodeDown, RetryAfter carries the server's backoff hint —
 // taken from the envelope's retry_after_ms when present, else from a
 // Retry-After header (which is how 503s from the cluster router and
@@ -99,7 +118,7 @@ type APIError struct {
 	Status     int    // HTTP status
 	Code       string // machine-readable wire code
 	Message    string
-	Policy     *wire.Policy  // inline renegotiation payload, if any
+	Policy     *wire.Policy  // inline renegotiation head, if any
 	RetryAfter time.Duration // backoff hint of a 429/503, 0 when none was sent
 	Node       string        // cluster node named by a node_unavailable routing error
 }
@@ -226,11 +245,9 @@ func (c *Client) doBytes(ctx context.Context, method, path, contentType string, 
 		}
 		retriable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
 		if retriable && attempt < attempts {
-			// Decode the envelope with a small cap — a 429 hint is a few
-			// bytes and 5xx pages from intermediaries can be huge; the
-			// generous stale_policy limit is for the terminal path only.
-			// Reading (vs just discarding) keeps the connection reusable.
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+			// Reading the envelope (vs just discarding it) keeps the
+			// connection reusable.
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 			resp.Body.Close()
 			lastErr = apiErrorFromResponse(resp, body)
 			continue
@@ -290,12 +307,15 @@ func retryAfterHeader(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// maxErrorBody caps what the client reads of a non-2xx body. A /v2
+// error envelope is a few hundred bytes (a stale_policy one carries a
+// policy head, never a graph); pages from intermediaries can be huge,
+// and a broken or hostile peer must not make the client buffer more.
+const maxErrorBody = 1 << 20
+
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode >= 300 {
-		// Generous cap: a stale_policy envelope carries a whole policy
-		// graph inline, which on a large grid runs to many megabytes —
-		// truncating it would silently break renegotiation.
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		return apiErrorFromResponse(resp, body)
 	}
 	defer drainBody(resp.Body)
@@ -327,58 +347,125 @@ type ClientPolicy struct {
 	User    int
 	Epsilon float64
 	Version int
-	// Graph may be shared between users (every user whose policy body
-	// is byte-equal gets the same graph), so treat it as read-only.
+	// GraphID is the content ID of Graph's encoding (policy.GraphID).
+	GraphID string
+	// Graph is shared by every user whose policy names the same GraphID,
+	// so treat it as read-only.
 	Graph *policygraph.Graph
 }
 
-// adoptPolicy decodes p and caches it as the user's policy.
-func (c *Client) adoptPolicy(user int, p wire.Policy) (ClientPolicy, error) {
-	cp := ClientPolicy{User: p.User, Epsilon: p.Epsilon, Version: p.Version}
-	if len(p.Graph) > 0 {
-		g, err := c.decodeGraph(p.Graph)
-		if err != nil {
-			return ClientPolicy{}, err
-		}
-		cp.Graph = g
+// PolicyContext fetches the head of the user's current policy and
+// caches the policy for automatic version negotiation. It downloads the
+// graph only when the client holds no graph with the head's GraphID.
+func (c *Client) PolicyContext(ctx context.Context, user int) (ClientPolicy, error) {
+	var head wire.Policy
+	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d", user), &head); err != nil {
+		return ClientPolicy{}, err
 	}
+	return c.adoptPolicy(ctx, user, head)
+}
+
+// adoptPolicy caches the policy whose head is p as the user's policy,
+// with the graph p.GraphID names (none if p.GraphID is empty). A graph
+// the client holds is shared. Otherwise the client downloads the user's
+// policy with its graph, and concurrent misses on one ID wait for a
+// single download. A mark may land between the head and the download;
+// the download then returns the newer policy, and that is the one
+// adopted.
+func (c *Client) adoptPolicy(ctx context.Context, user int, p wire.Policy) (ClientPolicy, error) {
+	for {
+		c.mu.Lock()
+		// A head without an ID names no graph: there is none to fetch.
+		if g, ok := c.graphs[p.GraphID]; ok || p.GraphID == "" {
+			cp := ClientPolicy{User: p.User, Epsilon: p.Epsilon, Version: p.Version, GraphID: p.GraphID, Graph: g}
+			c.policies[user] = cp
+			c.mu.Unlock()
+			return cp, nil
+		}
+		f, waiting := c.flights[p.GraphID]
+		if !waiting {
+			f = &graphFlight{done: make(chan struct{})}
+			c.flights[p.GraphID] = f
+		}
+		c.mu.Unlock()
+		if !waiting {
+			return c.fetchGraph(ctx, user, p.GraphID, f)
+		}
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return ClientPolicy{}, fmt.Errorf("server client: waiting for policy graph %s: %w", p.GraphID, ctx.Err())
+		}
+		// A download that ended with its own caller's context is no
+		// verdict on this one; nor is one that brought back a newer
+		// graph than p names. Either way, look again.
+		if f.err != nil && !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
+			return ClientPolicy{}, f.err
+		}
+	}
+}
+
+// fetchGraph runs flight f, the download started for graph id: it
+// fetches the user's policy with its graph and caches both, then wakes
+// the waiters.
+func (c *Client) fetchGraph(ctx context.Context, user int, id string, f *graphFlight) (ClientPolicy, error) {
+	cp, err := c.downloadPolicy(ctx, user)
 	c.mu.Lock()
-	c.policies[user] = cp
+	delete(c.flights, id)
+	if err == nil {
+		c.policies[user] = cp
+		c.keepGraphLocked(cp.GraphID, cp.Graph)
+	}
+	f.err = err
 	c.mu.Unlock()
+	close(f.done)
+	return cp, err
+}
+
+// downloadPolicy fetches the user's policy with its graph. It refuses a
+// graph whose bytes do not hash to the ID sent with them, so one ID never
+// names two graphs in the cache, and it decodes the graph only when the
+// client holds none with that ID.
+func (c *Client) downloadPolicy(ctx context.Context, user int) (ClientPolicy, error) {
+	var p wire.Policy
+	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d&graph=1", user), &p); err != nil {
+		return ClientPolicy{}, err
+	}
+	cp := ClientPolicy{User: p.User, Epsilon: p.Epsilon, Version: p.Version, GraphID: p.GraphID}
+	c.mu.Lock()
+	cp.Graph = c.graphs[p.GraphID]
+	c.mu.Unlock()
+	if cp.Graph != nil {
+		return cp, nil
+	}
+	if id := policy.GraphID(p.Graph); id != p.GraphID {
+		return ClientPolicy{}, fmt.Errorf("server client: policy graph of user %d hashes to %s, sent as %q", user, id, p.GraphID)
+	}
+	var g policygraph.Graph
+	if err := json.Unmarshal(p.Graph, &g); err != nil {
+		return ClientPolicy{}, fmt.Errorf("server client: decoding policy graph: %w", err)
+	}
+	cp.Graph = &g
 	return cp, nil
 }
 
-// decodeGraph returns the graph a policy body encodes, decoding it only
-// when the body differs from the last one decoded.
-func (c *Client) decodeGraph(body []byte) (*policygraph.Graph, error) {
-	c.mu.Lock()
-	if c.lastGraph != nil && bytes.Equal(c.lastBody, body) {
-		g := c.lastGraph
-		c.mu.Unlock()
-		return g, nil
+// keepGraphLocked caches g under id and drops every other graph that no
+// cached policy holds, so a graph is not kept past its last user.
+// Callers hold c.mu and have cached the policy that holds g.
+func (c *Client) keepGraphLocked(id string, g *policygraph.Graph) {
+	if _, ok := c.graphs[id]; ok {
+		return
 	}
-	c.mu.Unlock()
-	var g policygraph.Graph
-	if err := json.Unmarshal(body, &g); err != nil {
-		return nil, fmt.Errorf("server client: decoding policy graph: %w", err)
+	held := make(map[string]bool, len(c.graphs))
+	for _, cp := range c.policies {
+		held[cp.GraphID] = true
 	}
-	// Keep a copy: the body of a 409 also reaches callers through
-	// APIError.Policy, and they may modify it.
-	body = bytes.Clone(body)
-	c.mu.Lock()
-	c.lastBody, c.lastGraph = body, &g
-	c.mu.Unlock()
-	return &g, nil
-}
-
-// PolicyContext fetches the user's current policy (graph included) and
-// caches it for automatic version negotiation.
-func (c *Client) PolicyContext(ctx context.Context, user int) (ClientPolicy, error) {
-	var raw wire.Policy
-	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d", user), &raw); err != nil {
-		return ClientPolicy{}, err
+	for gid := range c.graphs {
+		if !held[gid] {
+			delete(c.graphs, gid)
+		}
 	}
-	return c.adoptPolicy(user, raw)
+	c.graphs[id] = g
 }
 
 // CachedPolicy returns the last policy seen for the user, if any.
@@ -402,22 +489,24 @@ func (c *Client) policyVersion(ctx context.Context, user int) (int, error) {
 	return cp.Version, nil
 }
 
-// adoptStalePolicy absorbs the inline policy of a stale_policy error
-// into the cache and reports whether a retry is warranted.
-func (c *Client) adoptStalePolicy(user int, err error) bool {
+// adoptStalePolicy absorbs the inline policy head of a stale_policy
+// error into the cache, downloading its graph if the client holds none
+// with its ID, and reports whether a retry is warranted.
+func (c *Client) adoptStalePolicy(ctx context.Context, user int, err error) bool {
 	ae, ok := err.(*APIError)
 	if !ok || ae.Code != wire.CodeStalePolicy || ae.Policy == nil {
 		return false
 	}
-	_, derr := c.adoptPolicy(user, *ae.Policy)
+	_, derr := c.adoptPolicy(ctx, user, *ae.Policy)
 	return derr == nil
 }
 
 // ReportBatchContext sends many releases for one user in one round
 // trip — the contact-tracing whole-history re-send. The policy version
 // is managed automatically: on a stale-policy conflict the client
-// adopts the server's inline policy and retries once under the new
-// version.
+// adopts the policy head inline in the 409 and retries once under the
+// new version. That takes no second round trip when the client already
+// holds the graph the head names, else one graph download.
 //
 // The retry re-submits the same releases. Releases are mechanism
 // outputs, so re-submitting is safe post-processing of data already
@@ -497,8 +586,8 @@ var binaryBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return
 // sendReport is the one send loop of the four report methods. It
 // encodes releases under the user's cached policy version, in the JSON
 // or the binary format as contentType says, and POSTs them to path.
-// On a stale_policy conflict it adopts the server's inline policy and
-// sends once more, re-encoded under the new version: both formats
+// On a stale_policy conflict it adopts the server's inline policy head
+// and sends once more, re-encoded under the new version: both formats
 // carry the version, the binary one in every frame.
 func (c *Client) sendReport(ctx context.Context, path, contentType string, user int, releases []wire.Release, out any) error {
 	var bp *[]byte // binary encode buffer; JSON bodies are marshaled by post
@@ -524,7 +613,7 @@ func (c *Client) sendReport(ctx context.Context, path, contentType string, user 
 		} else {
 			err = c.post(ctx, path, wire.BatchReportRequest{User: user, PolicyVersion: ver, Releases: releases}, out)
 		}
-		if err == nil || renegotiated || !c.adoptStalePolicy(user, err) {
+		if err == nil || renegotiated || !c.adoptStalePolicy(ctx, user, err) {
 			return err
 		}
 	}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,25 +11,53 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/pglp/panda/internal/policy"
-	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
-// TestClientSharesPolicyGraph: users whose policy bodies are byte-equal
+// graphDownloads counts a client's graph downloads (GET
+// /v2/policy?graph=1) on their way to its transport.
+type graphDownloads struct {
+	base http.RoundTripper
+	n    atomic.Int64
+}
+
+func (d *graphDownloads) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v2/policy" && req.URL.Query().Get("graph") == "1" {
+		d.n.Add(1)
+	}
+	return d.base.RoundTrip(req)
+}
+
+// countDownloads puts a graphDownloads in front of the client's
+// transport.
+func countDownloads(c *Client) *graphDownloads {
+	d := &graphDownloads{base: c.hc.Transport}
+	c.hc.Transport = d
+	return d
+}
+
+// TestClientSharesPolicyGraph: users whose policies name one graph ID
 // share one decoded graph, whether the policy was fetched or arrived
-// inline in a 409; a different body gets its own graph.
+// inline in a 409, and the graph is downloaded once; a new ID gets its
+// own graph, and a graph no cached policy holds any more is dropped.
 func TestClientSharesPolicyGraph(t *testing.T) {
 	srv, client, grid, done := newTestServer(t)
 	defer done()
+	downloads := countDownloads(client)
 	for u := 0; u < 2; u++ {
 		if _, err := client.PolicyContext(t.Context(), u); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if n := downloads.n.Load(); n != 1 {
+		t.Errorf("two users on the base graph: %d downloads, want 1", n)
+	}
+	base, _ := client.CachedPolicy(0)
 	if _, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +69,20 @@ func TestClientSharesPolicyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Graph != b.Graph {
-		t.Error("two users' fetched policies hold different graphs for the same body")
+	if a.Graph != b.Graph || a.GraphID != b.GraphID || a.GraphID != srv.mgr.Get(0).GraphID {
+		t.Error("two users' fetched policies name different graphs, or not the server's")
 	}
-	// User 1 still holds v1: the report draws a 409 whose inline policy
-	// carries the same graph body.
+	// User 1 still holds v1: the report draws a 409 whose inline head
+	// names the graph the client already holds.
 	if _, err := client.ReportBatchContext(t.Context(), 1, oneRelease(0, grid.Center(1))); err != nil {
 		t.Fatal(err)
 	}
 	if cp, _ := client.CachedPolicy(1); cp.Version != 2 || cp.Graph != a.Graph {
 		t.Errorf("policy adopted from the 409: version %d, shared graph %v; want version 2 sharing the fetched graph",
 			cp.Version, cp.Graph == a.Graph)
+	}
+	if n := downloads.n.Load(); n != 2 {
+		t.Errorf("after one mark: %d downloads, want 2 (one per graph)", n)
 	}
 	if _, err := client.MarkInfectedContext(t.Context(), []int{6}); err != nil {
 		t.Fatal(err)
@@ -58,43 +91,26 @@ func TestClientSharesPolicyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Graph == a.Graph || !c.Graph.Equal(srv.mgr.Get(2).Graph) {
-		t.Error("the second mark's body should decode to its own graph, equal to the marked graph")
+	if c.Graph == a.Graph || c.GraphID == a.GraphID || !c.Graph.Equal(srv.mgr.Get(2).Graph) {
+		t.Error("the second mark's policy should name its own graph, equal to the marked graph")
 	}
-}
-
-// TestClientKeepsItsOwnPolicyBody: a caller that modifies a policy body it
-// handed to the client (an APIError's inline policy is the caller's)
-// cannot change what the client matches later bodies against.
-func TestClientKeepsItsOwnPolicyBody(t *testing.T) {
-	_, client, grid, done := newTestServer(t)
-	defer done()
-	body, err := json.Marshal(policygraph.GridEightNeighbor(grid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := bytes.Clone(body)
-	first, err := client.adoptPolicy(0, wire.Policy{User: 0, Epsilon: 1, Version: 1, Graph: body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range body {
-		body[i] = ' '
-	}
-	second, err := client.adoptPolicy(1, wire.Policy{User: 1, Epsilon: 1, Version: 1, Graph: orig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Graph != first.Graph {
-		t.Error("the client matched against the caller's body instead of its own copy")
+	client.mu.Lock()
+	_, keptBase := client.graphs[base.GraphID]
+	kept := len(client.graphs)
+	client.mu.Unlock()
+	if keptBase || kept != 2 {
+		t.Errorf("the client keeps %d graphs (base graph kept: %v); want 2, the ones its users hold", kept, keptBase)
 	}
 }
 
 // TestPolicyBodiesUnchanged: GET /v2/policy and the 409 stale_policy
 // envelope (JSON and binary reports) write exactly what encoding the
-// wire struct around json.Marshal(graph) writes, for a user before and
-// after one and two marks, users who join after them, and a manager at
-// ε = 2.
+// wire struct with the policy head writes, and GET /v2/policy?graph=1
+// what encoding it with json.Marshal(graph) as well writes, for a user
+// before and after one and two marks, users who join after them, and a
+// manager at ε = 2. The head's graph_id is the hex of the first 16
+// bytes of the graph encoding's SHA-256, and the head alone stays under
+// 128 bytes.
 func TestPolicyBodiesUnchanged(t *testing.T) {
 	srv, client, grid, done := newTestServer(t)
 	defer done()
@@ -131,11 +147,14 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pol := wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph}
+		sum := sha256.Sum256(graph)
+		head := wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, GraphID: hex.EncodeToString(sum[:16])}
+		full := head
+		full.Graph = graph
 		stale := encode(wire.Error{
 			Error:  fmt.Sprintf("stale policy version %d (current %d)", up.Version+1, up.Version),
 			Code:   wire.CodeStalePolicy,
-			Policy: &pol,
+			Policy: &head,
 		})
 		p := grid.Center(0)
 		jsonReport := fmt.Sprintf(`{"user":%d,"policy_version":%d,"releases":[{"t":0,"x":%v,"y":%v}]}`,
@@ -147,7 +166,8 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 			status                          int
 			want                            string
 		}{
-			{"GET /v2/policy", http.MethodGet, fmt.Sprintf("/v2/policy?user=%d", user), "", nil, http.StatusOK, encode(pol)},
+			{"GET /v2/policy", http.MethodGet, fmt.Sprintf("/v2/policy?user=%d", user), "", nil, http.StatusOK, encode(head)},
+			{"GET /v2/policy?graph=1", http.MethodGet, fmt.Sprintf("/v2/policy?user=%d&graph=1", user), "", nil, http.StatusOK, encode(full)},
 			{"409 JSON report", http.MethodPost, "/v2/reports", "application/json", []byte(jsonReport), http.StatusConflict, stale},
 			{"409 binary report", http.MethodPost, "/v2/reports", wire.ContentTypeBinary, binReport, http.StatusConflict, stale},
 		} {
@@ -156,6 +176,9 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 				t.Errorf("user %d, %s: status %d, body differs from the reference encoding: %t\n got %.120s\nwant %.120s",
 					user, tc.name, status, got != tc.want, got, tc.want)
 			}
+		}
+		if n := len(encode(head)); n >= 128 {
+			t.Errorf("user %d: the policy head is %d bytes, want under 128", user, n)
 		}
 	}
 	base := client.baseURL()
@@ -185,12 +208,19 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 // refuses (a NaN ε, which the manager no longer hands out) answers 500
 // internal, not a 200 with an empty body.
 func TestPolicyHeadEncodingFailure(t *testing.T) {
-	for _, env := range []*wire.Error{nil, {Error: "stale", Code: wire.CodeStalePolicy}} {
+	for _, tc := range []struct {
+		env   *wire.Error
+		graph bool
+	}{
+		{nil, false},
+		{nil, true},
+		{&wire.Error{Error: "stale", Code: wire.CodeStalePolicy}, false},
+	} {
 		rec := httptest.NewRecorder()
-		writePolicy(rec, http.StatusOK, env, 1, policy.UserPolicy{Epsilon: math.NaN(), GraphJSON: []byte(`{}`)})
+		writePolicy(rec, http.StatusOK, tc.env, 1, policy.UserPolicy{Epsilon: math.NaN(), GraphJSON: []byte(`{}`)}, tc.graph)
 		var e wire.Error
 		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Code != wire.CodeInternal {
-			t.Errorf("envelope %v: status %d, body %q; want 500 %s", env != nil, rec.Code, rec.Body, wire.CodeInternal)
+			t.Errorf("envelope %v, graph %v: status %d, body %q; want 500 %s", tc.env != nil, tc.graph, rec.Code, rec.Body, wire.CodeInternal)
 		}
 	}
 }
@@ -250,10 +280,10 @@ func TestClientPolicyConcurrent(t *testing.T) {
 }
 
 // TestClientReusesConnections: two goroutines share one client through
-// renegotiation rounds whose responses are all over net/http's 2 KB
-// auto-length buffer — policy fetches, density series at block 1x1, a
-// records page, reports that draw a 409 with the graph inline — and the
-// server accepts no more connections than there are goroutines.
+// renegotiation rounds that mix small responses (policy heads, 409s)
+// with responses over net/http's 2 KB auto-length buffer — a graph
+// download each round, density series at block 1x1, a records page —
+// and the server accepts no more connections than there are goroutines.
 func TestClientReusesConnections(t *testing.T) {
 	client, grid, dials, done := newBenchServer(t, 4)
 	defer done()
@@ -278,7 +308,8 @@ func TestClientReusesConnections(t *testing.T) {
 					releases[i] = wire.Release{T: i, X: p.X, Y: p.Y}
 				}
 				// After a mark the cached version is stale: the report
-				// draws a 409 and is re-sent under the inline policy.
+				// draws a 409, whose new graph the client downloads, and
+				// is re-sent under the inline policy.
 				ack, err := client.ReportBatchContext(t.Context(), user, releases)
 				if err != nil {
 					t.Error(err)

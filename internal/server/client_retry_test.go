@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -234,6 +235,68 @@ func TestClient503NodeSurfaced(t *testing.T) {
 	}
 	if want := 250 * time.Millisecond; ae.RetryAfter != want {
 		t.Errorf("RetryAfter = %v, want the envelope's %v (precedence over the header)", ae.RetryAfter, want)
+	}
+}
+
+// countingBody is a response body of n spaces that counts the bytes
+// read from it.
+type countingBody struct {
+	left, read int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.left == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), b.left)]
+	for i := range p {
+		p[i] = ' '
+	}
+	b.left -= int64(len(p))
+	b.read += int64(len(p))
+	return len(p), nil
+}
+
+func (b *countingBody) Close() error { return nil }
+
+// hugeErrorTransport answers every request with status and a fresh
+// 64 MiB countingBody, and keeps the bodies it handed out.
+type hugeErrorTransport struct {
+	status int
+	bodies []*countingBody
+}
+
+func (tr *hugeErrorTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	b := &countingBody{left: 64 << 20}
+	tr.bodies = append(tr.bodies, b)
+	return &http.Response{
+		StatusCode: tr.status, Status: http.StatusText(tr.status),
+		Header: http.Header{}, Body: b, Request: req,
+	}, nil
+}
+
+// TestClientCapsErrorBodies: the client reads at most maxErrorBody (plus
+// one read buffer) of a non-2xx body, on the terminal path (a 400) and
+// on the retry path (a 503 retried once), so a broken or hostile peer
+// cannot make it buffer 64 MiB per error.
+func TestClientCapsErrorBodies(t *testing.T) {
+	for _, status := range []int{http.StatusBadRequest, http.StatusServiceUnavailable} {
+		tr := &hugeErrorTransport{status: status}
+		client := NewClient("http://panda.test", &http.Client{Transport: tr},
+			WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}))
+		_, err := client.DensityContext(t.Context(), 0, 2, 2)
+		if ae, ok := err.(*APIError); !ok || ae.Status != status {
+			t.Errorf("status %d: err = %v, want an APIError with that status", status, err)
+		}
+		if status == http.StatusServiceUnavailable && len(tr.bodies) != 2 {
+			t.Errorf("status %d: %d attempts, want 2", status, len(tr.bodies))
+		}
+		for i, b := range tr.bodies {
+			if b.read > maxErrorBody+32<<10 {
+				t.Errorf("status %d, attempt %d: the client read %d bytes of the error body, want at most %d",
+					status, i+1, b.read, maxErrorBody+32<<10)
+			}
+		}
 	}
 }
 

@@ -54,48 +54,55 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any) 
 }
 
 // v2StalePolicy writes the 409 renegotiation envelope: the error plus
-// the user's current policy inline, so the client re-syncs in one round
-// trip instead of following up with GET /v2/policy. up is the policy the
-// report was checked against, so the message and the inline policy agree.
+// the head of the user's current policy inline, so a client that holds
+// the graph the head's graph_id names re-syncs in one round trip
+// instead of following up with GET /v2/policy. up is the policy the
+// report was checked against, so the message and the inline policy
+// agree.
 func v2StalePolicy(w http.ResponseWriter, user, gotVersion int, up policy.UserPolicy) {
 	writePolicy(w, http.StatusConflict, &wire.Error{
 		Error: fmt.Sprintf("stale policy version %d (current %d)", gotVersion, up.Version),
 		Code:  wire.CodeStalePolicy,
-	}, user, up)
+	}, user, up, false)
 }
 
-// writePolicy writes a response that carries a user's policy: the
-// wire.Policy of GET /v2/policy or, when env is non-nil, the envelope
-// *env with that policy inline. env's Policy and the omitempty fields
-// after it must be unset, because the policy is written last. The bytes
-// are those json.Encoder writes for the whole struct
-// (TestPolicyBodiesUnchanged pins them). Only the small head, the
-// policy without its graph, goes through encoding/json: up.GraphJSON is
-// already the compact, non-empty encoding of the graph (see its doc),
-// so it is written as is, never scanned again. The exact Content-Length
-// lets the client keep the connection. Write errors go unhandled, as in
-// writeJSON: the status is already sent.
-func writePolicy(w http.ResponseWriter, status int, env *wire.Error, user int, up policy.UserPolicy) {
-	head, err := json.Marshal(wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version})
-	tail := "}\n"
-	if env != nil && err == nil {
-		var outer []byte
-		if outer, err = json.Marshal(env); err == nil {
-			head = append(append(outer[:len(outer)-1], `,"policy":`...), head...)
-			tail = "}}\n"
-		}
+// writePolicy writes a response that carries the head of a user's
+// policy (wire.Policy without its graph): the body of GET /v2/policy
+// or, when env is non-nil, the envelope *env with the head inline. With
+// graph set, which only GET /v2/policy?graph=1 asks for and only with a
+// nil env, the head is followed by the graph its graph_id names. The
+// bytes are those json.Encoder writes for the whole struct
+// (TestPolicyBodiesUnchanged pins them). Only the head goes through
+// encoding/json: up.GraphJSON is already the compact, non-empty
+// encoding of the graph (see its doc), so it is written as is, never
+// scanned again. The exact Content-Length lets the client keep the
+// connection. Write errors go unhandled, as in writeJSON: the status is
+// already sent.
+func writePolicy(w http.ResponseWriter, status int, env *wire.Error, user int, up policy.UserPolicy, graph bool) {
+	head := wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, GraphID: up.GraphID}
+	var v any = head
+	if env != nil {
+		env.Policy = &head
+		v = env
 	}
+	body, err := json.Marshal(v)
 	if err != nil {
 		v2Error(w, http.StatusInternalServerError, wire.CodeInternal, "encoding policy: %v", err)
 		return
 	}
-	head = append(head[:len(head)-1], `,"graph":`...)
+	var graphJSON []byte
+	tail := "\n"
+	if graph {
+		// Graph is the head's last field: it goes before the closing brace.
+		body = append(body[:len(body)-1], `,"graph":`...)
+		graphJSON, tail = up.GraphJSON, "}\n"
+	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(head)+len(up.GraphJSON)+len(tail)))
+	h.Set("Content-Length", strconv.Itoa(len(body)+len(graphJSON)+len(tail)))
 	w.WriteHeader(status)
-	_, _ = w.Write(head)
-	_, _ = w.Write(up.GraphJSON)
+	_, _ = w.Write(body)
+	_, _ = w.Write(graphJSON)
 	_, _ = io.WriteString(w, tail)
 }
 
@@ -435,13 +442,26 @@ func (s *Server) handleV2Records(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, page)
 }
 
+// handleV2Policy is GET /v2/policy: the head of the user's policy, and
+// with ?graph=1 also the graph its graph_id names, both from one
+// Manager.Get so that they always match.
 func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
 	user, err := queryInt(r, "user")
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	writePolicy(w, http.StatusOK, nil, user, s.mgr.Get(user))
+	graph := false
+	switch flag := r.URL.Query().Get("graph"); flag {
+	case "":
+	case "1":
+		graph = true
+	default:
+		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
+			"unknown graph flag %q (want 1 or absent)", flag)
+		return
+	}
+	writePolicy(w, http.StatusOK, nil, user, s.mgr.Get(user), graph)
 }
 
 func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/policygraph"
 	"github.com/pglp/panda/internal/server/wire"
 )
@@ -92,6 +93,7 @@ func TestV2ErrorEnvelopes(t *testing.T) {
 		{"healthcode negative now", "/v2/healthcode?user=0&now=-1"},
 		{"census negative window", "/v2/census?window=-1"},
 		{"policy bad user", "/v2/policy?user=xyz"},
+		{"policy bad graph flag", "/v2/policy?user=0&graph=true"},
 	}
 	for _, tc := range gets {
 		status, e := getV2(t, base, tc.path)
@@ -169,8 +171,10 @@ func TestV2BodyLimit(t *testing.T) {
 }
 
 // TestV2StalePolicyCarriesNewPolicy checks the renegotiation envelope: a
-// stale report gets a 409 whose body already contains the user's current
-// policy, graph included, so no follow-up round trip is needed.
+// stale report gets a 409 whose body already contains the head of the
+// user's current policy, and its graph_id names the graph that
+// GET /v2/policy?graph=1 returns, so a client holding that graph needs
+// no follow-up round trip.
 func TestV2StalePolicyCarriesNewPolicy(t *testing.T) {
 	_, client, grid, done := newTestServer(t)
 	defer done()
@@ -190,12 +194,20 @@ func TestV2StalePolicyCarriesNewPolicy(t *testing.T) {
 	if e.Policy == nil {
 		t.Fatal("stale_policy envelope missing inline policy")
 	}
-	if e.Policy.Version != 2 || e.Policy.User != 0 {
-		t.Errorf("inline policy = %+v, want user 0 version 2", e.Policy)
+	if e.Policy.Version != 2 || e.Policy.User != 0 || e.Policy.Graph != nil {
+		t.Errorf("inline policy = %+v, want the head of user 0 version 2, without a graph", e.Policy)
+	}
+	var full wire.Policy
+	if st := getJSON(t, base, "/v2/policy?user=0&graph=1", &full); st != http.StatusOK {
+		t.Fatalf("GET /v2/policy?graph=1: status %d", st)
+	}
+	if full.GraphID != e.Policy.GraphID || full.GraphID != policy.GraphID(full.Graph) {
+		t.Errorf("409 graph_id %q, graph=1 graph_id %q for a graph that hashes to %q; want all three equal",
+			e.Policy.GraphID, full.GraphID, policy.GraphID(full.Graph))
 	}
 	var g policygraph.Graph
-	if err := json.Unmarshal(e.Policy.Graph, &g); err != nil {
-		t.Fatalf("inline policy graph: %v", err)
+	if err := json.Unmarshal(full.Graph, &g); err != nil {
+		t.Fatalf("policy graph: %v", err)
 	}
 	if g.Degree(5) != 0 {
 		t.Error("infected cell should be isolated in the renegotiated policy")

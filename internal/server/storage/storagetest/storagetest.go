@@ -57,6 +57,7 @@ func TestStore(t *testing.T, newStore Factory) {
 	t.Run("UserRecordsOrderAndCopies", func(t *testing.T) { testUserRecordsOrderAndCopies(t, newStore(t)) })
 	t.Run("Pagination", func(t *testing.T) { testPagination(t, newStore(t)) })
 	t.Run("UsersAscending", func(t *testing.T) { testUsersAscending(t, newStore(t)) })
+	t.Run("NumUsers", func(t *testing.T) { testNumUsers(t, newStore(t)) })
 	t.Run("AtScanRangeEquivalence", func(t *testing.T) { testAtScanRangeEquivalence(t, newStore(t)) })
 	t.Run("ScanRangeBoundsAndEarlyStop", func(t *testing.T) { testScanRangeBounds(t, newStore(t)) })
 	t.Run("ScanRangeSparseTimesteps", func(t *testing.T) { testScanRangeSparse(t, newStore(t)) })
@@ -207,6 +208,48 @@ func testUsersAscending(t *testing.T, s storage.Store) {
 		if got[i-1] >= got[i] {
 			t.Fatalf("Users() not strictly ascending: %v", got)
 		}
+	}
+}
+
+// testNumUsers: NumUsers equals len(Users()) on an empty store, after
+// re-inserts of a user, and after concurrent writers that share users
+// join.
+func testNumUsers(t *testing.T, s storage.Store) {
+	check := func(when string) {
+		t.Helper()
+		if n, users := s.NumUsers(), s.Users(); n != len(users) {
+			t.Fatalf("%s: NumUsers() = %d, len(Users()) = %d", when, n, len(users))
+		}
+	}
+	check("empty")
+	s.Insert(rec(4, 0, 1))
+	s.Insert(rec(4, 0, 2)) // replaces
+	s.Insert(rec(4, 3, 3))
+	s.InsertBatch([]storage.Record{rec(4, 3, 4), rec(9, 3, 4), rec(4, 5, 5)})
+	check("after re-inserts")
+	if n := s.NumUsers(); n != 2 {
+		t.Fatalf("NumUsers() = %d after inserts for users 4 and 9, want 2", n)
+	}
+	const writers, users = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for u := 0; u < users; u++ { // every writer writes every user
+				if u%2 == 0 {
+					s.Insert(rec(u, w, u))
+				} else {
+					s.InsertBatch([]storage.Record{rec(u, w, u), rec(u, w+writers, u)})
+				}
+				s.NumUsers()
+			}
+		}(w)
+	}
+	wg.Wait()
+	check("after the concurrent writers join")
+	if n := s.NumUsers(); n != users { // 4 and 9 are among them
+		t.Fatalf("NumUsers() = %d after the writers join, want %d", n, users)
 	}
 }
 
@@ -662,6 +705,7 @@ func testConcurrentReadersWriters(t *testing.T, s storage.Store) {
 				s.Len()
 				s.MaxT()
 				s.Users()
+				s.NumUsers()
 				s.UserRecords(r * perU)
 				s.UserRecordsAfter(r*perU, 2, 3)
 				s.At(r % steps)

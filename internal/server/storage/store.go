@@ -41,6 +41,8 @@ type Store interface {
 	UserRecordsAfter(user, afterT, limit int) []Record
 	// Users returns the IDs of users with at least one record, ascending.
 	Users() []int
+	// NumUsers returns len(Users()) without listing the users.
+	NumUsers() int
 	// At returns every user's record at timestep t, ordered by user ID.
 	At(t int) []Record
 	// Scan calls fn for every stored record (order unspecified) and stops
@@ -196,15 +198,20 @@ func (s *shard) UserRecordsAfter(user, afterT, limit int) []Record {
 	return out
 }
 
-func (s *shard) Users() []int {
+// appendUsers appends the shard's user IDs to out, unsorted.
+func (s *shard) appendUsers(out []int) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.recs))
 	for u := range s.recs {
 		out = append(out, u)
 	}
-	sort.Ints(out)
 	return out
+}
+
+func (s *shard) NumUsers() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.recs)
 }
 
 // recordAtLocked resolves one posting-list entry: the record user holds
@@ -470,14 +477,23 @@ func (s *Sharded) UserRecordsAfter(user, afterT, limit int) []Record {
 	return s.shardOf(user).UserRecordsAfter(user, afterT, limit)
 }
 
-// Users merges every shard's user IDs, ascending.
+// Users merges every shard's user IDs and sorts them once.
 func (s *Sharded) Users() []int {
 	var out []int
 	for _, sh := range s.shards {
-		out = append(out, sh.Users()...)
+		out = sh.appendUsers(out)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
+}
+
+// NumUsers sums the shards' user counts; a user lives in one shard.
+func (s *Sharded) NumUsers() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.NumUsers()
+	}
+	return n
 }
 
 // At collects every shard's records at timestep t, ordered by user ID.

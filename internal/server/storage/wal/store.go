@@ -339,6 +339,9 @@ func (s *Store) UserRecordsAfter(user, afterT, limit int) []storage.Record {
 // memory.
 func (s *Store) Users() []int { return s.mem.Users() }
 
+// NumUsers returns the number of users with a record, from memory.
+func (s *Store) NumUsers() int { return s.mem.NumUsers() }
+
 // At returns every user's record at timestep t, from memory.
 func (s *Store) At(t int) []storage.Record { return s.mem.At(t) }
 

@@ -41,9 +41,10 @@ const (
 const MaxRequestBody = 64 << 20
 
 // Error is the uniform /v2 error envelope. Every non-2xx response body
-// decodes into it. On CodeStalePolicy the server includes the user's
-// current policy inline so the client can re-sync without a second round
-// trip (the dynamic-policy renegotiation of the contact-tracing
+// decodes into it. On CodeStalePolicy the server includes the head of
+// the user's current policy (no graph; see Policy), so a client that
+// already holds the graph its GraphID names re-syncs without a second
+// round trip (the dynamic-policy renegotiation of the contact-tracing
 // protocol). On CodeQueueFull the server includes RetryAfterMS, its
 // backpressure hint: how long the client should wait before re-sending
 // the same batch (safe — ingestion replaces on (user, t)).
@@ -58,13 +59,19 @@ type Error struct {
 	Node string `json:"node,omitempty"`
 }
 
-// Policy is the wire form of a user's location-privacy policy. The graph
-// is included verbatim: publishing policy graphs is part of the
-// transparency story.
+// Policy is the wire form of a user's location-privacy policy. GET
+// /v2/policy and the stale_policy envelope carry only its head: user,
+// ε, version and GraphID, the content ID of the graph's encoding (the
+// hex of the first 16 bytes of its SHA-256). Equal graphs get equal IDs
+// on every node, so a client keeps graphs by ID and downloads one only
+// when it holds no graph with that ID. GET /v2/policy?graph=1 adds
+// Graph, the encoding the ID names, verbatim: publishing policy graphs
+// is part of the transparency story.
 type Policy struct {
 	User    int             `json:"user"`
 	Epsilon float64         `json:"epsilon"`
 	Version int             `json:"version"`
+	GraphID string          `json:"graph_id"`
 	Graph   json.RawMessage `json:"graph,omitempty"`
 }
 
