@@ -136,15 +136,25 @@ func BenchmarkReleaseKNorm(b *testing.B)  { benchMechanism(b, mechanism.KindKNor
 func BenchmarkReleaseGeoInd(b *testing.B) { benchMechanism(b, mechanism.KindGeoInd) }
 
 // BenchmarkMechanismConstruction measures mechanism build cost (distance
-// tables, sensitivity hulls) — the cost of a dynamic policy update.
+// tables, sensitivity hulls) — the cost of a dynamic policy update — on
+// a 16x16 G1, and GLM's on a 32x32 G1 too.
 func BenchmarkMechanismConstruction(b *testing.B) {
-	grid := geo.MustGrid(16, 16, 1)
-	g := policygraph.GridEightNeighbor(grid)
-	for _, kind := range []mechanism.Kind{mechanism.KindGEM, mechanism.KindGLM, mechanism.KindPIM} {
-		b.Run(string(kind), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		kind mechanism.Kind
+		side int
+	}{
+		{"gem", mechanism.KindGEM, 16},
+		{"glm", mechanism.KindGLM, 16},
+		{"pim", mechanism.KindPIM, 16},
+		{"glm-32x32", mechanism.KindGLM, 32},
+	} {
+		grid := geo.MustGrid(c.side, c.side, 1)
+		g := policygraph.GridEightNeighbor(grid)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mechanism.New(kind, grid, g, 1); err != nil {
+				if _, err := mechanism.New(c.kind, grid, g, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

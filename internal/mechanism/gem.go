@@ -36,10 +36,8 @@ func NewGraphExponential(grid *geo.Grid, g *policygraph.Graph, eps float64) (*Gr
 	if err != nil {
 		return nil, err
 	}
-	m := &GraphExponential{base: b}
-	m.comp = g.ComponentIndex()
-	comps := g.Components()
-	m.members = comps
+	comp, comps := g.ComponentIndex()
+	m := &GraphExponential{base: b, comp: comp, members: comps}
 	n := g.NumNodes()
 	m.mass = make([][]float64, n)
 	m.cum = make([][]float64, n)

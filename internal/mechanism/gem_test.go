@@ -57,7 +57,7 @@ func TestGEMSupportIsComponent(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	g := policygraph.PartitionCliques(grid, 2, 2)
 	m := mustGEM(t, grid, g, 1)
-	comp := g.ComponentIndex()
+	comp, _ := g.ComponentIndex()
 	for s := 0; s < grid.NumCells(); s++ {
 		for z := 0; z < grid.NumCells(); z++ {
 			mass := m.Mass(s, z)

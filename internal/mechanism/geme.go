@@ -40,10 +40,8 @@ func NewGraphEuclidExponential(grid *geo.Grid, g *policygraph.Graph, eps float64
 	if err != nil {
 		return nil, err
 	}
-	m := &GraphEuclidExponential{base: b}
-	m.comp = g.ComponentIndex()
-	comps := g.Components()
-	m.members = comps
+	comp, comps := g.ComponentIndex()
+	m := &GraphEuclidExponential{base: b, comp: comp, members: comps}
 	// Longest policy edge per component.
 	maxEdge := make([]float64, len(comps))
 	for _, e := range g.Edges() {

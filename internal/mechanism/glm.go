@@ -40,10 +40,8 @@ func NewGraphLaplace(grid *geo.Grid, g *policygraph.Graph, eps float64) (*GraphL
 	if err != nil {
 		return nil, err
 	}
-	m := &GraphLaplace{base: b}
-	m.comp = g.ComponentIndex()
-	comps := g.Components()
-	m.numComps = len(comps)
+	comp, comps := g.ComponentIndex()
+	m := &GraphLaplace{base: b, comp: comp, numComps: len(comps)}
 	m.maxEdge = make([]float64, len(comps))
 	m.epsGeo = make([]float64, len(comps))
 	for _, e := range g.Edges() {

@@ -66,9 +66,8 @@ func NewPIM(grid *geo.Grid, g *policygraph.Graph, eps float64, isotropic bool) (
 	if err != nil {
 		return nil, err
 	}
-	m := &PIM{base: b, isotropic: isotropic}
-	m.comp = g.ComponentIndex()
-	comps := g.Components()
+	comp, comps := g.ComponentIndex()
+	m := &PIM{base: b, isotropic: isotropic, comp: comp}
 	m.bodies = make([]*pimBody, len(comps))
 
 	// Collect edge difference vectors per component.

@@ -41,11 +41,11 @@ type UserPolicy struct {
 	// Graph is shared between users (every user holds the manager's
 	// current graph), so treat it as read-only.
 	Graph *policygraph.Graph
-	// GraphJSON is the compact output of json.Marshal(Graph), computed
-	// once per graph and shared like it; read-only as well. Only the
-	// manager's encodeGraph sets it. The server writes it into responses
-	// as is, without validating or compacting it, so it must stay
-	// exactly what json.Marshal produced.
+	// GraphJSON is the canonical encoding Graph.MarshalJSON writes,
+	// computed once per graph and shared like it; read-only as well.
+	// Only the manager's encodeGraph sets it. The server writes it into
+	// responses as is, without validating or compacting it, so it must
+	// stay exactly what MarshalJSON produced.
 	GraphJSON json.RawMessage
 	// GraphID is GraphID(GraphJSON), the graph's content ID.
 	GraphID string
@@ -54,10 +54,10 @@ type UserPolicy struct {
 }
 
 // GraphID returns the content ID of a graph encoding: the hex of the
-// first 16 bytes of its SHA-256. Edges() is sorted, so equal graphs
-// encode to equal bytes and get equal IDs on every node, whatever
-// order their marks arrived in. The manager names its graphs with it,
-// and a client recomputes it over the bytes it downloads.
+// first 16 bytes of its SHA-256. Graph.MarshalJSON writes one canonical
+// form, so equal graphs encode to equal bytes and get equal IDs on every
+// node, whatever order their marks arrived in. The manager names its
+// graphs with it, and a client recomputes it over the bytes it downloads.
 func GraphID(graphJSON []byte) string {
 	sum := sha256.Sum256(graphJSON)
 	return hex.EncodeToString(sum[:16])
@@ -71,14 +71,10 @@ type encodedGraph struct {
 	id    string
 }
 
-// encodeGraph pairs g with its encoding and ID. A graph encodes to a
-// node count and a list of int pairs, which cannot fail, so an error is
-// a bug.
+// encodeGraph pairs g with its encoding and ID. It calls MarshalJSON
+// itself: json.Marshal would re-compact bytes that are already compact.
 func encodeGraph(g *policygraph.Graph) encodedGraph {
-	b, err := json.Marshal(g)
-	if err != nil {
-		panic(fmt.Sprintf("policy: encoding graph: %v", err))
-	}
+	b, _ := g.MarshalJSON() // never fails
 	return encodedGraph{graph: g, json: b, id: GraphID(b)}
 }
 

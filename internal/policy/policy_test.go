@@ -1,9 +1,13 @@
 package policy
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -223,6 +227,55 @@ func checkEncoding(up UserPolicy) error {
 		return fmt.Errorf("GraphJSON decodes to %v, Graph is %v", &g, up.Graph)
 	}
 	return nil
+}
+
+// TestGraphIDGolden pins the content IDs of three 32x32 graphs to the
+// IDs of the encoding/json encoder that Graph.MarshalJSON replaced, and
+// checks MarshalJSON byte for byte against that encoder, given the sorted
+// edge list, on them and on edge cases. A single changed byte would give other nodes and older
+// clients a different ID for the same graph.
+func TestGraphIDGolden(t *testing.T) {
+	grid := geo.MustGrid(32, 32, 1)
+	g1 := Baseline(grid)
+	golden := []struct {
+		name string
+		g    *policygraph.Graph
+		id   string
+	}{
+		{"G1", g1, "9f02822117136ba1cae7b4956ade5d97"},
+		{"Ga 8x8", ForMonitoring(grid, 8, 8), "f569adbf86d56722f8f3ea99fd25c5fc"},
+		{"G1 isolating 0,5,77,1023", ForContactTracing(g1, []int{0, 5, 77, 1023}), "35ca87294ee23f3d4a98faf2b8032f95"},
+	}
+	for _, tc := range golden {
+		if got := encodeGraph(tc.g).id; got != tc.id {
+			t.Errorf("%s: GraphID = %s, want %s", tc.name, got, tc.id)
+		}
+	}
+	graphs := map[string]*policygraph.Graph{
+		"no edges":   policygraph.New(7),
+		"zero nodes": policygraph.New(0),
+		"random":     policygraph.RandomSubsetER(200, 40, 0.3, rand.New(rand.NewPCG(1, 2))),
+	}
+	for _, tc := range golden {
+		graphs[tc.name] = tc.g
+	}
+	for name, g := range graphs {
+		edges := g.Edges()
+		slices.SortFunc(edges, func(a, b [2]int) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		want, err := json.Marshal(struct {
+			Nodes int      `json:"nodes"`
+			Edges [][2]int `json:"edges"`
+		}{g.NumNodes(), edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.MarshalJSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: MarshalJSON = %.80s… (%v), encoding/json wrote %.80s…", name, got, err, want)
+		}
+	}
 }
 
 // managerWithUsers returns a manager over grid's G1 baseline whose users

@@ -1,6 +1,6 @@
 package policygraph
 
-import "sort"
+import "slices"
 
 // Unreachable is the distance reported between nodes in different
 // components (dG = ∞ in the paper; such pairs carry no
@@ -16,12 +16,11 @@ func (g *Graph) DistancesFrom(s int) []int {
 		dist[i] = Unreachable
 	}
 	dist[s] = 0
-	queue := make([]int, 0, 16)
-	queue = append(queue, s)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := range g.adj[u] {
+	queue := make([]int, 1, 16)
+	queue[0] = s
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.adj[u] {
 			if dist[v] == Unreachable {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -50,7 +49,7 @@ func (g *Graph) Distance(u, v int) int {
 		}
 		var next []int
 		for _, x := range qu {
-			for y := range g.adj[x] {
+			for _, y := range g.adj[x] {
 				if d, met := dv[y]; met {
 					return du[x] + 1 + d
 				}
@@ -68,66 +67,69 @@ func (g *Graph) Distance(u, v int) int {
 // ComponentOf returns N^∞(s): the sorted connected component containing s.
 func (g *Graph) ComponentOf(s int) []int {
 	g.check(s)
-	seen := map[int]bool{s: true}
-	queue := []int{s}
+	seen := make([]bool, g.n)
+	seen[s] = true
 	out := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := range g.adj[u] {
+	for head := 0; head < len(out); head++ {
+		for _, v := range g.adj[out[head]] {
 			if !seen[v] {
 				seen[v] = true
-				queue = append(queue, v)
 				out = append(out, v)
 			}
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
 // Components returns all connected components, each sorted, ordered by
 // their smallest node.
 func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		comp := []int{s}
-		seen[s] = true
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-					comp = append(comp, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
+	_, comps := g.ComponentIndex()
 	return comps
 }
 
-// ComponentIndex labels every node with the index of its component in the
-// order returned by Components.
-func (g *Graph) ComponentIndex() []int {
-	idx := make([]int, g.n)
+// ComponentIndex labels every node with the index of its component and
+// returns the components, in the order and form Components returns them.
+// It walks the graph once: a BFS from each unlabeled node, in ascending
+// order, numbers the components in order of their smallest node, and one
+// pass over the nodes in ascending order then lists each component
+// sorted, all in one backing array.
+func (g *Graph) ComponentIndex() (idx []int, comps [][]int) {
+	idx = make([]int, g.n)
 	for i := range idx {
 		idx[i] = -1
 	}
-	for ci, comp := range g.Components() {
-		for _, u := range comp {
-			idx[u] = ci
+	var size []int
+	queue := make([]int, 0, 16)
+	for s := range g.n {
+		if idx[s] >= 0 {
+			continue
 		}
+		ci := len(size)
+		idx[s] = ci
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			for _, v := range g.adj[queue[head]] {
+				if idx[v] < 0 {
+					idx[v] = ci
+					queue = append(queue, v)
+				}
+			}
+		}
+		size = append(size, len(queue))
 	}
-	return idx
+	back := make([]int, g.n)
+	comps = make([][]int, len(size))
+	lo := 0
+	for ci, k := range size {
+		comps[ci] = back[lo : lo : lo+k]
+		lo += k
+	}
+	for u, ci := range idx {
+		comps[ci] = append(comps[ci], u)
+	}
+	return idx, comps
 }
 
 // IsConnected reports whether the graph has a single connected component

@@ -79,9 +79,16 @@ func TestComponents(t *testing.T) {
 	if !sameInts(comps[1], []int{3}) {
 		t.Errorf("comps[1] = %v", comps[1])
 	}
-	idx := g.ComponentIndex()
+	idx, _ := g.ComponentIndex()
 	if idx[0] != idx[2] || idx[4] != idx[5] || idx[0] == idx[4] || idx[3] == idx[0] {
 		t.Errorf("ComponentIndex = %v", idx)
+	}
+	for ci, comp := range comps {
+		for _, u := range comp {
+			if idx[u] != ci {
+				t.Errorf("node %d labelled %d, listed in component %d", u, idx[u], ci)
+			}
+		}
 	}
 }
 

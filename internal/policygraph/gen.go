@@ -73,16 +73,16 @@ func PartitionCliques(grid *geo.Grid, blockRows, blockCols int) *Graph {
 // user accesses an infected location"), while the remaining locations keep
 // their indistinguishability requirements.
 func IsolateNodes(base *Graph, disclose []int) *Graph {
-	g := base.Clone()
+	keep := make([]bool, base.n)
+	for u := range keep {
+		keep[u] = true
+	}
 	for _, u := range disclose {
-		if u < 0 || u >= g.n {
-			continue
-		}
-		for _, v := range g.Neighbors(u) {
-			g.RemoveEdge(u, v)
+		if u >= 0 && u < base.n {
+			keep[u] = false
 		}
 	}
-	return g
+	return base.restrict(keep)
 }
 
 // RandomER builds an Erdős–Rényi policy graph G(n, p) over the whole node

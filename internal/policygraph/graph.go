@@ -2,7 +2,7 @@ package policygraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected location policy graph over the node universe
@@ -12,8 +12,12 @@ import (
 // indistinguishability requirement on them, so a mechanism may release them
 // exactly (paper §2.2, discussion after Lemma 2.1).
 type Graph struct {
-	n   int
-	adj []map[int]struct{}
+	n int
+	// adj[u] is u's neighbor list in ascending order. A graph built in
+	// bulk (Clone, restrict, fromPairs) keeps all lists in one backing
+	// array, each capped at its own end, so growing one list in AddEdge
+	// moves it rather than writing over the next node's list.
+	adj [][]int
 	m   int // edge count
 }
 
@@ -22,7 +26,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{n: n, adj: make([]map[int]struct{}, n)}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // NumNodes returns the size of the node universe.
@@ -48,17 +52,13 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if u == v {
 		return false
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]struct{})
-	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]struct{})
-	}
-	if _, dup := g.adj[u][v]; dup {
+	i, dup := slices.BinarySearch(g.adj[u], v)
+	if dup {
 		return false
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
 	g.m++
 	return true
 }
@@ -68,11 +68,13 @@ func (g *Graph) AddEdge(u, v int) bool {
 func (g *Graph) RemoveEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	if _, ok := g.adj[u][v]; !ok {
+	i, ok := slices.BinarySearch(g.adj[u], v)
+	if !ok {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	g.adj[v] = slices.Delete(g.adj[v], j, j+1)
 	g.m--
 	return true
 }
@@ -81,7 +83,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], v)
 	return ok
 }
 
@@ -94,31 +96,20 @@ func (g *Graph) Degree(u int) int {
 // Neighbors returns the sorted neighbor list of u (a fresh slice).
 func (g *Graph) Neighbors(u int) []int {
 	g.check(u)
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Clone(g.adj[u])
 }
 
 // Edges returns all edges as (u, v) pairs with u < v, sorted
 // lexicographically.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
+	for u, nbrs := range g.adj {
+		for _, v := range nbrs {
 			if u < v {
 				out = append(out, [2]int{u, v})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -126,8 +117,8 @@ func (g *Graph) Edges() [][2]int {
 // the policy allows to be disclosed exactly.
 func (g *Graph) IsolatedNodes() []int {
 	var out []int
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) == 0 {
+	for u, nbrs := range g.adj {
+		if len(nbrs) == 0 {
 			out = append(out, u)
 		}
 	}
@@ -135,31 +126,16 @@ func (g *Graph) IsolatedNodes() []int {
 }
 
 // Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if u < v {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c
-}
+func (g *Graph) Clone() *Graph { return g.restrict(nil) }
 
 // Equal reports whether g and h have identical node universes and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
 	if h == nil || g.n != h.n || g.m != h.m {
 		return false
 	}
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) != len(h.adj[u]) {
+	for u := range g.adj {
+		if !slices.Equal(g.adj[u], h.adj[u]) {
 			return false
-		}
-		for v := range g.adj[u] {
-			if _, ok := h.adj[u][v]; !ok {
-				return false
-			}
 		}
 	}
 	return true
@@ -176,18 +152,54 @@ func (g *Graph) InducedSubgraph(keep []int) *Graph {
 			in[u] = true
 		}
 	}
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		if !in[u] {
+	return g.restrict(in)
+}
+
+// restrict returns a copy of g, built in bulk, that keeps an edge only if
+// keep marks both its endpoints; a nil keep keeps every edge.
+func (g *Graph) restrict(keep []bool) *Graph {
+	c := &Graph{n: g.n, adj: make([][]int, g.n)}
+	back := make([]int, 0, 2*g.m)
+	for u, nbrs := range g.adj {
+		if keep != nil && !keep[u] {
 			continue
 		}
-		for v := range g.adj[u] {
-			if u < v && in[v] {
-				c.AddEdge(u, v)
+		lo := len(back)
+		for _, v := range nbrs {
+			if keep == nil || keep[v] {
+				back = append(back, v)
 			}
 		}
+		c.adj[u] = back[lo:len(back):len(back)]
 	}
+	c.m = len(back) / 2
 	return c
+}
+
+// fromPairs builds a graph over n nodes from its edges, given as a flat
+// list u0, v0, u1, v1, … of pairs with u < v < n in strictly ascending
+// lexicographic order. For each node x, the pairs (w, x) come before the
+// pairs (x, y), and each group is in ascending order of its other end, so
+// appending in pair order leaves every list sorted.
+func fromPairs(n int, pairs []int) *Graph {
+	g := &Graph{n: n, adj: make([][]int, n), m: len(pairs) / 2}
+	start := make([]int, n+1)
+	for _, u := range pairs {
+		start[u+1]++
+	}
+	for u := 1; u <= n; u++ {
+		start[u] += start[u-1]
+	}
+	back := make([]int, len(pairs))
+	for u := range g.adj {
+		g.adj[u] = back[start[u]:start[u]:start[u+1]]
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		u, v := pairs[i], pairs[i+1]
+		g.adj[u] = append(g.adj[u], v)
+		g.adj[v] = append(g.adj[v], u)
+	}
+	return g
 }
 
 // String implements fmt.Stringer with a compact summary.

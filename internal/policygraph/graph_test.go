@@ -2,8 +2,10 @@ package policygraph
 
 import (
 	"encoding/json"
-
+	"slices"
 	"testing"
+
+	"github.com/pglp/panda/internal/geo"
 )
 
 func TestAddRemoveEdge(t *testing.T) {
@@ -155,9 +157,79 @@ func TestJSONRejectsBadInput(t *testing.T) {
 		`{"nodes":3,"edges":[[0,5]]}`,
 		`{"nodes":3,"edges":[[1,1]]}`,
 		`{"nodes":3,"edges":[[-1,0]]}`,
+		`{"nodes":1048577,"edges":[]}`,
+		`{"nodes":7890134567890,"edges":[]}`,
+		`{"edges":[[0,1]],"nodes":3}`,
+		`{"nodes":3,"edges":[[1,0]]}`,
 	} {
 		if err := json.Unmarshal([]byte(bad), &g); err == nil {
 			t.Errorf("expected error for %s", bad)
 		}
 	}
+}
+
+// TestBulkGraphsShareNoLists: the neighbor lists of a graph built in bulk
+// (a Clone, an IsolateNodes result, a decoded graph) share one backing
+// array, yet AddEdge and RemoveEdge on one node never change the graph it
+// was built from or any other node's list.
+func TestBulkGraphsShareNoLists(t *testing.T) {
+	grid := geo.MustGrid(6, 6, 1)
+	src := GridEightNeighbor(grid)
+	srcLists := neighborLists(src)
+	enc, err := src.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() *Graph{
+		"clone":   src.Clone,
+		"isolate": func() *Graph { return IsolateNodes(src, []int{7, 14, 15}) },
+		"decode": func() *Graph {
+			var g Graph
+			if err := g.UnmarshalJSON(enc); err != nil {
+				t.Fatal(err)
+			}
+			return &g
+		},
+	} {
+		g := build()
+		want := neighborLists(g)
+		n := g.NumNodes()
+		edit := func(u, v int, add bool) {
+			if add && g.AddEdge(u, v) {
+				want[u] = insertSorted(want[u], v)
+				want[v] = insertSorted(want[v], u)
+			}
+			if !add && g.RemoveEdge(u, v) {
+				want[u] = slices.DeleteFunc(want[u], func(x int) bool { return x == v })
+				want[v] = slices.DeleteFunc(want[v], func(x int) bool { return x == u })
+			}
+		}
+		for u := 0; u < n; u++ {
+			// Grow a full list, shrink one, then grow it back in place.
+			edit(u, (u+n/2)%n, true)
+			if len(want[u]) > 0 {
+				edit(u, want[u][0], false)
+			}
+			edit(u, (u+1)%n, true)
+			if got := neighborLists(g); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s: after editing node %d the lists are %v, want %v", name, u, got, want)
+			}
+			if got := neighborLists(src); !slices.EqualFunc(got, srcLists, slices.Equal) {
+				t.Fatalf("%s: editing node %d changed the source graph", name, u)
+			}
+		}
+	}
+}
+
+func neighborLists(g *Graph) [][]int {
+	out := make([][]int, g.NumNodes())
+	for u := range out {
+		out[u] = g.Neighbors(u)
+	}
+	return out
+}
+
+func insertSorted(s []int, x int) []int {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Insert(s, i, x)
 }

@@ -441,8 +441,10 @@ func (c *Client) downloadPolicy(ctx context.Context, user int) (ClientPolicy, er
 	if id := policy.GraphID(p.Graph); id != p.GraphID {
 		return ClientPolicy{}, fmt.Errorf("server client: policy graph of user %d hashes to %s, sent as %q", user, id, p.GraphID)
 	}
+	// Decoding the envelope checked that p.Graph is one JSON value, so
+	// it goes to the graph's own decoder without a second json pass.
 	var g policygraph.Graph
-	if err := json.Unmarshal(p.Graph, &g); err != nil {
+	if err := g.UnmarshalJSON(p.Graph); err != nil {
 		return ClientPolicy{}, fmt.Errorf("server client: decoding policy graph: %w", err)
 	}
 	cp.Graph = &g
