@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -95,6 +96,47 @@ func BenchmarkPolicyFetch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
+		})
+	}
+}
+
+// BenchmarkAnalyticsFetch fetches the dashboard's count answers from a
+// node over loopback, the client's decode included: the density at one
+// step and a 24-step density series, both at 2x2 blocks (256 regions),
+// and a 24-step exposure series. The store holds 300 users × 24 steps,
+// and every answer is cached after its first fetch, so what is timed
+// is the transfer: handler, encode, HTTP and decode.
+func BenchmarkAnalyticsFetch(b *testing.B) {
+	client, grid, _, done := newBenchServer(b, 4)
+	defer done()
+	releases := make([]wire.Release, 24)
+	for u := 0; u < 300; u++ {
+		for i := range releases {
+			p := grid.Center((u*37 + i*5) % grid.NumCells())
+			releases[i] = wire.Release{T: i, X: p.X, Y: p.Y}
+		}
+		if _, err := client.ReportBatchBinaryContext(b.Context(), u, releases); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := client.MarkInfectedContext(b.Context(), []int{37, 42, 500}); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []struct {
+		name  string
+		fetch func(ctx context.Context) error
+	}{
+		{"density", func(ctx context.Context) error { _, err := client.DensityContext(ctx, 23, 2, 2); return err }},
+		{"series", func(ctx context.Context) error { _, err := client.DensitySeriesContext(ctx, 0, 23, 2, 2); return err }},
+		{"exposure", func(ctx context.Context) error { _, err := client.ExposureContext(ctx, 0, 23); return err }},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := q.fetch(b.Context()); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -313,33 +313,36 @@ func retryAfterHeader(h http.Header) time.Duration {
 // and a broken or hostile peer must not make the client buffer more.
 const maxErrorBody = 1 << 20
 
+// decodeResponse decodes a success body into out, or a non-2xx one into
+// an *APIError. It reads a success body to its end, so the transport
+// keeps the connection, into one buffer sized by its Content-Length
+// when the server sent one; a length above maxPooledBody is not taken
+// on trust, and the buffer grows as the bytes arrive. It hands the
+// whole body to out's own UnmarshalJSON if it has one, and to
+// json.Unmarshal otherwise, so the body must be one JSON value plus
+// whitespace. Nothing decoded keeps a reference to the buffer.
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode >= 300 {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		return apiErrorFromResponse(resp, body)
 	}
-	defer drainBody(resp.Body)
-	if out == nil {
-		return nil
+	size := resp.ContentLength
+	if size < 0 || size > maxPooledBody {
+		size = 512
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	body, err := appendBody(make([]byte, 0, size), resp.Body)
+	if err != nil {
+		return fmt.Errorf("server client: reading response: %w", err)
+	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		err = u.UnmarshalJSON(body)
+	} else {
+		err = json.Unmarshal(body, out)
+	}
+	if err != nil {
 		return fmt.Errorf("server client: decoding response: %w", err)
 	}
 	return nil
-}
-
-// maxDrain bounds what drainBody reads. The server ends a body with one
-// newline after the JSON value; a longer remainder is not worth reading,
-// and the connection is closed with it.
-const maxDrain = 4 << 10
-
-// drainBody reads what a decoder left of a response body: the decoder
-// stops at the value's closing brace, and a chunked body's terminator
-// is still unread. Reading to EOF before the body is closed lets the
-// transport put the connection back in its idle pool instead of
-// dropping it.
-func drainBody(body io.Reader) {
-	_, _ = io.CopyN(io.Discard, body, maxDrain)
 }
 
 // ClientPolicy is the decoded policy of a user.

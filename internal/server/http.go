@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"github.com/pglp/panda/internal/policy"
@@ -127,15 +128,31 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// writeCounts writes one of the analytics count answers (wire's
+// DensityResponse, DensitySeriesResponse or ExposureResponse) with its
+// direct encoder, through a pooled buffer and with an exact
+// Content-Length. The bytes are those writeJSON would write. Write
+// errors go unhandled, as in writeJSON.
+func writeCounts(w http.ResponseWriter, v interface{ AppendJSON([]byte) []byte }) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer putBodyBuf(bp)
+	*bp = v.AppendJSON((*bp)[:0])
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	_, _ = w.Write(*bp)
+}
+
 // --- central query-parameter parsing and range validation ---
 //
-// Every handler parses parameters through these helpers so range rules
-// live in one place: timesteps are non-negative, time ranges are
-// ordered, windows are positive, block dimensions are positive.
+// Every handler parses its query string once, with r.URL.Query(), and
+// reads parameters through these helpers so range rules live in one
+// place: timesteps are non-negative, time ranges are ordered, windows
+// are positive, block dimensions are positive.
 
 // queryInt parses a required integer parameter.
-func queryInt(r *http.Request, key string) (int, error) {
-	raw := r.URL.Query().Get(key)
+func queryInt(q url.Values, key string) (int, error) {
+	raw := q.Get(key)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", key)
 	}
@@ -148,8 +165,8 @@ func queryInt(r *http.Request, key string) (int, error) {
 
 // queryIntMin parses a required integer parameter and rejects values
 // below min.
-func queryIntMin(r *http.Request, key string, min int) (int, error) {
-	v, err := queryInt(r, key)
+func queryIntMin(q url.Values, key string, min int) (int, error) {
+	v, err := queryInt(q, key)
 	if err != nil {
 		return 0, err
 	}
@@ -161,20 +178,20 @@ func queryIntMin(r *http.Request, key string, min int) (int, error) {
 
 // queryIntOpt parses an optional integer parameter: absent returns def;
 // present values below min are rejected.
-func queryIntOpt(r *http.Request, key string, def, min int) (int, error) {
-	if r.URL.Query().Get(key) == "" {
+func queryIntOpt(q url.Values, key string, def, min int) (int, error) {
+	if q.Get(key) == "" {
 		return def, nil
 	}
-	return queryIntMin(r, key, min)
+	return queryIntMin(q, key, min)
 }
 
 // queryTimeRange parses t0 and t1 and enforces 0 <= t0 <= t1. The
 // engine refuses a span of more than analytics.MaxSeriesSpan steps.
-func queryTimeRange(r *http.Request) (t0, t1 int, err error) {
-	if t0, err = queryIntMin(r, "t0", 0); err != nil {
+func queryTimeRange(q url.Values) (t0, t1 int, err error) {
+	if t0, err = queryIntMin(q, "t0", 0); err != nil {
 		return 0, 0, err
 	}
-	if t1, err = queryIntMin(r, "t1", 0); err != nil {
+	if t1, err = queryIntMin(q, "t1", 0); err != nil {
 		return 0, 0, err
 	}
 	if t0 > t1 {
@@ -184,11 +201,11 @@ func queryTimeRange(r *http.Request) (t0, t1 int, err error) {
 }
 
 // queryBlocks parses block_rows and block_cols, both required positive.
-func queryBlocks(r *http.Request) (br, bc int, err error) {
-	if br, err = queryIntMin(r, "block_rows", 1); err != nil {
+func queryBlocks(q url.Values) (br, bc int, err error) {
+	if br, err = queryIntMin(q, "block_rows", 1); err != nil {
 		return 0, 0, err
 	}
-	if bc, err = queryIntMin(r, "block_cols", 1); err != nil {
+	if bc, err = queryIntMin(q, "block_cols", 1); err != nil {
 		return 0, 0, err
 	}
 	return br, bc, nil

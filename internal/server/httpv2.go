@@ -188,10 +188,11 @@ func decodeJSONReport(w http.ResponseWriter, r *http.Request) (user, version int
 // body: the batch header plus maxBatchReleases frames.
 var maxBinaryBody = int64(wire.BinaryBodySize(maxBatchReleases))
 
-// binaryBodies recycles binary request-body buffers across requests —
-// the decode-scratch half of the binary path's allocation budget (the
-// record half is the storage pool).
-var binaryBodies = sync.Pool{
+// bodyBufs recycles body buffers across requests: binary request bodies
+// (the decode-scratch half of the binary path's allocation budget; the
+// record half is the storage pool) and the encodings of the analytics
+// count answers.
+var bodyBufs = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64<<10)
 		return &b
@@ -201,41 +202,47 @@ var binaryBodies = sync.Pool{
 // maxPooledBody caps the capacity a recycled body (or client encode)
 // buffer may retain: a maximum-size binary body is ~5.6 MB, and pooling
 // one pins it for the process lifetime. Outliers above the cap are left
-// to the GC; typical bodies keep recycling.
+// to the GC; typical bodies keep recycling. It also caps the buffer the
+// client allocates for a response body before reading it.
 const maxPooledBody = 1 << 20
 
-// putBinaryBody returns a readBinaryBody buffer to the pool, dropping
-// oversized outliers instead of pinning them.
-func putBinaryBody(bp *[]byte) {
+// putBodyBuf returns a bodyBufs buffer to the pool, dropping oversized
+// outliers instead of pinning them.
+func putBodyBuf(bp *[]byte) {
 	if cap(*bp) > maxPooledBody {
 		return
 	}
 	*bp = (*bp)[:0]
-	binaryBodies.Put(bp)
+	bodyBufs.Put(bp)
 }
 
-// readBinaryBody reads r into a pooled buffer, bounded by maxBinaryBody.
-// The returned pointer must go back via binaryBodies.Put when the bytes
-// are dead.
-func readBinaryBody(r io.Reader) (*[]byte, error) {
-	bp := binaryBodies.Get().(*[]byte)
-	buf := (*bp)[:0]
-	lr := io.LimitReader(r, maxBinaryBody+1)
+// appendBody reads r to its end, appending to buf. It grows buf only
+// when buf is full, so a buffer with room for the whole body takes it
+// in place.
+func appendBody(buf []byte, r io.Reader) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := lr.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			*bp = buf
-			return bp, nil
+			return buf, nil
 		}
 		if err != nil {
-			*bp = buf
-			return bp, err
+			return buf, err
 		}
 	}
+}
+
+// readBinaryBody reads r into a pooled buffer, bounded by maxBinaryBody.
+// The returned pointer must go back via putBodyBuf when the bytes are
+// dead.
+func readBinaryBody(r io.Reader) (*[]byte, error) {
+	bp := bodyBufs.Get().(*[]byte)
+	var err error
+	*bp, err = appendBody((*bp)[:0], io.LimitReader(r, maxBinaryBody+1))
+	return bp, err
 }
 
 // decodeBinaryReport is decodeJSONReport for the binary record format:
@@ -245,7 +252,7 @@ func readBinaryBody(r io.Reader) (*[]byte, error) {
 // body buffer goes back to its pool before the batch reaches the gate.
 func decodeBinaryReport(w http.ResponseWriter, r *http.Request) (user, version int, recs []Record, ok bool) {
 	bp, err := readBinaryBody(r.Body)
-	defer putBinaryBody(bp)
+	defer putBodyBuf(bp)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "reading binary report: %v", err)
 		return 0, 0, nil, false
@@ -401,12 +408,13 @@ func (s *Server) handleV2AnalyticsStats(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Server) handleV2Records(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user")
+	q := r.URL.Query()
+	user, err := queryInt(q, "user")
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	limit, err := queryIntOpt(r, "limit", defaultPageLimit, 1)
+	limit, err := queryIntOpt(q, "limit", defaultPageLimit, 1)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -417,7 +425,7 @@ func (s *Server) handleV2Records(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	afterT := -1
-	if raw := r.URL.Query().Get("cursor"); raw != "" {
+	if raw := q.Get("cursor"); raw != "" {
 		if afterT, err = wire.DecodeCursor(raw); err != nil {
 			v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 			return
@@ -446,13 +454,14 @@ func (s *Server) handleV2Records(w http.ResponseWriter, r *http.Request) {
 // with ?graph=1 also the graph its graph_id names, both from one
 // Manager.Get so that they always match.
 func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user")
+	q := r.URL.Query()
+	user, err := queryInt(q, "user")
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	graph := false
-	switch flag := r.URL.Query().Get("graph"); flag {
+	switch flag := q.Get("graph"); flag {
 	case "":
 	case "1":
 		graph = true
@@ -477,17 +486,18 @@ func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleV2HealthCode(w http.ResponseWriter, r *http.Request) {
-	user, err := queryInt(r, "user")
+	q := r.URL.Query()
+	user, err := queryInt(q, "user")
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	window, err := queryIntOpt(r, "window", 0, 1)
+	window, err := queryIntOpt(q, "window", 0, 1)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	now, err := queryIntOpt(r, "now", -1, 0)
+	now, err := queryIntOpt(q, "now", -1, 0)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -500,12 +510,13 @@ func (s *Server) handleV2HealthCode(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleV2Density(w http.ResponseWriter, r *http.Request) {
-	t, err := queryIntMin(r, "t", 0)
+	q := r.URL.Query()
+	t, err := queryIntMin(q, "t", 0)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	br, bc, err := queryBlocks(r)
+	br, bc, err := queryBlocks(q)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -515,16 +526,17 @@ func (s *Server) handleV2Density(w http.ResponseWriter, r *http.Request) {
 	// a client comparing Gens can only over-refresh, never trust stale
 	// data (the same ordering rule the engine's cache uses).
 	gen := s.db.Store().Gen(t)
-	writeJSON(w, wire.DensityResponse{T: t, Counts: s.db.Analytics().DensityAt(t, br, bc), Gen: gen})
+	writeCounts(w, wire.DensityResponse{T: t, Counts: s.db.Analytics().DensityAt(t, br, bc), Gen: gen})
 }
 
 func (s *Server) handleV2DensitySeries(w http.ResponseWriter, r *http.Request) {
-	t0, t1, err := queryTimeRange(r)
+	q := r.URL.Query()
+	t0, t1, err := queryTimeRange(q)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	br, bc, err := queryBlocks(r)
+	br, bc, err := queryBlocks(q)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -535,11 +547,11 @@ func (s *Server) handleV2DensitySeries(w http.ResponseWriter, r *http.Request) {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, wire.DensitySeriesResponse{T0: t0, T1: t1, Series: series, Epoch: epoch})
+	writeCounts(w, wire.DensitySeriesResponse{T0: t0, T1: t1, Series: series, Epoch: epoch})
 }
 
 func (s *Server) handleV2Exposure(w http.ResponseWriter, r *http.Request) {
-	t0, t1, err := queryTimeRange(r)
+	t0, t1, err := queryTimeRange(r.URL.Query())
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
@@ -550,16 +562,17 @@ func (s *Server) handleV2Exposure(w http.ResponseWriter, r *http.Request) {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, wire.ExposureResponse{T0: t0, T1: t1, Exposure: series, Epoch: epoch})
+	writeCounts(w, wire.ExposureResponse{T0: t0, T1: t1, Exposure: series, Epoch: epoch})
 }
 
 func (s *Server) handleV2Census(w http.ResponseWriter, r *http.Request) {
-	window, err := queryIntOpt(r, "window", 0, 1)
+	q := r.URL.Query()
+	window, err := queryIntOpt(q, "window", 0, 1)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	now, err := queryIntOpt(r, "now", -1, 0)
+	now, err := queryIntOpt(q, "now", -1, 0)
 	if err != nil {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
