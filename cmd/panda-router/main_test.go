@@ -51,7 +51,7 @@ func startNode(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.NewServer(db, mgr)
+	srv, err := server.NewServerOpts(db, mgr, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

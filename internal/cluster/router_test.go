@@ -138,7 +138,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSrv, err := server.NewServer(refDB, refMgr)
+	refSrv, err := server.NewServerOpts(refDB, refMgr, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,6 +445,39 @@ func TestClusterInfectedWhileNodeDown(t *testing.T) {
 		if v := version(i); v != 2 {
 			t.Errorf("node%d user at version %d after the retried notice, want 2", i, v)
 		}
+	}
+}
+
+// TestClusterMarkVersionsAgree: after a mark broadcast through the
+// router, a user on each node holds the same version and graph_id, even
+// the one first seen after the mark, because a node's version counts
+// its effective marks, not the user's.
+func TestClusterMarkVersionsAgree(t *testing.T) {
+	f := startFleet(t, 2, false)
+	userOn := map[int]int{}
+	for u := 0; len(userOn) < 2; u++ {
+		if _, ok := userOn[f.ring.OwnerIndex(u)]; !ok {
+			userOn[f.ring.OwnerIndex(u)] = u
+		}
+	}
+	policyOf := func(user int) wire.Policy {
+		t.Helper()
+		var p wire.Policy
+		if st := getJSON(t, fmt.Sprintf("%s/v2/policy?user=%d", f.routerURL, user), &p); st != http.StatusOK {
+			t.Fatalf("user %d policy: status %d", user, st)
+		}
+		return p
+	}
+	if v := policyOf(userOn[0]).Version; v != 1 {
+		t.Fatalf("node0 user at version %d before the mark, want 1", v)
+	}
+	if st, e := postBody(t, f.routerURL+"/v2/infected", "application/json", []byte(`{"cells":[17,40]}`)); st != http.StatusOK {
+		t.Fatalf("mark: status=%d envelope=%+v", st, e)
+	}
+	early, late := policyOf(userOn[0]), policyOf(userOn[1]) // node1's user is first seen now
+	if early.Version != 2 || late.Version != 2 || early.GraphID != late.GraphID {
+		t.Errorf("after one mark: node0's early user at v%d graph_id %q, node1's new user at v%d graph_id %q; want both at v2 under one graph_id",
+			early.Version, early.GraphID, late.Version, late.GraphID)
 	}
 }
 

@@ -60,8 +60,8 @@ type Config struct {
 
 // Validate checks the protocol configuration.
 func (c Config) Validate() error {
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("contact: epsilon must be positive, got %v", c.Epsilon)
+	if err := dp.CheckEpsilon(c.Epsilon); err != nil {
+		return fmt.Errorf("contact: %w", err)
 	}
 	if c.MinCoLocations < 1 {
 		return fmt.Errorf("contact: MinCoLocations must be ≥ 1, got %d", c.MinCoLocations)

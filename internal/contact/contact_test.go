@@ -1,6 +1,7 @@
 package contact
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pglp/panda/internal/geo"
@@ -134,6 +135,13 @@ func TestTraceValidation(t *testing.T) {
 	}
 	if _, err := Trace(ds, base, []int{0}, Config{Epsilon: 0, Kind: mechanism.KindGEM, MinCoLocations: 2}); err == nil {
 		t.Error("zero epsilon should error")
+	}
+	// Validate itself refuses an ε that is not finite, before any
+	// mechanism is built.
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Config{Epsilon: eps, Kind: mechanism.KindGEM, MinCoLocations: 2}).Validate(); err == nil {
+			t.Errorf("Validate accepted epsilon %v", eps)
+		}
 	}
 	if _, err := Trace(ds, base, []int{0}, Config{Epsilon: 1, Kind: mechanism.KindGEM, MinCoLocations: 0}); err == nil {
 		t.Error("zero threshold should error")

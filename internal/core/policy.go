@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policygraph"
 )
@@ -31,8 +32,8 @@ func (p Policy) Validate() error {
 	if p.Graph == nil {
 		return errors.New("core: policy has no graph")
 	}
-	if p.Epsilon <= 0 || math.IsNaN(p.Epsilon) || math.IsInf(p.Epsilon, 0) {
-		return fmt.Errorf("core: epsilon must be positive and finite, got %v", p.Epsilon)
+	if err := dp.CheckEpsilon(p.Epsilon); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -25,13 +25,24 @@ type WindowAccountant struct {
 	spends map[int]float64 // timestep -> ε spent at that step
 }
 
+// CheckEpsilon refuses an ε that is not a positive finite number; NaN
+// and +Inf pass an eps <= 0 test alone.
+func CheckEpsilon(eps float64) error {
+	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return fmt.Errorf("epsilon must be positive and finite, got %v", eps)
+	}
+	return nil
+}
+
 // NewWindowAccountant returns an accountant limiting total spend within any
-// window of `window` consecutive timesteps to `limit`.
+// window of `window` consecutive timesteps to `limit`. A limit of +Inf
+// is an explicit unlimited budget; NaN is refused, since no spend would
+// ever exceed it.
 func NewWindowAccountant(window int, limit float64) (*WindowAccountant, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("dp: window must be positive, got %d", window)
 	}
-	if limit <= 0 {
+	if limit <= 0 || math.IsNaN(limit) {
 		return nil, fmt.Errorf("dp: window limit must be positive, got %v", limit)
 	}
 	return &WindowAccountant{window: window, limit: limit, spends: make(map[int]float64)}, nil

@@ -128,6 +128,16 @@ func TestWindowAccountantValidation(t *testing.T) {
 	if _, err := NewWindowAccountant(5, 0); err == nil {
 		t.Error("zero limit should error")
 	}
+	if _, err := NewWindowAccountant(5, math.NaN()); err == nil {
+		t.Error("NaN limit should error: no spend would ever exceed it")
+	}
+	unlimited, err := NewWindowAccountant(5, math.Inf(1))
+	if err != nil {
+		t.Fatalf("+Inf limit (an explicit unlimited budget): %v", err)
+	}
+	if err := unlimited.Spend(0, 3, 1e9); err != nil {
+		t.Errorf("+Inf limit refused a spend: %v", err)
+	}
 	w, _ := NewWindowAccountant(5, 1)
 	for _, eps := range []float64{-0.1, math.NaN()} {
 		if err := w.Spend(0, 1, eps); err == nil {
@@ -159,6 +169,19 @@ func TestDeriveIndependence(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if c1.Float64() != c2.Float64() {
 			t.Fatal("Derive is not deterministic")
+		}
+	}
+}
+
+func TestCheckEpsilon(t *testing.T) {
+	for _, eps := range []float64{0.01, 1, 1e300} {
+		if err := CheckEpsilon(eps); err != nil {
+			t.Errorf("CheckEpsilon(%v) = %v, want nil", eps, err)
+		}
+	}
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckEpsilon(eps); err == nil {
+			t.Errorf("CheckEpsilon(%v) = nil, want an error", eps)
 		}
 	}
 }

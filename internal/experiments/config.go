@@ -3,8 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/mechanism"
 	"github.com/pglp/panda/internal/policygraph"
@@ -78,8 +78,8 @@ func (c Config) Validate() error {
 		return errors.New("experiments: no epsilons")
 	}
 	for _, e := range c.Epsilons {
-		if e <= 0 || math.IsNaN(e) || math.IsInf(e, 0) {
-			return fmt.Errorf("experiments: epsilon must be positive and finite, got %v", e)
+		if err := dp.CheckEpsilon(e); err != nil {
+			return fmt.Errorf("experiments: %w", err)
 		}
 	}
 	if c.UtilitySamples < 2 || c.AdversaryRounds < 2 {

@@ -40,7 +40,7 @@ func RunE7(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := server.NewServer(db, mgr)
+	srv, err := server.NewServerOpts(db, mgr, server.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policygraph"
 )
@@ -35,8 +36,8 @@ func New(kind Kind, grid *geo.Grid, g *policygraph.Graph, eps float64) (Mechanis
 	if g == nil {
 		return nil, errors.New("mechanism: nil policy graph")
 	}
-	if err := checkEpsilon(eps); err != nil {
-		return nil, err
+	if err := dp.CheckEpsilon(eps); err != nil {
+		return nil, fmt.Errorf("mechanism: %w", err)
 	}
 	switch kind {
 	case KindGEM:

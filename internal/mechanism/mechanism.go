@@ -71,19 +71,10 @@ func newBase(grid *geo.Grid, g *policygraph.Graph, eps float64) (base, error) {
 		return base{}, fmt.Errorf("mechanism: policy graph over %d nodes, grid has %d cells",
 			g.NumNodes(), grid.NumCells())
 	}
-	if err := checkEpsilon(eps); err != nil {
-		return base{}, err
+	if err := dp.CheckEpsilon(eps); err != nil {
+		return base{}, fmt.Errorf("mechanism: %w", err)
 	}
 	return base{grid: grid, eps: eps}, nil
-}
-
-// checkEpsilon refuses an ε that is not a positive finite number; NaN
-// and +Inf pass an eps <= 0 test alone.
-func checkEpsilon(eps float64) error {
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return fmt.Errorf("mechanism: epsilon must be positive and finite, got %v", eps)
-	}
-	return nil
 }
 
 func (b *base) Epsilon() float64 { return b.eps }

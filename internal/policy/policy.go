@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
+	"github.com/pglp/panda/internal/dp"
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policygraph"
 )
@@ -43,14 +45,14 @@ type UserPolicy struct {
 	Graph *policygraph.Graph
 	// GraphJSON is the canonical encoding Graph.MarshalJSON writes,
 	// computed once per graph and shared like it; read-only as well.
-	// Only the manager's encodeGraph sets it. The server writes it into
+	// Only the manager's newSnapshot sets it. The server writes it into
 	// responses as is, without validating or compacting it, so it must
 	// stay exactly what MarshalJSON produced.
 	GraphJSON json.RawMessage
 	// GraphID is GraphID(GraphJSON), the graph's content ID.
 	GraphID string
 	Epsilon float64
-	Version int // bumped on every change; triggers client re-sends
+	Version int // effective marks plus one; a bump triggers client re-sends
 }
 
 // GraphID returns the content ID of a graph encoding: the hex of the
@@ -63,51 +65,48 @@ func GraphID(graphJSON []byte) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// encodedGraph is a policy graph together with its JSON encoding and
-// the encoding's content ID.
-type encodedGraph struct {
-	graph *policygraph.Graph
-	json  json.RawMessage
-	id    string
-}
-
-// encodeGraph pairs g with its encoding and ID. It calls MarshalJSON
-// itself: json.Marshal would re-compact bytes that are already compact.
-func encodeGraph(g *policygraph.Graph) encodedGraph {
-	b, _ := g.MarshalJSON() // never fails
-	return encodedGraph{graph: g, json: b, id: GraphID(b)}
-}
-
-// checkEpsilon refuses an ε that is not a positive finite number, as
-// core.Policy.Validate does; NaN and +Inf pass an eps <= 0 test alone.
-func checkEpsilon(eps float64) error {
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return fmt.Errorf("policy: epsilon must be positive and finite, got %v", eps)
-	}
-	return nil
-}
-
 // Manager hands out users' policies. It is safe for concurrent use — the
 // server mutates policies (infection updates) while clients read them.
 //
-// Every user holds the same policy: the default graph with the infected
-// cells isolated, and its encoding, kept as one immutable snapshot per
-// infection epoch. An infection update builds the next snapshot once.
-// The only per-user state is a version, which counts the effective marks
-// since the user was first seen, plus one.
+// Every user holds the same policy, kept as one immutable snapshot per
+// effective mark: the default graph with the infected cells isolated,
+// its encoding, ε and the version. The version is the number of
+// effective marks plus one, so on one node a version names one graph.
+// A mark builds and swaps in the next snapshot and touches no user.
+// The only per-user state is the set of users handed a policy.
 //
 // A user who rejects a policy releases nothing (§2.1: "The user has the
 // right to reject a privacy policy so that no location will be
 // released"). That decision is the phone's, so the manager keeps no
 // consent state.
 type Manager struct {
-	mu           sync.RWMutex
 	grid         *geo.Grid
 	defaultGraph *policygraph.Graph
-	eps          float64
-	current      encodedGraph // defaultGraph with the infected cells isolated
-	users        map[int]int  // user -> policy version
-	infected     map[int]bool // accumulated disclosable cells
+	snap         atomic.Pointer[snapshot]
+	markMu       sync.Mutex // serializes MarkInfected's build and swap
+
+	// users holds every user Get has seen. A map of ints holds no
+	// pointers, so however large it grows a GC cycle does not scan it.
+	usersMu sync.RWMutex
+	users   map[int]struct{}
+}
+
+// snapshot is the policy every user holds after one effective mark,
+// with the infected cells its graph isolates. It is never modified
+// once published.
+type snapshot struct {
+	policy   UserPolicy
+	infected []int // sorted, without duplicates
+}
+
+// newSnapshot encodes g once. It calls MarshalJSON itself: json.Marshal
+// would re-compact bytes that are already compact.
+func newSnapshot(g *policygraph.Graph, eps float64, version int, infected []int) *snapshot {
+	b, _ := g.MarshalJSON() // never fails
+	return &snapshot{
+		policy:   UserPolicy{Graph: g, GraphJSON: b, GraphID: GraphID(b), Epsilon: eps, Version: version},
+		infected: infected,
+	}
 }
 
 // NewManager creates a manager handing out the given default policy.
@@ -119,88 +118,77 @@ func NewManager(grid *geo.Grid, defaultGraph *policygraph.Graph, eps float64) (*
 		return nil, fmt.Errorf("policy: graph over %d nodes, grid has %d cells",
 			defaultGraph.NumNodes(), grid.NumCells())
 	}
-	if err := checkEpsilon(eps); err != nil {
-		return nil, err
+	if err := dp.CheckEpsilon(eps); err != nil {
+		return nil, fmt.Errorf("policy: %w", err)
 	}
-	return &Manager{
-		grid:         grid,
-		defaultGraph: defaultGraph,
-		eps:          eps,
-		current:      encodeGraph(defaultGraph),
-		users:        make(map[int]int),
-		infected:     make(map[int]bool),
-	}, nil
+	m := &Manager{grid: grid, defaultGraph: defaultGraph, users: make(map[int]struct{})}
+	m.snap.Store(newSnapshot(defaultGraph, eps, 1, nil))
+	return m, nil
 }
 
-// Get returns the user's policy, starting an unknown user at version 1.
+// Get returns the user's policy, registering a user it has not seen.
+// For a known user it takes no exclusive lock and allocates nothing.
+// It registers before it loads the snapshot, so a caller that lists
+// Users after a mark lists every user handed the version before it.
 func (m *Manager) Get(user int) UserPolicy {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.users[user]
-	if !ok {
-		v = 1
-		m.users[user] = v
+	if !m.known(user) {
+		m.usersMu.Lock()
+		m.users[user] = struct{}{}
+		m.usersMu.Unlock()
 	}
-	return UserPolicy{Graph: m.current.graph, GraphJSON: m.current.json, GraphID: m.current.id, Epsilon: m.eps, Version: v}
+	return m.snap.Load().policy
 }
 
-func (m *Manager) infectedListLocked() []int {
-	out := make([]int, 0, len(m.infected))
-	for c := range m.infected {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// MarkInfected records newly infected (disclosable) cells, builds the
-// contact-tracing variant of the default policy once, and bumps every
-// known user's version. It returns the users whose policies changed.
-func (m *Manager) MarkInfected(cells []int) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	changed := false
+// MarkInfected records newly infected (disclosable) cells: it builds
+// the contact-tracing variant of the default policy once and swaps it
+// in one version up, touching no user. It reports whether the mark was
+// effective, that is whether cells held an in-range cell not marked
+// before.
+func (m *Manager) MarkInfected(cells []int) bool {
+	m.markMu.Lock()
+	defer m.markMu.Unlock()
+	cur := m.snap.Load()
+	infected := slices.Clone(cur.infected)
 	for _, c := range cells {
-		if c >= 0 && c < m.grid.NumCells() && !m.infected[c] {
-			m.infected[c] = true
-			changed = true
+		if m.grid.InRange(c) {
+			infected = append(infected, c)
 		}
 	}
-	if !changed {
-		return nil
+	slices.Sort(infected)
+	if infected = slices.Compact(infected); len(infected) == len(cur.infected) {
+		return false
 	}
-	m.current = encodeGraph(policygraph.IsolateNodes(m.defaultGraph, m.infectedListLocked()))
-	users := make([]int, 0, len(m.users))
-	for id := range m.users {
-		m.users[id]++
-		users = append(users, id)
-	}
-	sort.Ints(users)
-	return users
+	g := policygraph.IsolateNodes(m.defaultGraph, infected)
+	m.snap.Store(newSnapshot(g, cur.policy.Epsilon, cur.policy.Version+1, infected))
+	return true
 }
 
-// InfectedCells returns the accumulated disclosable cells.
-func (m *Manager) InfectedCells() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.infectedListLocked()
-}
+// InfectedCells returns the accumulated disclosable cells, ascending.
+// The slice is shared with every other caller: treat it as read-only.
+func (m *Manager) InfectedCells() []int { return m.snap.Load().infected }
 
-// Version returns the user's current policy version (0 if unknown).
+// Version returns the node's policy version, or 0 for a user the
+// manager has never seen.
 func (m *Manager) Version(user int) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.users[user]
+	if !m.known(user) {
+		return 0
+	}
+	return m.snap.Load().policy.Version
 }
 
-// Users returns the IDs of all users with assigned policies.
+// Users returns the IDs of all users handed a policy, ascending.
 func (m *Manager) Users() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]int, 0, len(m.users))
-	for id := range m.users {
-		out = append(out, id)
-	}
-	sort.Ints(out)
+	m.usersMu.RLock()
+	out := slices.AppendSeq(make([]int, 0, len(m.users)), maps.Keys(m.users))
+	m.usersMu.RUnlock()
+	slices.Sort(out)
 	return out
+}
+
+// known reports whether Get has seen user.
+func (m *Manager) known(user int) bool {
+	m.usersMu.RLock()
+	_, ok := m.users[user]
+	m.usersMu.RUnlock()
+	return ok
 }

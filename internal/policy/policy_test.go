@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -89,9 +90,12 @@ func TestManagerMarkInfected(t *testing.T) {
 	// Two users exist.
 	m.Get(0)
 	m.Get(1)
-	changed := m.MarkInfected([]int{4})
+	if !m.MarkInfected([]int{4}) {
+		t.Fatal("first mark of cell 4 was not effective")
+	}
+	changed := m.Users()
 	if len(changed) != 2 {
-		t.Fatalf("changed = %v, want both users", changed)
+		t.Fatalf("Users = %v, want both users", changed)
 	}
 	for _, u := range changed {
 		up := m.Get(u)
@@ -108,8 +112,8 @@ func TestManagerMarkInfected(t *testing.T) {
 		t.Error("late joiner should get infected-aware default")
 	}
 	// Re-marking the same cell is a no-op.
-	if again := m.MarkInfected([]int{4}); again != nil {
-		t.Errorf("idempotent MarkInfected returned %v", again)
+	if m.MarkInfected([]int{4}) {
+		t.Error("re-marking cell 4 was effective")
 	}
 	// Accumulation.
 	m.MarkInfected([]int{0})
@@ -118,15 +122,16 @@ func TestManagerMarkInfected(t *testing.T) {
 		t.Errorf("InfectedCells = %v", inf)
 	}
 	// Out-of-range cells ignored.
-	if got := m.MarkInfected([]int{-1, 100}); got != nil {
-		t.Errorf("out-of-range marking returned %v", got)
+	if m.MarkInfected([]int{-1, 100}) {
+		t.Error("marking only out-of-range cells was effective")
 	}
 }
 
-// TestManagerVersionRules pins the per-user version contract the 409
-// renegotiation relies on: which operations bump a version, by how much,
-// and which graph and ε the user ends up with. On every path the stored
-// encoding must decode to the user's graph.
+// TestManagerVersionRules pins the version contract the 409
+// renegotiation relies on: the version is the number of effective marks
+// plus one, the same for every user, so it names one graph whenever a
+// user was first seen. Each row checks which graph and ε the users end
+// up with, and that the stored encoding decodes to that graph.
 func TestManagerVersionRules(t *testing.T) {
 	grid := geo.MustGrid(3, 3, 1)
 	base := Baseline(grid)
@@ -147,15 +152,18 @@ func TestManagerVersionRules(t *testing.T) {
 			want: []want{{1, 1, base}},
 		},
 		{
-			name: "user first seen after k marks starts at v1 with every mark isolated",
+			name: "user first seen after k marks starts at version k+1 with every mark isolated",
 			run: func(t *testing.T, m *Manager) {
 				for _, c := range []int{0, 4, 8} {
-					if got := m.MarkInfected([]int{c}); len(got) != 0 {
-						t.Errorf("MarkInfected(%d) with no users changed %v", c, got)
+					if !m.MarkInfected([]int{c}) {
+						t.Errorf("MarkInfected(%d) with no users was not effective", c)
+					}
+					if got := m.Users(); len(got) != 0 {
+						t.Errorf("MarkInfected(%d) with no users left users %v", c, got)
 					}
 				}
 			},
-			want: []want{{5, 1, isolated(0, 4, 8)}},
+			want: []want{{5, 4, isolated(0, 4, 8)}},
 		},
 		{
 			name: "MarkInfected bumps every known user and moves them to the marked graph",
@@ -163,8 +171,11 @@ func TestManagerVersionRules(t *testing.T) {
 				m.Get(1)
 				m.Get(2)
 				m.MarkInfected([]int{0})
-				if got := m.MarkInfected([]int{4}); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-					t.Errorf("MarkInfected changed %v, want [1 2]", got)
+				if !m.MarkInfected([]int{4}) {
+					t.Error("MarkInfected(4) was not effective")
+				}
+				if got := m.Users(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+					t.Errorf("Users = %v, want [1 2]", got)
 				}
 			},
 			want: []want{{1, 3, isolated(0, 4)}, {2, 3, isolated(0, 4)}},
@@ -174,8 +185,8 @@ func TestManagerVersionRules(t *testing.T) {
 			run: func(t *testing.T, m *Manager) {
 				m.Get(1)
 				m.MarkInfected([]int{4})
-				if got := m.MarkInfected([]int{4}); got != nil {
-					t.Errorf("re-mark changed %v, want nil", got)
+				if m.MarkInfected([]int{4}) {
+					t.Error("re-mark was effective")
 				}
 			},
 			want: []want{{1, 2, isolated(4)}},
@@ -184,8 +195,8 @@ func TestManagerVersionRules(t *testing.T) {
 			name: "marking only out-of-range cells changes nothing",
 			run: func(t *testing.T, m *Manager) {
 				m.Get(1)
-				if got := m.MarkInfected([]int{-1, 9}); got != nil {
-					t.Errorf("out-of-range mark changed %v, want nil", got)
+				if m.MarkInfected([]int{-1, 9}) {
+					t.Error("out-of-range mark was effective")
 				}
 			},
 			want: []want{{1, 1, base}},
@@ -247,7 +258,7 @@ func TestGraphIDGolden(t *testing.T) {
 		{"G1 isolating 0,5,77,1023", ForContactTracing(g1, []int{0, 5, 77, 1023}), "35ca87294ee23f3d4a98faf2b8032f95"},
 	}
 	for _, tc := range golden {
-		if got := encodeGraph(tc.g).id; got != tc.id {
+		if got := newSnapshot(tc.g, 1, 1, nil).policy.GraphID; got != tc.id {
 			t.Errorf("%s: GraphID = %s, want %s", tc.name, got, tc.id)
 		}
 	}
@@ -293,23 +304,29 @@ func managerWithUsers(tb testing.TB, grid *geo.Grid, n int) *Manager {
 }
 
 // TestMarkInfectedCostIndependentOfUsers: an infection update builds the
-// contact-tracing graph once, not once per known user, and every default
-// user ends up holding that one graph.
+// contact-tracing graph once and touches no user, so neither its count
+// of allocations nor its bytes grow with the user count, and every user
+// ends up holding that one graph.
 func TestMarkInfectedCostIndependentOfUsers(t *testing.T) {
 	grid := geo.MustGrid(32, 32, 1)
-	allocs := func(users int) float64 {
+	type cost struct{ allocs, bytes float64 }
+	perMark := func(users int) cost {
+		const marks = 8
 		m := managerWithUsers(t, grid, users)
-		cell := 0
-		return testing.AllocsPerRun(5, func() {
-			if m.MarkInfected([]int{cell}) == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for cell := 0; cell < marks; cell++ {
+			if !m.MarkInfected([]int{cell}) {
 				t.Fatalf("mark of cell %d was not effective", cell)
 			}
-			cell++
-		})
+		}
+		runtime.ReadMemStats(&after)
+		return cost{float64(after.Mallocs-before.Mallocs) / marks, float64(after.TotalAlloc-before.TotalAlloc) / marks}
 	}
-	small, large := allocs(10), allocs(10_000)
-	if large >= 2*small {
-		t.Errorf("MarkInfected allocates %.0f times with 10,000 users, %.0f with 10: cost grows with the user count", large, small)
+	small, large := perMark(100), perMark(100_000)
+	if large.allocs > 1.1*small.allocs || large.bytes > 1.1*small.bytes {
+		t.Errorf("MarkInfected costs %.0f allocs and %.0f B with 100,000 users, %.0f allocs and %.0f B with 100: cost grows with the user count",
+			large.allocs, large.bytes, small.allocs, small.bytes)
 	}
 	m := managerWithUsers(t, grid, 2)
 	m.MarkInfected([]int{0})
@@ -318,8 +335,22 @@ func TestMarkInfectedCostIndependentOfUsers(t *testing.T) {
 	}
 }
 
+// TestManagerGetKnownUserAllocs: the report path reads a known user's
+// policy on every request, so the read must not allocate.
+func TestManagerGetKnownUserAllocs(t *testing.T) {
+	m := managerWithUsers(t, geo.MustGrid(8, 8, 1), 1000)
+	m.MarkInfected([]int{3})
+	var up UserPolicy
+	if a := testing.AllocsPerRun(100, func() { up = m.Get(700) }); a != 0 {
+		t.Errorf("Get on a known user allocates %v times, want 0", a)
+	}
+	if up.Version != 2 {
+		t.Errorf("version %d after one mark, want 2", up.Version)
+	}
+}
+
 // benchChanged keeps BenchmarkMarkInfected's result alive.
-var benchChanged []int
+var benchChanged bool
 
 // BenchmarkMarkInfected times one effective infection update at the
 // user counts of a district, a city and a region.
@@ -342,17 +373,36 @@ func BenchmarkMarkInfected(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicyGet reads known users' policies from parallel
+// goroutines, as concurrent reports do in the server's policy check.
+// Run it with -cpu 1,8,64 -mutexprofile to see that no read waits on a
+// manager lock.
+func BenchmarkPolicyGet(b *testing.B) {
+	const users = 10_000
+	m := managerWithUsers(b, geo.MustGrid(32, 32, 1), users)
+	m.MarkInfected([]int{0})
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for u := 0; pb.Next(); u = (u + 1) % users {
+			if v := m.Get(u).Version; v != 2 {
+				b.Errorf("user %d at version %d, want 2", u, v)
+				return
+			}
+		}
+	})
+}
+
 // TestManagerConcurrentAccess: while MarkInfected marks cells, Get on
-// known and new users keeps answering with policies in which a (user,
-// version) pair always names the same graph, and the encoding is always
-// that graph's. Run it under -race.
+// known and new users keeps answering with policies in which a version
+// always names the same graph, whenever the user was first seen, and
+// the encoding is always that graph's. Run it under -race.
 func TestManagerConcurrentAccess(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	m, _ := NewManager(grid, Baseline(grid), 1)
-	type key struct{ user, version int }
 	var (
 		mu   sync.Mutex
-		seen = make(map[key]*policygraph.Graph)
+		seen = make(map[int]*policygraph.Graph) // version -> graph
 		wg   sync.WaitGroup
 	)
 	for i := 0; i < 8; i++ {
@@ -364,15 +414,14 @@ func TestManagerConcurrentAccess(t *testing.T) {
 				// 100 on are new on every call.
 				for _, user := range []int{(id + j) % 8, 100 + id*50 + j} {
 					up := m.Get(user)
-					k := key{user, up.Version}
 					mu.Lock()
-					g, ok := seen[k]
+					g, ok := seen[up.Version]
 					if !ok {
-						seen[k] = up.Graph
+						seen[up.Version] = up.Graph
 					}
 					mu.Unlock()
 					if ok && g != up.Graph {
-						t.Errorf("user %d version %d names two graphs", user, up.Version)
+						t.Errorf("version %d names two graphs (user %d)", up.Version, user)
 						return
 					}
 					if err := checkEncoding(up); err != nil {
@@ -389,5 +438,8 @@ func TestManagerConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if len(m.InfectedCells()) != 16 {
 		t.Errorf("infected cells = %v", m.InfectedCells())
+	}
+	if v := m.Version(0); v != 17 {
+		t.Errorf("version %d after 16 effective marks, want 17", v)
 	}
 }

@@ -114,8 +114,9 @@ type runner struct {
 	cfg    RunConfig
 	client *server.Client
 
-	// Policy state, keyed by version. All users share the manager's
-	// default policy, so versions are global; mmu guards the maps.
+	// Policy state, keyed by version. A node's version counts its
+	// effective marks plus one, the same for every user, so a version
+	// names one graph; mmu guards the maps.
 	mmu    sync.Mutex
 	mechs  map[int]mechanism.Mechanism
 	graphs map[int]*policygraph.Graph

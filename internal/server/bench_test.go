@@ -30,7 +30,7 @@ func newBenchServer(tb testing.TB, shards int) (client *Client, grid *geo.Grid, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(newDB(tb, grid, shards), mgr)
+	srv, err := NewServerOpts(newDB(tb, grid, shards), mgr, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

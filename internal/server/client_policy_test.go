@@ -195,7 +195,7 @@ func TestPolicyBodiesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewServer(newDB(t, grid, 4), mgr)
+	srv2, err := NewServerOpts(newDB(t, grid, 4), mgr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

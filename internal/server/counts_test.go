@@ -57,7 +57,7 @@ func newCountsServer(t *testing.T) (*Server, *Client, *geo.Grid) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(newDB(t, grid, 4), mgr)
+	srv, err := NewServerOpts(newDB(t, grid, 4), mgr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestV2HealthzSurfacesCompactError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(db, mgr)
+	srv, err := NewServerOpts(db, mgr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ type Options struct {
 	IngestQueueDepth int
 }
 
-// NewServer wires a database and a policy manager with async ingest
-// disabled.
-func NewServer(db *DB, mgr *policy.Manager) (*Server, error) {
-	return NewServerOpts(db, mgr, Options{})
-}
-
 // NewServerOpts wires a database and a policy manager under explicit
 // options. With Options.AsyncIngest the server owns an ingestion queue;
 // call DrainIngest before closing the store so acknowledged batches are

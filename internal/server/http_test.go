@@ -25,7 +25,7 @@ func newTestServer(t *testing.T) (*Server, *Client, *geo.Grid, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(newDB(t, grid, 4), mgr)
+	srv, err := NewServerOpts(newDB(t, grid, 4), mgr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestV1DensityAndCensus(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil, nil); err == nil {
+	if _, err := NewServerOpts(nil, nil, Options{}); err == nil {
 		t.Error("nil deps should error")
 	}
 }

@@ -473,14 +473,17 @@ func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
 	writePolicy(w, http.StatusOK, nil, user, s.mgr.Get(user), graph)
 }
 
+// handleV2Infected answers an effective mark with every user the node
+// knows, listed after the swap: a user who registers in between may be
+// listed too, and renegotiating is idempotent.
 func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {
 	var req wire.InfectedRequest
 	if !decodeJSONBody(w, r, "infected cells", &req) {
 		return
 	}
-	changed := s.mgr.MarkInfected(req.Cells)
-	if changed == nil {
-		changed = []int{}
+	changed := []int{}
+	if s.mgr.MarkInfected(req.Cells) {
+		changed = s.mgr.Users()
 	}
 	writeJSON(w, wire.InfectedResponse{Changed: changed})
 }

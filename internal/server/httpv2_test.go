@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -211,6 +212,62 @@ func TestV2StalePolicyCarriesNewPolicy(t *testing.T) {
 	}
 	if g.Degree(5) != 0 {
 		t.Error("infected cell should be isolated in the renegotiated policy")
+	}
+}
+
+// TestV2VersionIsNodeWide: the policy version counts the node's
+// effective marks plus one, whenever a user was first seen. A user
+// first seen after a mark reports at that version, a stale report's 409
+// head carries it, and POST /v2/infected answers every known user,
+// ascending.
+func TestV2VersionIsNodeWide(t *testing.T) {
+	_, client, grid, done := newTestServer(t)
+	defer done()
+	base := client.baseURL()
+	var early wire.Policy
+	if st := getJSON(t, base, "/v2/policy?user=12", &early); st != http.StatusOK || early.Version != 1 {
+		t.Fatalf("early user: status %d, version %d, want 200 at v1", st, early.Version)
+	}
+	if changed, err := client.MarkInfectedContext(t.Context(), []int{5}); err != nil || len(changed) != 1 || changed[0] != 12 {
+		t.Fatalf("first mark: changed %v (%v), want [12]", changed, err)
+	}
+
+	p := grid.Center(1)
+	report := func(user, version int) (int, wire.Error) {
+		return postV2(t, base, "/v2/reports",
+			fmt.Sprintf(`{"user":%d,"policy_version":%d,"releases":[{"t":0,"x":%v,"y":%v}]}`, user, version, p.X, p.Y))
+	}
+	// User 7 is first seen here: v1 is stale for it too.
+	status, e := report(7, 1)
+	if status != http.StatusConflict || e.Code != wire.CodeStalePolicy || e.Policy == nil {
+		t.Fatalf("new user at v1: status=%d envelope=%+v, want 409 stale_policy with a head", status, e)
+	}
+	var late wire.Policy
+	if st := getJSON(t, base, "/v2/policy?user=12", &late); st != http.StatusOK {
+		t.Fatalf("GET /v2/policy: status %d", st)
+	}
+	if e.Policy.User != 7 || e.Policy.Version != 2 || e.Policy.GraphID != late.GraphID {
+		t.Errorf("409 head = %+v, want user 7 at v2 under the early user's graph_id %q", e.Policy, late.GraphID)
+	}
+	if status, e := report(7, 2); status != http.StatusOK {
+		t.Errorf("new user at the node's v2: status=%d envelope=%+v, want 200", status, e)
+	}
+	if st := getJSON(t, base, "/v2/policy?user=3", &late); st != http.StatusOK || late.Version != 2 {
+		t.Errorf("user 3 first seen after one mark: status %d, version %d, want v2", st, late.Version)
+	}
+
+	changed, err := client.MarkInfectedContext(t.Context(), []int{6})
+	if err != nil || !slices.Equal(changed, []int{3, 7, 12}) {
+		t.Errorf("second mark: changed %v (%v), want every known user ascending, [3 7 12]", changed, err)
+	}
+	resp, err := http.Post(base+"/v2/infected", "application/json", strings.NewReader(`{"cells":[6]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != `{"changed":[]}` {
+		t.Errorf("repeated mark: status %d body %s, want 200 {\"changed\":[]}", resp.StatusCode, body)
 	}
 }
 

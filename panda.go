@@ -308,13 +308,19 @@ func (s *System) SnapToCell(p Point) int { return s.grid.Snap(p) }
 func (s *System) Handler() http.Handler { return s.srv.Handler() }
 
 // MarkInfected publishes infected (disclosable) locations; every user's
-// policy is updated to the contact-tracing variant Gc and their policy
-// version bumps, signalling clients to re-send history. Returns affected
-// user IDs.
-func (s *System) MarkInfected(cells []int) []int { return s.mgr.MarkInfected(cells) }
+// policy is updated to the contact-tracing variant Gc and the policy
+// version bumps, signalling clients to re-send history. Returns the IDs
+// of every known user, ascending, or nil when no cell was new.
+func (s *System) MarkInfected(cells []int) []int {
+	if !s.mgr.MarkInfected(cells) {
+		return nil
+	}
+	return s.mgr.Users()
+}
 
-// InfectedCells returns the accumulated disclosable locations.
-func (s *System) InfectedCells() []int { return s.mgr.InfectedCells() }
+// InfectedCells returns a copy of the accumulated disclosable locations,
+// ascending.
+func (s *System) InfectedCells() []int { return append([]int{}, s.mgr.InfectedCells()...) }
 
 // DensityAt returns released-location counts per coarse region at
 // timestep t — the location-monitoring aggregate — or nil when a block
