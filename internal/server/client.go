@@ -188,8 +188,8 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // Retry-After header (e.g. the cluster router's node_unavailable) — are
 // retried after the hint instead of the backoff curve; everything else
 // is decoded (into out or an *APIError) and returned as-is. Taking
-// bytes rather than a value keeps the binary report path re-sendable
-// across retries without re-encoding.
+// bytes rather than a value keeps the report path re-sendable across
+// retries without re-encoding.
 func (c *Client) doBytes(ctx context.Context, method, path, contentType string, data []byte, out any) error {
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
@@ -583,41 +583,42 @@ func (c *Client) ReportBatchAsyncContext(ctx context.Context, user int, releases
 	return out.ack()
 }
 
-// binaryBufs pools the encode buffers of the binary report path so a
-// client looping over batches reuses one buffer instead of allocating a
-// body per send.
-var binaryBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+// reportBufs pools the encode buffers of the report path so a client
+// looping over batches reuses one buffer instead of allocating a body
+// per send.
+var reportBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
 
 // sendReport is the one send loop of the four report methods. It
-// encodes releases under the user's cached policy version, in the JSON
-// or the binary format as contentType says, and POSTs them to path.
-// On a stale_policy conflict it adopts the server's inline policy head
-// and sends once more, re-encoded under the new version: both formats
-// carry the version, the binary one in every frame.
+// encodes releases under the user's cached policy version into a
+// pooled buffer, in the JSON or the binary format as contentType says,
+// and POSTs them to path. On a stale_policy conflict it adopts the
+// server's inline policy head and sends once more, re-encoded under the
+// new version: both formats carry the version, the binary one in every
+// frame.
 func (c *Client) sendReport(ctx context.Context, path, contentType string, user int, releases []wire.Release, out any) error {
-	var bp *[]byte // binary encode buffer; JSON bodies are marshaled by post
-	if contentType == wire.ContentTypeBinary {
-		bp = binaryBufs.Get().(*[]byte)
-		defer func() {
-			// Oversized encode buffers (a maximum batch is multiple MB)
-			// go to the GC rather than staying pinned in the pool.
-			if cap(*bp) <= maxPooledBody {
-				*bp = (*bp)[:0]
-				binaryBufs.Put(bp)
-			}
-		}()
-	}
+	bp := reportBufs.Get().(*[]byte)
+	defer func() {
+		// Oversized encode buffers (a maximum batch is multiple MB) go to
+		// the GC rather than staying pinned in the pool.
+		if cap(*bp) <= maxPooledBody {
+			*bp = (*bp)[:0]
+			reportBufs.Put(bp)
+		}
+	}()
 	for renegotiated := false; ; renegotiated = true {
 		ver, err := c.policyVersion(ctx, user)
 		if err != nil {
 			return err
 		}
-		if bp != nil {
+		if contentType == wire.ContentTypeBinary {
 			*bp = wire.AppendBinaryReport((*bp)[:0], user, ver, releases)
-			err = c.doBytes(ctx, http.MethodPost, path, contentType, *bp, out)
 		} else {
-			err = c.post(ctx, path, wire.BatchReportRequest{User: user, PolicyVersion: ver, Releases: releases}, out)
+			req := wire.BatchReportRequest{User: user, PolicyVersion: ver, Releases: releases}
+			if *bp, err = req.AppendJSON((*bp)[:0]); err != nil {
+				return fmt.Errorf("server client: encoding request: %w", err)
+			}
 		}
+		err = c.doBytes(ctx, http.MethodPost, path, contentType, *bp, out)
 		if err == nil || renegotiated || !c.adoptStalePolicy(ctx, user, err) {
 			return err
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/policy"
 	"github.com/pglp/panda/internal/server/ingest"
 	"github.com/pglp/panda/internal/server/storage"
@@ -36,13 +35,20 @@ func v2Error(w http.ResponseWriter, status int, code, format string, args ...any
 }
 
 // decodeJSONBody decodes a JSON request body of at most
-// wire.MaxRequestBody bytes into v. On failure it writes the error — 413
-// for an oversized body, 400 for any other — and returns false.
+// wire.MaxRequestBody bytes into v. On failure it writes the error (see
+// jsonBodyError) and returns false.
 func decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxRequestBody)).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		jsonBodyError(w, what, err)
 	}
+	return err == nil
+}
+
+// jsonBodyError writes the error of a JSON request body that failed to
+// read or decode: 413 for a body over wire.MaxRequestBody, 400 for any
+// other.
+func jsonBodyError(w http.ResponseWriter, what string, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		v2Error(w, http.StatusRequestEntityTooLarge, wire.CodeBadRequest,
@@ -50,7 +56,6 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, what string, v any) 
 	} else {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding %s: %v", what, err)
 	}
-	return false
 }
 
 // v2StalePolicy writes the 409 renegotiation envelope: the error plus
@@ -157,31 +162,33 @@ func (s *Server) handleV2Reports(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeJSONReport decodes a JSON report body into a pooled record batch
-// with cells unset, which the caller then owns. On failure — a body that
-// is malformed, over the byte limit, empty or over maxBatchReleases — it
-// writes the error and returns ok=false.
+// with cells unset, which the caller then owns. The body, at most
+// wire.MaxRequestBody bytes, is read whole into one buffer sized by its
+// Content-Length, and wire.DecodeJSONReport parses it straight into the
+// batch. The records copy what they need, so the buffer is garbage
+// before the batch reaches the gate. It is not pooled: a pooled buffer
+// keeps its full capacity alive across collections, where an exact-size
+// one dies with the request. On failure — a body that is malformed, over
+// the byte limit, empty or over maxBatchReleases — it writes the error
+// and returns ok=false.
 func decodeJSONReport(w http.ResponseWriter, r *http.Request) (user, version int, recs []Record, ok bool) {
-	var req wire.BatchReportRequest
-	if !decodeJSONBody(w, r, "batch report", &req) {
+	// One byte past the body lets appendBody see the end without growing.
+	size := r.ContentLength + 1
+	if size <= 0 || size > maxPooledBody {
+		size = 512
+	}
+	body, err := appendBody(make([]byte, 0, size), http.MaxBytesReader(w, r.Body, wire.MaxRequestBody))
+	if err != nil {
+		jsonBodyError(w, "batch report", err)
 		return 0, 0, nil, false
 	}
-	if len(req.Releases) == 0 {
-		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "empty batch: at least one release required")
+	user, version, recs, err = wire.DecodeJSONReport(body, maxBatchReleases, storage.GetRecords())
+	if err != nil {
+		storage.PutRecords(recs)
+		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return 0, 0, nil, false
 	}
-	if len(req.Releases) > maxBatchReleases {
-		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"batch of %d releases exceeds the limit of %d", len(req.Releases), maxBatchReleases)
-		return 0, 0, nil, false
-	}
-	recs = storage.GetRecords()
-	for _, rel := range req.Releases {
-		recs = append(recs, Record{
-			User: req.User, T: rel.T, Point: geo.Pt(rel.X, rel.Y),
-			Cell: -1, PolicyVersion: req.PolicyVersion,
-		})
-	}
-	return req.User, req.PolicyVersion, recs, true
+	return user, version, recs, true
 }
 
 // maxBinaryBody is the exact upper bound of a well-formed binary report
@@ -203,7 +210,9 @@ var bodyBufs = sync.Pool{
 // buffer may retain: a maximum-size binary body is ~5.6 MB, and pooling
 // one pins it for the process lifetime. Outliers above the cap are left
 // to the GC; typical bodies keep recycling. It also caps the buffer the
-// client allocates for a response body before reading it.
+// client allocates for a response body, and the server for a JSON
+// report body, before reading it: a larger Content-Length is not taken
+// on trust.
 const maxPooledBody = 1 << 20
 
 // putBodyBuf returns a bodyBufs buffer to the pool, dropping oversized

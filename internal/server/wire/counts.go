@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strconv"
 )
 
@@ -58,7 +57,7 @@ func (r *DensityResponse) UnmarshalJSON(data []byte) error {
 // parseDensity reads the form DensityResponse.AppendJSON writes; ok is
 // false for any other input.
 func parseDensity(data []byte) (v DensityResponse, ok bool) {
-	p := countsParser{data: data}
+	p := jsonParser{data: data}
 	if !p.lit(`{"t":`) {
 		return v, false
 	}
@@ -118,7 +117,7 @@ func (r *DensitySeriesResponse) UnmarshalJSON(data []byte) error {
 // parseSeries reads the form DensitySeriesResponse.AppendJSON writes; ok
 // is false for any other input.
 func parseSeries(data []byte) (v DensitySeriesResponse, ok bool) {
-	p := countsParser{data: data}
+	p := jsonParser{data: data}
 	if !p.lit(`{"t0":`) {
 		return v, false
 	}
@@ -187,7 +186,7 @@ func (r *ExposureResponse) UnmarshalJSON(data []byte) error {
 // parseExposure reads the form ExposureResponse.AppendJSON writes; ok is
 // false for any other input.
 func parseExposure(data []byte) (v ExposureResponse, ok bool) {
-	p := countsParser{data: data}
+	p := jsonParser{data: data}
 	if !p.lit(`{"t0":`) {
 		return v, false
 	}
@@ -217,114 +216,4 @@ func appendInts(dst []byte, xs []int) []byte {
 		dst = strconv.AppendInt(dst, int64(x), 10)
 	}
 	return append(dst, ']')
-}
-
-// countsParser reads the form the AppendJSON methods write from data,
-// from pos on. Its arrays of ints share buf.
-type countsParser struct {
-	data []byte
-	pos  int
-	buf  []int
-}
-
-// lit consumes s if the input continues with it.
-func (p *countsParser) lit(s string) bool {
-	if len(p.data)-p.pos < len(s) || string(p.data[p.pos:p.pos+len(s)]) != s {
-		return false
-	}
-	p.pos += len(s)
-	return true
-}
-
-// char consumes c if the input continues with it.
-func (p *countsParser) char(c byte) bool {
-	if p.pos < len(p.data) && p.data[p.pos] == c {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-// uint consumes a non-negative integer written as encoding/json writes
-// one, decimal digits with no leading zero, and refuses one past
-// math.MaxUint64.
-func (p *countsParser) uint() (uint64, bool) {
-	const cutoff = math.MaxUint64 / 10
-	start := p.pos
-	var x uint64
-	for p.pos < len(p.data) && '0' <= p.data[p.pos] && p.data[p.pos] <= '9' {
-		d := uint64(p.data[p.pos] - '0')
-		if x > cutoff || x == cutoff && d > math.MaxUint64%10 {
-			return 0, false
-		}
-		x = 10*x + d
-		p.pos++
-	}
-	if p.pos == start || p.data[start] == '0' && p.pos-start > 1 {
-		return 0, false
-	}
-	return x, true
-}
-
-// int consumes an integer written as encoding/json writes one: uint's
-// form with an optional minus sign. It refuses -0 and anything out of
-// int's range.
-func (p *countsParser) int() (int, bool) {
-	neg := p.char('-')
-	u, ok := p.uint()
-	switch {
-	case !ok:
-		return 0, false
-	case !neg && u <= math.MaxInt:
-		return int(u), true
-	case neg && u > 0 && u-1 <= math.MaxInt:
-		return -int(u-1) - 1, true
-	}
-	return 0, false
-}
-
-// ints consumes an array of ints, or null. The elements go to the end of
-// buf, and the array comes back as that stretch of it with the capacity
-// clipped, so that an append to one array never writes over the next;
-// null comes back as nil, [] as an empty slice.
-func (p *countsParser) ints() ([]int, bool) {
-	if p.lit("null") {
-		return nil, true
-	}
-	if !p.char('[') {
-		return nil, false
-	}
-	if p.buf == nil {
-		// Room for every int left in the input: each but the first
-		// follows a comma, its own or its row's.
-		p.buf = make([]int, 0, bytes.Count(p.data[p.pos:], []byte{','})+1)
-	}
-	start := len(p.buf)
-	for !p.char(']') {
-		if len(p.buf) > start && !p.char(',') {
-			return nil, false
-		}
-		x, ok := p.int()
-		if !ok {
-			return nil, false
-		}
-		p.buf = append(p.buf, x)
-	}
-	return p.buf[start:len(p.buf):len(p.buf)], true
-}
-
-// end consumes the closing brace and reports whether nothing but JSON
-// whitespace follows it.
-func (p *countsParser) end() bool {
-	if !p.char('}') {
-		return false
-	}
-	for ; p.pos < len(p.data); p.pos++ {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -88,6 +88,8 @@ type Options struct {
 	// sliding-window privacy budget per user: the ε spent on releases
 	// within any WindowSteps consecutive timesteps may not exceed
 	// WindowEpsilon (sequential composition over "the past two weeks").
+	// Both zero means no window; any other pair must be both positive
+	// (WindowEpsilon may be +Inf), or NewSystem fails.
 	WindowSteps   int
 	WindowEpsilon float64
 	// StoreShards selects the number of independent lock shards for the
@@ -194,8 +196,15 @@ func NewSystem(o Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (o.WindowSteps > 0) != (o.WindowEpsilon > 0) {
+	// Only (0, 0) means no window; any other pair must make an accountant.
+	switch {
+	case o.WindowSteps == 0 && o.WindowEpsilon == 0:
+	case o.WindowSteps == 0 || o.WindowEpsilon == 0:
 		return nil, fmt.Errorf("panda: WindowSteps and WindowEpsilon must be set together")
+	default:
+		if _, err := dp.NewWindowAccountant(o.WindowSteps, o.WindowEpsilon); err != nil {
+			return nil, fmt.Errorf("panda: %w", err)
+		}
 	}
 	var (
 		records storage.Store

@@ -428,6 +428,37 @@ func TestWindowBudgetEnforced(t *testing.T) {
 	}
 }
 
+// TestWindowOptionsValidation: only (0, 0) turns the window budget
+// off. A zero on one side alone is refused as a half-set pair, and any
+// other pair must pass the window accountant's own checks.
+func TestWindowOptionsValidation(t *testing.T) {
+	for _, tc := range []struct {
+		steps   int
+		eps     float64
+		wantErr string // "" for a system that builds
+	}{
+		{0, 0, ""},
+		{3, 2, ""},
+		{3, math.Inf(1), ""},
+		{5, 0, "panda: WindowSteps and WindowEpsilon must be set together"},
+		{0, 2, "panda: WindowSteps and WindowEpsilon must be set together"},
+		{0, math.NaN(), "panda: WindowSteps and WindowEpsilon must be set together"},
+		{5, math.NaN(), "panda: dp: window limit must be positive, got NaN"},
+		{5, -1, "panda: dp: window limit must be positive, got -1"},
+		{-3, 2, "panda: dp: window must be positive, got -3"},
+	} {
+		o := testOptions()
+		o.WindowSteps, o.WindowEpsilon = tc.steps, tc.eps
+		got := ""
+		if _, err := NewSystem(o); err != nil {
+			got = err.Error()
+		}
+		if got != tc.wantErr {
+			t.Errorf("WindowSteps %d, WindowEpsilon %v: error %q, want %q", tc.steps, tc.eps, got, tc.wantErr)
+		}
+	}
+}
+
 // TestWindowBudgetOutOfOrder: a release at an earlier step counts
 // against the windows that later releases already hold, so reporting
 // late cannot get around the sliding-window budget.
